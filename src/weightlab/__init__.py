@@ -31,7 +31,6 @@ from .coeffs import (
     CoeffTable,
     IdentityInapplicableError,
     coeff_table,
-    coeff_table_log,
     inf_sup_identity,
     log_convexity_check,
     sandwich_check,

@@ -5,8 +5,9 @@ Every subcommand mirrors a library operation, writes deterministic JSON
 pass, 1 when a check reports violations, 2 on configuration errors.
 A JSON config file (`weightlab run --config file.json`) carries the same
 fields as the flags: {"command": "cx.contradict", "seq": "powlog:a=1,b=2",
-...}.  WEIGHTLAB_PRECISION_BITS overrides the default accumulation
-precision, but an explicit config/flag value wins.
+...}.  WEIGHTLAB_PRECISION_BITS overrides the default 128-bit accumulation
+precision of the `cx` commands, but an explicit config/flag value wins;
+every command accepts --precision-bits, and only the `cx` commands use it.
 """
 
 from __future__ import annotations
@@ -109,11 +110,7 @@ def h_weight_coeffs(params: dict):
     seq = _seq(params)
     n = int(params.get("n", 1))
     K = int(params.get("K", 20))
-    tab = coeff_table(
-        seq, n, K,
-        tol=float(params.get("tol", 1e-12)),
-        precision_bits=_precision_bits(params),
-    )
+    tab = coeff_table(seq, n, K, tol=float(params.get("tol", 1e-12)))
     conv = log_convexity_check(tab)
     ident = []
     for k in range(1, min(K - 1, int(params.get("k_identity", 8))) + 1):

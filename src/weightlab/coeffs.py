@@ -1,12 +1,16 @@
 """Coefficient tables for powers of the squared weight.
 
 a_k is the square root of the u^k coefficient in prod_j (1 + u/t_j^2)^n
-(indexing by powers of z^2, the only nonzero ones).  Tables are built by
-incremental polynomial multiplication: exactly in mpmath at a configurable
-precision, or in float64 log-space for large degrees.  Coefficients are
-elementary symmetric functions of positive numbers, so there is never any
-cancellation; truncating the factor list perturbs each a_k by a relative
-factor in [1, 1 + trunc_error_rel].
+(indexing by powers of z^2, the only nonzero ones).  One builder makes
+every table.  The n = 1 coefficients, the elementary symmetric functions
+e_k of the 1/t_j^2, come from a DP in np.longdouble that scales index k
+by the product of the k largest factors, so every multiplier is at most 1;
+the n-th power is a log-space convolution of that table, also in long
+double.  All terms are positive, so nothing cancels, and the rounding
+bound is read from np.finfo(np.longdouble).eps, never hard-coded: long
+double is plain float64 on some platforms.  trunc_error_rel bounds the
+relative error of every a_k: the omitted factors, which shrink it by at
+most exp(nK * tail) - 1, plus that rounding bound.
 """
 
 from __future__ import annotations
@@ -16,12 +20,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpf, sqrt as mp_sqrt
 
 from .sequences import ExplicitFamily, ZeroSequence
 from .weights import WeightEvaluator, CheckReport
 
 NEG_INF = float("-inf")
+FLOAT = np.longdouble
+# cap on the factor count of a table of an infinite sequence
+MAX_FACTORS = 30_000
+# largest degree sandwich_check builds a big table for
+K_ADAPT_CAP = 6000
 
 
 class IdentityInapplicableError(ValueError):
@@ -35,124 +43,126 @@ class CoeffTable:
     log_a: np.ndarray  # ln a_k, -inf where a_k = 0
     trunc_error_rel: float
     factors_used: int
-    exact_a: Optional[list] = None  # mpf values when built exactly
-
-    def values(self) -> np.ndarray:
-        """a_k as float64 (may over/underflow for extreme tables)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_a)
 
 
-def _pick_factor_count(seq: ZeroSequence, tol: float, max_factors: int) -> tuple[int, float]:
+@dataclass(frozen=True)
+class _BaseTable:
+    """ln e_k for n = 1, in FLOAT, with what the error bound needs."""
+
+    log_e: np.ndarray
+    factors_used: int
+    tail: float  # sum of the omitted 1/t_j^2
+    dp_rounding: int  # DP rounding error of ln e_k, in units of eps
+    mag: float  # bound on the magnitude of every logarithm summed
+
+
+def _pick_factor_count(seq: ZeroSequence, K: int, tol: float) -> tuple[int, float]:
+    """Smallest doubling J >= 16 with sum_{j>J} 1/t_j^2 <= tol, then at
+    least K + 1 so that every a_k is positive, within the budgets."""
     fam = seq.family
     if isinstance(fam, ExplicitFamily):
         return len(fam.values), 0.0
-    cap = min(seq.j_cut, max_factors)
+    cap = min(seq.j_cut, MAX_FACTORS)
     j = 16
     while j < cap and fam.inv_sq_tail(j) > tol:
         j = min(cap, j * 2)
+    j = min(cap, max(j, K + 1))
     return j, fam.inv_sq_tail(j)
 
 
-def coeff_table(
-    seq: ZeroSequence,
-    n: int,
-    K: int,
-    tol: float = 1e-12,
-    max_factors: int = 30_000,
-    precision_bits: int = 128,
-) -> CoeffTable:
-    """Exact-arithmetic table of a_0..a_K for the n-th power.
+def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
+    """ln e_k, k <= K, of the first J factors 1/t_j^2 (t_j nondecreasing).
 
-    The factor count J is the smallest with sum_{j>J} 1/t_j^2 <= tol
-    (capped by max_factors and the sequence budget); the omitted factors
-    multiply each coefficient by at most exp(nK * tail), reported as
-    trunc_error_rel = exp(nK * tail) - 1.
+    Index k holds E_k = (t_1 ... t_k)^2 e_k / 2^shift_k, e_k the k-th
+    elementary symmetric function of the factors so far.  Factor m maps
+    E_k to E_k + E_{k-1} (t_k/t_m)^2: every multiplier is at most 1, E_m
+    starts at exactly 1, and by Newton's inequalities E_k grows at most
+    m-fold.  Every 16 factors an entry past sqrt(max) is scaled into
+    [1/2, 1) by a power of two, which goes into shift_k.  An increment too
+    small for FLOAT is below the entry it joins by far more than eps.
     """
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    j_max, tail = _pick_factor_count(seq, tol, max_factors)
-    trunc = math.expm1(n * K * tail)
-    with mp.workprec(precision_bits):
-        base = [mpf(0)] * (K + 1)
-        base[0] = mpf(1)
-        for j in range(1, j_max + 1):
-            tj = seq.term(j)
-            if not math.isfinite(tj):
-                break
-            c = 1 / mpf(tj) ** 2
-            top = min(j, K)
-            for p in range(top, 0, -1):
-                base[p] += base[p - 1] * c
-        full = base
-        for _ in range(n - 1):
-            full = _poly_mul_trunc(full, base, K)
-        a = [mp_sqrt(e) for e in full]
-        log_a = np.array(
-            [float(mp.log(v)) if v > 0 else NEG_INF for v in a], dtype=float
-        )
-    return CoeffTable(
-        n=n, K=K, log_a=log_a, trunc_error_rel=trunc, factors_used=j_max, exact_a=a
-    )
+    j_max, tail = _pick_factor_count(seq, K, tol)
+    t = np.fromiter(map(seq.term, range(1, j_max + 1)), dtype=FLOAT, count=j_max)
+    t = t[np.isfinite(t)]
+    top = min(K, len(t))
+    fold_at = np.sqrt(np.finfo(FLOAT).max)
+    e = np.zeros(top + 1, dtype=FLOAT)
+    e[0] = 1
+    shift = np.zeros(top + 1, dtype=np.int64)
+    gain = np.ones(top + 1, dtype=FLOAT)  # 2^(shift_{k-1} - shift_k)
+    for m in range(len(t)):
+        k = min(m + 1, top)
+        e[1 : k + 1] += e[:k] * (t[:k] / t[m]) ** 2 * gain[1 : k + 1]
+        if m % 16 == 15 and np.max(e) > fold_at:
+            big = e > fold_at
+            _, s = np.frexp(e[big])
+            e[big] = np.ldexp(e[big], -s)
+            shift[big] += s
+            gain[1 : k + 1] = np.ldexp(FLOAT(1), shift[:k] - shift[1 : k + 1])
+    log_kept = np.log(e)
+    log_offset = shift * np.log(FLOAT(2))
+    log_2t = 2 * np.log(t[:top])
+    log_e = np.full(K + 1, NEG_INF, dtype=FLOAT)
+    log_e[: top + 1] = log_kept + log_offset - np.concatenate(([0], np.cumsum(log_2t)))
+    sum_abs = np.concatenate(([0], np.cumsum(np.abs(log_2t))))
+    mag = 1.0 + float(np.max(np.abs(log_kept) + np.abs(log_offset) + sum_abs))
+    # an increment carries 4 roundings (the squared quotient counts 3, the
+    # product 1) into a positive sum: E_k after m factors is within
+    # gamma_{m + 4k} (Higham, 2nd ed., section 4.2)
+    return _BaseTable(log_e, j_max, tail, len(t) + 4 * top, mag)
 
 
-def _poly_mul_trunc(p, q, K):
-    out = [mpf(0)] * (K + 1)
-    for i, pi in enumerate(p):
-        if pi == 0:
-            continue
-        for jj in range(0, min(K - i, len(q) - 1) + 1):
-            if q[jj] != 0:
-                out[i + jj] += pi * q[jj]
-    return out
+def _power_table(base: _BaseTable, n: int) -> CoeffTable:
+    """The table of the n-th power: the only place a CoeffTable is built.
 
-
-def coeff_table_log(
-    seq: ZeroSequence,
-    n: int,
-    K: int,
-    tol: float = 1e-12,
-    max_factors: int = 30_000,
-) -> CoeffTable:
-    """float64 log-space table for large K (exponent range is unbounded).
-
-    Positive-sum recurrences only, so the accumulated relative rounding is
-    about factors * 2^-52; that is folded into trunc_error_rel.
+    The error of ln e_k^n, in units of the FLOAT eps, is at most n times
+    that of ln e_k: the DP's, plus (K + 8) mag from the logarithms and the
+    offsets.  Each convolution adds at most 4 mag + K + ln((K+1)/eps) + 8.
+    Rounding ln a_k to float64 adds one float64 eps times mag.
     """
-    if n < 1 or K < 1:
-        raise ValueError("need n >= 1 and K >= 1")
-    j_max, tail = _pick_factor_count(seq, tol, max_factors)
-    log_base = np.full(K + 1, NEG_INF)
-    log_base[0] = 0.0
-    for j in range(1, j_max + 1):
-        tj = seq.term(j)
-        if not math.isfinite(tj):
-            break
-        lc = -2.0 * math.log(tj)
-        shifted = np.concatenate(([NEG_INF], log_base[:-1] + lc))
-        log_base = np.logaddexp(log_base, shifted)
-    log_full = log_base
+    log_full = base.log_e
     for _ in range(n - 1):
-        log_full = _log_poly_mul(log_full, log_base)
-    rounding = j_max * n * 2.0**-50
+        log_full = _log_poly_mul(log_full, base.log_e)
+    K = len(log_full) - 1
+    eps = float(np.finfo(FLOAT).eps)
+    mag = max(base.mag, float(np.max(np.abs(log_full[np.isfinite(log_full)]))))
+    per_mul = 4 * mag + K + math.log((K + 1) / eps) + 8
+    rounding = (eps * (n * (base.dp_rounding + (K + 8) * mag) + (n - 1) * per_mul)
+                + float(np.finfo(float).eps) * mag)
     return CoeffTable(
         n=n,
         K=K,
-        log_a=0.5 * log_full,
-        trunc_error_rel=math.expm1(n * K * tail) + rounding,
-        factors_used=j_max,
+        log_a=(0.5 * log_full).astype(float),
+        trunc_error_rel=math.expm1(n * K * base.tail + rounding),
+        factors_used=base.factors_used,
     )
 
 
+def coeff_table(seq: ZeroSequence, n: int, K: int, tol: float = 1e-12) -> CoeffTable:
+    """Table of a_0..a_K for the n-th power.
+
+    The factor count J is the smallest doubling from 16 with
+    sum_{j>J} 1/t_j^2 <= tol, raised to K + 1 and capped by MAX_FACTORS
+    and the sequence budget; an explicit list uses all its zeros.
+    """
+    if n < 1 or K < 1:
+        raise ValueError("need n >= 1 and K >= 1")
+    return _power_table(_base_table(seq, K, tol), n)
+
+
 def _log_poly_mul(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """ln of the coefficients of the product of two series, truncated at
+    the degree of lp, in the dtype of the inputs.  Terms below the largest
+    by a factor eps/(K+1) are dropped; together they are below one eps."""
     K = len(lp) - 1
-    out = np.full(K + 1, NEG_INF)
+    cut = math.log(float(np.finfo(lp.dtype).eps) / (K + 1))
+    out = np.full(K + 1, NEG_INF, dtype=lp.dtype)
     for p in range(K + 1):
         terms = lp[: p + 1] + lq[p::-1]
         m = np.max(terms)
         if m == NEG_INF:
             continue
-        out[p] = m + math.log(float(np.sum(np.exp(terms - m))))
+        out[p] = m + np.log(np.sum(np.exp(terms[terms > m + cut] - m)))
     return out
 
 
@@ -257,22 +267,6 @@ def log_convexity_check(table: CoeffTable, slack_factor: float = 3.0) -> CheckRe
     )
 
 
-def _max_term_defect(seq: ZeroSequence, n: int, u: float) -> float:
-    """(1/2) ln(M+2): sup-vs-sum gap for sum_p e_p u^p in the n-th power.
-
-    e_{p+1}/e_p <= sum of the remaining factor weights, so past the index
-    where u * (that suffix) <= 1/2 the series terms at least halve; the
-    whole sum is then at most (M+2) times its largest term.
-    """
-    fam = seq.family
-    q = 4
-    while u * n * fam.inv_sq_tail(q) > 0.5:
-        q *= 2
-        if q > 10**18:
-            raise OverflowError("max-term defect index out of range")
-    return 0.5 * math.log(n * q + 2.0)
-
-
 def sandwich_check(
     seq: ZeroSequence,
     n: int,
@@ -280,20 +274,20 @@ def sandwich_check(
     w: WeightEvaluator,
     table: CoeffTable,
     big_table_cache: Optional[dict] = None,
-    k_adapt_cap: int = 6000,
 ) -> CheckReport:
     """Two-sided check of  sup_p a_p t^p <= |w(t)^n| <= sqrt2 sup_p a_p (sqrt2 t)^p.
 
     Left side: ln sup(table, t) <= n (v(t)+err(t)) + slack; valid for any
     truncation since dropping factors only shrinks the coefficients.
 
-    Right side: n v(t) <= ln(sqrt2)/2... precisely
-    n v(t) <= (1/2) ln2 + ln sup(table', sqrt2 t) + slack, certified when
-    the max term of the full product sits strictly inside the table
-    (detected from the last coefficient ratio); for larger t where no
-    affordable table contains the peak, the weaker evaluator form
-    n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) + max-term defect is used,
-    with the defect (1/2) ln(M+2) reported.
+    Right side: n v(t) <= (1/2) ln2 + ln sup(table', sqrt2 t) + slack,
+    certified when the max term of the full product sits strictly inside
+    the table (detected from the last coefficient ratio).  When the given
+    table is too short, a big table of degree K_big up to K_ADAPT_CAP is
+    raised to the n-th power from its n = 1 table, both kept in
+    big_table_cache.  For larger t the weaker evaluator form
+    n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) is used, and the regime is
+    "sup-capped".
     """
     v_t, err_t = w.eval_log_abs_omega(t)
     y = math.sqrt(2.0) * t
@@ -305,41 +299,28 @@ def sandwich_check(
     left_margin = n * v_t + n * err_t + math.log1p(table.trunc_error_rel) + tiny - left.log_value
 
     rhs_table = table
-    peak_ok, right_margin, regime = _interior_sup(rhs_table, y)
+    peak_ok = _interior_sup(rhs_table, y)
     if not peak_ok and big_table_cache is not None:
         # the max term of the n-th power sits near n * n(y)
         need = n * seq.count_leq(y) + 64
-        if need <= k_adapt_cap:
+        if need <= K_ADAPT_CAP:
             K_big = max(256, 1 << (need - 1).bit_length())
             base_key = ("base", K_big)
             if base_key not in big_table_cache:
-                big_table_cache[base_key] = coeff_table_log(seq, 1, K_big)
+                big_table_cache[base_key] = _base_table(seq, K_big, 1e-12)
             key = (n, K_big)
             if key not in big_table_cache:
-                base = big_table_cache[base_key]
-                log_full = 2.0 * base.log_a
-                for _ in range(n - 1):
-                    log_full = _log_poly_mul(log_full, 2.0 * base.log_a)
-                big_table_cache[key] = CoeffTable(
-                    n=n,
-                    K=K_big,
-                    log_a=0.5 * log_full,
-                    trunc_error_rel=(1.0 + base.trunc_error_rel) ** n - 1.0
-                    + K_big * 2.0**-48,
-                    factors_used=base.factors_used,
-                )
+                big_table_cache[key] = _power_table(big_table_cache[base_key], n)
             rhs_table = big_table_cache[key]
-            peak_ok, right_margin, regime = _interior_sup(rhs_table, y)
+            peak_ok = _interior_sup(rhs_table, y)
     if peak_ok:
         sup_y = sup_poly(rhs_table, y)
         rhs = 0.5 * math.log(2.0) + sup_y.log_value + math.log1p(rhs_table.trunc_error_rel)
-        right_margin = rhs + tiny - n * v_t
         regime = "table"
     else:
-        defect = _max_term_defect(seq, n, 2.0 * t * t)
         rhs = 0.5 * math.log(2.0) + n * (v_y + err_y)
-        right_margin = rhs + tiny - n * v_t
-        regime = f"sup-capped(defect={defect:.3f})"
+        regime = "sup-capped"
+    right_margin = rhs + tiny - n * v_t
 
     passed = left_margin >= 0.0 and right_margin >= 0.0
     return CheckReport(
@@ -357,17 +338,14 @@ def sandwich_check(
     )
 
 
-def _interior_sup(table: CoeffTable, y: float):
+def _interior_sup(table: CoeffTable, y: float) -> bool:
     """Whether the max term of the untruncated product certifiably sits
     at index < K: the coefficient sequence is log-concave after square
-    roots, so a strictly falling last ratio pins the peak inside."""
+    roots, so a strictly falling last ratio pins the peak inside.  A zero
+    last coefficient means a finite product, all of it in the table."""
     la = table.log_a
     if la[-1] == NEG_INF or la[-2] == NEG_INF:
-        # finite product: table holds every nonzero coefficient
-        sup = sup_poly(table, y)
-        return True, 0.0, "finite"
+        return True
     last_ratio = la[-1] - la[-2] + math.log(y)
     guard = 2.0 * math.log1p(table.trunc_error_rel) + 1e-9
-    if last_ratio < -guard:
-        return True, 0.0, "interior"
-    return False, 0.0, "peak-escapes"
+    return last_ratio < -guard
