@@ -77,9 +77,12 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     elementary symmetric function of the factors so far.  Factor m maps
     E_k to E_k + E_{k-1} (t_k/t_m)^2: every multiplier is at most 1, E_m
     starts at exactly 1, and by Newton's inequalities E_k grows at most
-    m-fold.  Every 16 factors an entry past sqrt(max) is scaled into
-    [1/2, 1) by a power of two, which goes into shift_k.  An increment too
-    small for FLOAT is below the entry it joins by far more than eps.
+    m-fold.  Once m >= K the multiplier is split as c_k s_m, with
+    c_k = (t_k/t_K)^2 and s_m = (t_K/t_m)^2 both at most 1, so a step is
+    one scalar and one array product.  Every 16 factors an entry past
+    sqrt(max) is scaled into [1/2, 1) by a power of two, which goes into
+    shift_k.  An increment too small for FLOAT is below the entry it
+    joins by far more than eps.
     """
     j_max, tail = _pick_factor_count(seq, K, tol)
     t = np.fromiter(map(seq.term, range(1, j_max + 1)), dtype=FLOAT, count=j_max)
@@ -89,16 +92,25 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     e = np.zeros(top + 1, dtype=FLOAT)
     e[0] = 1
     shift = np.zeros(top + 1, dtype=np.int64)
-    gain = np.ones(top + 1, dtype=FLOAT)  # 2^(shift_{k-1} - shift_k)
+    gain = np.ones(top, dtype=FLOAT)  # 2^(shift_{k-1} - shift_k)
+    c = (t[:top] / t[top - 1]) ** 2
+    cg = c  # c_k 2^(shift_{k-1} - shift_k)
+    x = np.empty(top, dtype=FLOAT)
     for m in range(len(t)):
         k = min(m + 1, top)
-        e[1 : k + 1] += e[:k] * (t[:k] / t[m]) ** 2 * gain[1 : k + 1]
+        if m < top:
+            x[:k] = e[:k] * (t[:k] / t[m]) ** 2 * gain[:k]
+        else:
+            np.multiply(e[:top], (t[top - 1] / t[m]) ** 2, out=x)
+            x *= cg
+        e[1 : k + 1] += x[:k]
         if m % 16 == 15 and np.max(e) > fold_at:
             big = e > fold_at
             _, s = np.frexp(e[big])
             e[big] = np.ldexp(e[big], -s)
             shift[big] += s
-            gain[1 : k + 1] = np.ldexp(FLOAT(1), shift[:k] - shift[1 : k + 1])
+            gain = np.ldexp(FLOAT(1), shift[:-1] - shift[1:])
+            cg = c * gain
     log_kept = np.log(e)
     log_offset = shift * np.log(FLOAT(2))
     log_2t = 2 * np.log(t[:top])
@@ -106,10 +118,10 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     log_e[: top + 1] = log_kept + log_offset - np.concatenate(([0], np.cumsum(log_2t)))
     sum_abs = np.concatenate(([0], np.cumsum(np.abs(log_2t))))
     mag = 1.0 + float(np.max(np.abs(log_kept) + np.abs(log_offset) + sum_abs))
-    # an increment carries 4 roundings (the squared quotient counts 3, the
-    # product 1) into a positive sum: E_k after m factors is within
-    # gamma_{m + 4k} (Higham, 2nd ed., section 4.2)
-    return _BaseTable(log_e, j_max, tail, len(t) + 4 * top, mag)
+    # an increment carries at most 8 roundings (each squared quotient
+    # counts 3, each product 1) into a positive sum: E_k after m factors
+    # is within gamma_{m + 8k} (Higham, 2nd ed., section 4.2)
+    return _BaseTable(log_e, j_max, tail, len(t) + 8 * top, mag)
 
 
 def _power_table(base: _BaseTable, n: int) -> CoeffTable:
@@ -148,6 +160,16 @@ def coeff_table(seq: ZeroSequence, n: int, K: int, tol: float = 1e-12) -> CoeffT
     if n < 1 or K < 1:
         raise ValueError("need n >= 1 and K >= 1")
     return _power_table(_base_table(seq, K, tol), n)
+
+
+def coeff_table_log(seq: ZeroSequence, n: int, K: int, cache: dict) -> CoeffTable:
+    """coeff_table(seq, n, K) for sandwich_check's big tables, with the
+    n = 1 table of degree K kept in cache for every power.  The benchmark's
+    tracer (bench/tracing.py) records the big tables under this name."""
+    base_key = ("base", K)
+    if base_key not in cache:
+        cache[base_key] = _base_table(seq, K, 1e-12)
+    return _power_table(cache[base_key], n)
 
 
 def _log_poly_mul(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
@@ -284,10 +306,9 @@ def sandwich_check(
     certified when the max term of the full product sits strictly inside
     the table (detected from the last coefficient ratio).  When the given
     table is too short, a big table of degree K_big up to K_ADAPT_CAP is
-    raised to the n-th power from its n = 1 table, both kept in
-    big_table_cache.  For larger t the weaker evaluator form
-    n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) is used, and the regime is
-    "sup-capped".
+    taken from coeff_table_log and kept in big_table_cache.  For larger t
+    the weaker evaluator form n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) is
+    used, and the regime is "sup-capped".
     """
     v_t, err_t = w.eval_log_abs_omega(t)
     y = math.sqrt(2.0) * t
@@ -305,12 +326,9 @@ def sandwich_check(
         need = n * seq.count_leq(y) + 64
         if need <= K_ADAPT_CAP:
             K_big = max(256, 1 << (need - 1).bit_length())
-            base_key = ("base", K_big)
-            if base_key not in big_table_cache:
-                big_table_cache[base_key] = _base_table(seq, K_big, 1e-12)
             key = (n, K_big)
             if key not in big_table_cache:
-                big_table_cache[key] = _power_table(big_table_cache[base_key], n)
+                big_table_cache[key] = coeff_table_log(seq, n, K_big, big_table_cache)
             rhs_table = big_table_cache[key]
             peak_ok = _interior_sup(rhs_table, y)
     if peak_ok:

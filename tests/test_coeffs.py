@@ -173,6 +173,17 @@ class TestCoeffTable:
             assert np.all(np.isfinite(tab.log_a))
             assert_within_claim(tab, oracle)
 
+    def test_float64_wide_range(self, monkeypatch):
+        # t_j = 2^j: t_j^2 overflows float64 from j = 512 on, and the split
+        # multipliers (t_k/t_K)^2 of small k underflow
+        seq = parse_sequence_spec("geometric:r=2")
+        wide = coeff_table(seq, 2, 700)
+        monkeypatch.setattr(coeffs, "FLOAT", np.float64)
+        narrow = coeff_table(seq, 2, 700)
+        assert np.all(np.isfinite(narrow.log_a))
+        allowed = math.log1p(wide.trunc_error_rel) + math.log1p(narrow.trunc_error_rel)
+        assert np.max(np.abs(narrow.log_a - wide.log_a)) <= allowed
+
 
 class TestSupPoly:
     def test_simple_table(self):
@@ -233,3 +244,13 @@ class TestSandwich:
         tab = coeff_table(seq, 1, 12)
         rep = sandwich_check(seq, 1, 1e30, WeightEvaluator(seq), tab)
         assert rep.passed and rep.details["regime"] == "sup-capped"
+
+    def test_big_tables_share_the_base_table(self):
+        seq = parse_sequence_spec("power:a=2")
+        cache = {}
+        for n in (1, 2):
+            big = coeffs.coeff_table_log(seq, n, 256, cache)
+            direct = coeff_table(seq, n, 256)
+            assert np.array_equal(big.log_a, direct.log_a)
+            assert big.trunc_error_rel == direct.trunc_error_rel
+        assert list(cache) == [("base", 256)]
