@@ -59,7 +59,6 @@ from .majorants import (
     LambdaDomainError,
     RationalSeq,
     c_k_value,
-    eval_alpha_majorant,
     lambda_search,
     necessary_limits_probe,
     s_k_nonneg_sweep,

@@ -86,7 +86,14 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     """
     j_max, tail = _pick_factor_count(seq, K, tol)
     t = np.fromiter(map(seq.term, range(1, j_max + 1)), dtype=FLOAT, count=j_max)
-    t = t[np.isfinite(t)]
+    finite = np.isfinite(t)
+    if not finite[-1] and not isinstance(seq.family, ExplicitFamily):
+        # a dropped zero would turn positive a_k into -inf
+        raise ValueError(
+            f"{seq.spec_string()}: t_{int(np.argmin(finite)) + 1} overflows "
+            f"float64, and the table needs {j_max} factors"
+        )
+    t = t[finite]
     top = min(K, len(t))
     fold_at = np.sqrt(np.finfo(FLOAT).max)
     e = np.zeros(top + 1, dtype=FLOAT)

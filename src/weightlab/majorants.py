@@ -85,13 +85,14 @@ def s_k_value(c: RationalSeq, k: int) -> Fraction:
     return total
 
 
-def c_k_value(c: RationalSeq, k: int) -> Fraction:
-    """Exact C_k = (1/k!)(c_1 - c_{k+2}) prod_{j<=k+1} c_j + S_k."""
+def c_k_value(c: RationalSeq, k: int, s_k: Optional[Fraction] = None) -> Fraction:
+    """Exact C_k = (1/k!)(c_1 - c_{k+2}) prod_{j<=k+1} c_j + S_k; pass
+    s_k when S_k is already known."""
     if len(c) < k + 2:
         raise ValueError(f"need at least {k + 2} entries, have {len(c)}")
     prods = _prefix_products(c.c, k + 1)
     lead = Fraction(1, math.factorial(k)) * (c.c[0] - c.c[k + 1]) * prods[k + 1]
-    return lead + s_k_value(c, k)
+    return lead + (s_k_value(c, k) if s_k is None else s_k)
 
 
 def c_k_direct(c: RationalSeq, k: int) -> Fraction:
@@ -133,7 +134,7 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
         seq = RationalSeq(tuple(vals))
         for k in range(1, k_max + 1):
             s = s_k_value(seq, k)
-            ck = c_k_value(seq, k)
+            ck = c_k_value(seq, k, s)
             checked += 1
             if trial == 0 and k <= 4:
                 # exact rationals serialize as numerator/denominator strings
@@ -242,10 +243,6 @@ class ConcaveSeriesMajorant:
         return SampledFunction(grid, np.array(vals), label="concave-series-majorant")
 
 
-def eval_alpha_majorant(m: ConcaveSeriesMajorant, t: float) -> tuple[float, float]:
-    return m.eval(t)
-
-
 def second_divided_differences(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """f[t0,t1,t2] on consecutive triples; <= 0 for concave functions."""
     out = []
@@ -305,10 +302,6 @@ class BetaMajorant:
 
     def __call__(self, t: float) -> float:
         return self.eval(t)[0]
-
-
-def eval_beta_majorant(b: BetaMajorant, t: float) -> tuple[float, float]:
-    return b.eval(t)
 
 
 def beta_dyadic_nqa_tail(seq: ZeroSequence, lam: float, j_from: int) -> Optional[float]:

@@ -665,9 +665,6 @@ class ExplicitFamily(Family):
             f"explicit prefix has {len(self.values)} entries; t_{j} unknown"
         )
 
-    def terms(self, j_from: int, j_to: int) -> np.ndarray:
-        return np.array([self.term(j) for j in range(j_from, j_to + 1)])
-
     def count_leq(self, t: float) -> int:
         import bisect
 

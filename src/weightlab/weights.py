@@ -5,9 +5,9 @@ nonnegative, so eval_log_abs_omega returns (value, err) with the true
 ln|w(t)| inside [value, value + err].  Complex-argument sums can omit terms
 of either sign; there |true - value| <= err.
 
-Accumulation is in fixed ascending-j order with Neumaier-compensated
-summation (bit-deterministic, thread-count independent); precision_bits
-above 53 switches the accumulation to mpmath at that precision.
+Accumulation is in fixed ascending-j order: one float64 sum per 2^18-term
+chunk, Neumaier-compensated across chunks (bit-deterministic, thread-count
+independent).  An evaluator enumerates each t_j once, into a kept prefix.
 """
 
 from __future__ import annotations
@@ -18,26 +18,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .sequences import ExplicitFamily, ZeroSequence
 
 NEG_INF = float("-inf")
 _CHUNK = 1 << 18
-
-
-def neumaier_sum(values) -> float:
-    """Compensated sum, fixed order."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        s = total + v
-        if abs(total) >= abs(v):
-            comp += (total - s) + v
-        else:
-            comp += (v - s) + total
-        total = s
-    return total + comp
+_BLOCK = 1 << 15  # prefix entries filled per terms() call
 
 
 def _check_finite_real(t: float) -> float:
@@ -53,12 +39,40 @@ class WeightEvaluator:
 
     The enumeration length at argument t is the smallest J with
     (t^2/2) * sum_{j>J} 1/t_j^2 <= tol (capped by sequence.j_cut); the
-    actual certified bound at the chosen J is reported as err.
+    actual certified bound at the chosen J is reported as err.  t_1..t_J
+    of the largest J so far stay in a prefix; sums run in scratch rows.
     """
 
     sequence: ZeroSequence
     tol: float = 1e-12
-    precision_bits: int = 53
+
+    def __post_init__(self):
+        self._prefix = np.empty(0)
+        self._n_finite = 0  # entries of the prefix before its first inf
+        self._scratch = np.empty((2, _CHUNK))  # pages are touched on use
+
+    def _finite_terms(self, j_max: int) -> np.ndarray:
+        """The finite t_1..t_{j_max}, first as t_j is nondecreasing: a view of
+        the prefix, grown in place to a power of two (no view outlives an
+        evaluation) in fixed pieces, 16, 16, 32, ... up to _BLOCK, then _BLOCK
+        each, so an entry comes from one terms() call whatever the growth."""
+        t = self._prefix
+        have = len(t)
+        if have < j_max and self._n_finite == have:
+            fam = self.sequence.family
+            cap = len(fam.values) if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
+            new = min(cap, 1 << max(4, (max(j_max, 2 * have) - 1).bit_length()))
+            t.resize(new, refcheck=False)
+            start = have
+            while start < new:
+                stop = min(new, max(16, 2 * start) if start < _BLOCK else start + _BLOCK)
+                t[start:stop] = self.sequence.terms(start + 1, stop)
+                self._n_finite = start + int(np.searchsorted(t[start:stop], math.inf))
+                if self._n_finite < stop:
+                    t.resize(stop, refcheck=False)
+                    break
+                start = stop
+        return t[: min(j_max, self._n_finite)]
 
     def _choose_cutoff(self, t: float) -> tuple[int, float]:
         fam = self.sequence.family
@@ -86,32 +100,28 @@ class WeightEvaluator:
         if t == 0.0:
             return 0.0, 0.0
         j_max, err = self._choose_cutoff(t)
-        if self.precision_bits > 53:
-            return self._eval_real_mp(t, j_max), err
-        total = 0.0
-        comp = 0.0
-        for start in range(1, j_max + 1, _CHUNK):
-            stop = min(start + _CHUNK - 1, j_max)
-            tj = self.sequence.terms(start, stop)
-            ratios = t / tj[np.isfinite(tj)]
-            if len(ratios) == 0:
-                continue
-            part = 0.5 * float(np.sum(np.log1p(ratios * ratios)))
+
+        def log_chunk(tj, rows):
+            r = np.divide(t, tj, out=rows[0])
+            return np.log1p(np.multiply(r, r, out=r), out=r)
+
+        return self._half_log_sum(j_max, log_chunk), err
+
+    def _half_log_sum(self, j_max: int, log_chunk) -> float:
+        """(1/2) sum of log_chunk(tj, scratch rows) over _CHUNK-term chunks
+        of the finite t_1..t_{j_max}, compensated; -inf on None."""
+        terms = self._finite_terms(j_max)
+        total = comp = 0.0
+        for start in range(0, len(terms), _CHUNK):
+            tj = terms[start : start + _CHUNK]
+            logs = log_chunk(tj, self._scratch[:, : len(tj)])
+            if logs is None:
+                return NEG_INF
+            part = 0.5 * float(np.sum(logs))
             s = total + part
             comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
             total = s
-        return total + comp, err
-
-    def _eval_real_mp(self, t: float, j_max: int) -> float:
-        with mp.workprec(self.precision_bits):
-            acc = mpf(0)
-            tt = mpf(t) ** 2
-            for j in range(1, j_max + 1):
-                tj = self.sequence.term(j)
-                if not math.isfinite(tj):
-                    break
-                acc += mp.log(1 + tt / mpf(tj) ** 2)
-            return float(acc / 2)
+        return total + comp
 
     def _complex_cutoff(self, z: complex) -> tuple[int, float]:
         """J and two-sided tail bound for the complex log-sum.
@@ -148,22 +158,16 @@ class WeightEvaluator:
             return 0.0, 0.0
         j_max, err = self._complex_cutoff(z)
         a, b = z.real, z.imag
-        total = 0.0
-        comp = 0.0
-        for start in range(1, j_max + 1, _CHUNK):
-            stop = min(start + _CHUNK - 1, j_max)
-            tj = self.sequence.terms(start, stop)
-            tj = tj[np.isfinite(tj)]
-            if len(tj) == 0:
-                continue
-            sq = (1.0 - b / tj) ** 2 + (a / tj) ** 2
-            if np.any(sq == 0.0):
-                return NEG_INF, 0.0
-            part = 0.5 * float(np.sum(np.log(sq)))
-            s = total + part
-            comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
-            total = s
-        return total + comp, err
+
+        def log_chunk(tj, rows):
+            # (1 - b/tj)^2 + (a/tj)^2
+            sq = np.subtract(1.0, np.divide(b, tj, out=rows[0]), out=rows[0])
+            sq_a = np.divide(a, tj, out=rows[1])
+            np.add(np.multiply(sq, sq, out=sq), np.multiply(sq_a, sq_a, out=sq_a), out=sq)
+            return None if np.any(sq == 0.0) else np.log(sq, out=sq)
+
+        value = self._half_log_sum(j_max, log_chunk)
+        return (NEG_INF, 0.0) if value == NEG_INF else (value, err)
 
     def eval_log_omega_neg_imag(self, r: float) -> tuple[float, float]:
         """ln w(-i r) = sum ln(1 + r/t_j), the modulus-bound comparator."""

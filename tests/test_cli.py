@@ -30,6 +30,11 @@ class TestBasics:
         assert code == 2
         assert "non-monotone" in err
 
+    def test_coeffs_past_float_range_exits_2(self):
+        code, out, err = run_cli(["weight", "coeffs", "--seq", "geometric:r=2", "--K", "1100"])
+        assert code == 2 and not out
+        assert "overflows float64" in err
+
     def test_unknown_family_exits_2(self):
         code, _, _ = run_cli(["weight", "eval", "--seq", "foo:r=2", "--t", "1"])
         assert code == 2

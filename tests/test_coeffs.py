@@ -145,6 +145,15 @@ class TestCoeffTable:
                 want = float(mp.log(e) / 2)
                 assert got <= want + 4 * np.spacing(abs(want)), (k, got, want)
 
+    def test_overflowing_zero_is_an_error(self):
+        # t_j = 2^j is inf in float64 from j = 1024 on: dropping those
+        # zeros would report the positive a_1024.. as -inf
+        with pytest.raises(ValueError, match="t_1024 overflows"):
+            coeff_table(parse_sequence_spec("geometric:r=2"), 1, 1100)
+        # an explicit list's inf is a genuine missing zero: a_k = 0
+        tab = coeff_table(ZeroSequence(ExplicitFamily([1.0, 2.0, math.inf]), j_cut=5), 1, 3)
+        assert np.all(np.isfinite(tab.log_a[:3])) and tab.log_a[3] == -math.inf
+
     def test_powlog_k40_matches_mpmath_product(self):
         tab, oracle = powlog_table(40)
         assert_within_claim(tab, oracle)

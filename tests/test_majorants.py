@@ -82,6 +82,7 @@ class TestCombinatorialCore:
         c = RationalSeq((4, 3, Fraction(5, 2), 2, 1, 1, Fraction(1, 2)))
         for k in range(1, 6):
             assert c_k_value(c, k) == c_k_direct(c, k)
+            assert c_k_value(c, k, s_k_value(c, k)) == c_k_direct(c, k)
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError):

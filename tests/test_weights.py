@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,99 @@ class TestComplexEvaluation:
         w = WeightEvaluator(single_zero())
         with pytest.raises(ValueError):
             w.eval_log_abs_omega_complex(complex(math.inf, 0))
+
+
+def _same(got, want):
+    """Exact equality of (value, err) pairs, nan matching nan."""
+    return all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want))
+
+
+def _reference(seq, x):
+    """ln|w(x)| enumerated per point: terms() for each 2^18-term chunk, the
+    infinite entries masked out, then the same sums (x float or complex)."""
+    w = WeightEvaluator(seq)
+    real = isinstance(x, float)
+    j_max, err = w._choose_cutoff(x) if real else w._complex_cutoff(x)
+    total = comp = 0.0
+    for start in range(1, j_max + 1, 1 << 18):
+        tj = seq.terms(start, min(start + (1 << 18) - 1, j_max))
+        tj = tj[np.isfinite(tj)]
+        if len(tj) == 0:
+            continue
+        if real:
+            logs = np.log1p((x / tj) * (x / tj))
+        else:
+            sq = (1.0 - x.imag / tj) ** 2 + (x.real / tj) ** 2
+            if np.any(sq == 0.0):
+                return NEG_INF, 0.0
+            logs = np.log(sq)
+        part = 0.5 * float(np.sum(logs))
+        s = total + part
+        comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
+        total = s
+    return total + comp, err
+
+
+def _warm_matches_fresh(seq, ts, zs):
+    """A warm evaluator agrees exactly with a fresh one per point, whether
+    its prefix grows along an ascending grid or all at once."""
+    for order in (1, -1):
+        warm = WeightEvaluator(seq)
+        for t in ts[::order]:
+            got = warm.eval_log_abs_omega(t)
+            assert _same(got, WeightEvaluator(seq).eval_log_abs_omega(t)), (t, got)
+        for z in zs[::order]:
+            got = warm.eval_log_abs_omega_complex(z)
+            assert _same(got, WeightEvaluator(seq).eval_log_abs_omega_complex(z)), (z, got)
+
+
+class TestTermPrefix:
+    GRID = [0.7, 3.0, 41.0, 900.0, 2.5e4, 6e5, 1e7]
+    ZS = [cmath.rect(r, th) for r, th in ((0.5, 0.3), (7.0, 2.0), (300.0, -1.1), (9e3, 4.0))]
+
+    @pytest.mark.parametrize(
+        "spec", ["powlog:a=1,b=2", "power:a=2", "geometric:r=2", "explicit:[0.5,1,3,3,40,1e4]"]
+    )
+    def test_warm_matches_fresh(self, spec):
+        seq = parse_sequence_spec(spec, j_cut=70_000)
+        _warm_matches_fresh(seq, self.GRID, self.ZS)
+
+    @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2"])
+    def test_across_a_chunk_boundary(self, spec):
+        seq = parse_sequence_spec(spec, j_cut=(1 << 18) + 5)
+        ts = [2.0, 5e3, 1e7]
+        _warm_matches_fresh(seq, ts, self.ZS[1:3])
+        warm = WeightEvaluator(seq)
+        for t in ts:
+            assert warm.eval_log_abs_omega(t) == _reference(seq, t)
+        for z in self.ZS[1:3]:
+            assert warm.eval_log_abs_omega_complex(z) == _reference(seq, z)
+
+    def test_prefix_ending_in_inf(self):
+        # 2^j overflows float64 from j = 1024 on; past t = 1e154, t^2
+        # overflows too, and value and err are nan
+        seq = parse_sequence_spec("geometric:r=2")
+        ts = [1e150, 3e299, 1e300]
+        zs = [1e300 * cmath.exp(0.7j), complex(0.0, -1e300)]
+        with np.errstate(over="ignore"):
+            _warm_matches_fresh(seq, ts, zs)
+            warm = WeightEvaluator(seq)
+            for t in ts:
+                assert _same(warm.eval_log_abs_omega(t), _reference(seq, t))
+            for z in zs:
+                assert _same(warm.eval_log_abs_omega_complex(z), _reference(seq, z))
+        assert math.isfinite(WeightEvaluator(seq).eval_log_abs_omega(1e150)[0])
+
+    def test_warm_call_allocates_no_chunk(self):
+        w = WeightEvaluator(parse_sequence_spec("powlog:a=1,b=2"))
+        w.eval_log_abs_omega(1e3)
+        tracemalloc.start()
+        try:
+            w.eval_log_abs_omega(2e3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDistribution:
