@@ -29,6 +29,10 @@ from .weights import CheckReport, WeightEvaluator
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
+# points per block in log_abs_f_offsets: a block's (levels x 64) float64
+# temporaries stay near 30 KiB, below glibc's mmap threshold, so the heap
+# reuses them instead of mapping and faulting them in on every call
+OFFSET_BLOCK = 64
 
 
 @dataclass
@@ -66,6 +70,16 @@ class CounterexampleModel:
 
     _ln_w0_cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # one row per level with n_i > 0, in index order
+        self._levels = [i for i, ni in enumerate(self.mult.n, start=1) if ni]
+        rows = np.array([(i, self.mult.n[i - 1], float(2**i)) for i in self._levels], float)
+        rows = rows.reshape(-1, 3)
+        self._n, self._base = rows[:, 1:2], rows[:, 2:3]
+        self._half_n = self._n * 0.5
+        self._ln_4i = 2.0 * rows[:, 0:1] * LN2
+        self._last_offsets = (None, None)
+
     # -- the even function f -------------------------------------------------
     def eval_log_abs_f(self, z: complex) -> float:
         """sum_j n_j ln|1 - (z/2^j)^2|; -inf at an exact zero.
@@ -89,19 +103,18 @@ class CounterexampleModel:
             total += nj * 0.5 * math.log1p(u)
         return total
 
-    def _offset_factors(self, t: float):
-        """Precompute 2^i - t for each level (exact when t is dyadic)."""
-        levels = []
-        for i, ni in enumerate(self.mult.n, start=1):
-            if ni == 0:
-                continue
-            base = float(2**i)
+    def _level_offsets(self, t: float) -> np.ndarray:
+        """2^i - t per level (exact when t is an integer up to 2^62),
+        memoised for the last t, which a golden-section search keeps."""
+        last_t, d = self._last_offsets
+        if d is None or last_t != t:
             if float(t).is_integer() and t <= 2.0**62:
-                d = float(2**i - int(t))
+                it = int(t)
+                d = np.array([float(2**i - it) for i in self._levels]).reshape(-1, 1)
             else:
-                d = base - t
-            levels.append((i, ni, base, d))
-        return levels
+                d = self._base - t
+            self._last_offsets = (t, d)
+        return d
 
     def log_abs_f_offsets(self, t: float, offsets: np.ndarray) -> np.ndarray:
         """ln|f(t + x)| for an array of real offsets x.
@@ -111,20 +124,29 @@ class CounterexampleModel:
         carried exactly so offsets far below the float spacing of t still
         move the factor.  Remote levels use the cancellation-free
         0.5 log1p(-2q + q^2), q = s^2/4^i, which huge multiplicities do
-        not amplify.
+        not amplify.  All levels are evaluated at once, OFFSET_BLOCK points
+        at a time, and summed in level order.
         """
-        s_pos = t + offsets
+        d = self._level_offsets(t)
+        base = self._base
         window = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
+        # the near levels are consecutive rows: 2^i in [(t - window)/1.5, 2(t + window)]
+        near = np.flatnonzero(np.abs(d) <= 0.5 * base + window)
+        lo, hi = (near[0], near[-1] + 1) if len(near) else (0, 0)
         out = np.zeros_like(offsets)
         with np.errstate(divide="ignore"):
-            for i, ni, base, d in self._offset_factors(t):
-                if abs(d) <= 0.5 * base + window:
-                    left = np.log(np.abs(d - offsets))
-                    right = np.log(base + s_pos)
-                    out += ni * (left + right - 2.0 * i * LN2)
-                else:
-                    q = (s_pos / base) ** 2
-                    out += ni * 0.5 * np.log1p(q * q - 2.0 * q)
+            for k in range(0, len(offsets), OFFSET_BLOCK):
+                x = offsets[k : k + OFFSET_BLOCK]
+                s_pos = t + x
+                q = (s_pos / base) ** 2
+                # row 0 stays zero, so the sequential accumulate adds the
+                # levels to 0.0 one by one, exactly as a per-level loop would
+                terms = np.zeros((len(d) + 1, len(x)))
+                # log1p's argument (q-1)^2 - 1 never rounds below -1
+                terms[1:] = self._half_n * np.log1p(q * q - 2.0 * q)
+                lr = np.log(np.abs(d[lo:hi] - x)) + np.log(base[lo:hi] + s_pos)
+                terms[1 + lo : 1 + hi] = self._n[lo:hi] * (lr - self._ln_4i[lo:hi])
+                out[k : k + OFFSET_BLOCK] = np.add.accumulate(terms, axis=0)[-1]
         return out
 
     # -- the dyadic weight ---------------------------------------------------
@@ -451,7 +473,6 @@ def named_beta(name: str, seq: Optional[ZeroSequence] = None) -> BetaSpec:
 
 @dataclass
 class MinModConfig:
-    beta_names: tuple = ("const:0.001", "const:0.01", "loglinear:0.001", "trace")
     c_grid: tuple = (0.5, 1.0, 2.0, 4.0)
     c_prime_grid: tuple = (0.0, 1.0, 10.0)
     scan_density: int = 1024

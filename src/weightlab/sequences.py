@@ -106,10 +106,6 @@ class Family:
         """Lower bound for sum_{k <= m} ln t_k."""
         raise NotImplementedError
 
-    def n_upper(self, t: float) -> float:
-        """Analytic upper bound for n(t); exact count is always valid."""
-        return float(self.count_leq(t))
-
     def n_lower(self, t: float) -> float:
         return float(self.count_leq(t))
 
@@ -226,9 +222,6 @@ class GeometricFamily(Family):
         # exact: sum_{k<=m} k ln r = m(m+1) ln(r) / 2
         return 0.5 * m * (m + 1) * self._lnr
 
-    def n_upper(self, t: float) -> float:
-        return max(0.0, math.log(t) / self._lnr) if t >= 1.0 else 0.0
-
     def n_lower(self, t: float) -> float:
         return max(0.0, math.log(t) / self._lnr - 1.0) if t >= 1.0 else 0.0
 
@@ -319,9 +312,6 @@ class PowerFamily(Family):
     def cum_log_lower(self, m: int) -> float:
         # exact: a * ln(m!)
         return self.a * lgamma(m + 1.0)
-
-    def n_upper(self, t: float) -> float:
-        return t ** (1.0 / self.a) if t > 0 else 0.0
 
     def n_lower(self, t: float) -> float:
         return max(0.0, t ** (1.0 / self.a) - 1.0) if t > 0 else 0.0
@@ -467,19 +457,6 @@ class PowLogFamily(Family):
         # evaluated at t+1 since only n+1 <= t+1 is guaranteed
         return max(0.0, t / self._polylog(t + 1.0) - 1.0)
 
-    def n_upper(self, t: float) -> float:
-        """n(t) <= t/((ln M)^a (lnln M)^b) with M = n_lower(t).
-
-        From t_n <= t: n <= t / ((ln n)^a (lnln n)^b) and n >= M.
-        """
-        if t <= math.exp(math.e):
-            return float(self.count_leq(t))
-        m = self.n_lower(t)
-        if m < 16.0:
-            return float(self.count_leq(t))
-        lm = math.log(m)
-        return t / (lm**self.a * math.log(lm) ** self.b)
-
     @property
     def msnq_convergent(self) -> bool:
         # sum ln(t_j/j)/t_j ~ sum lnln j/(j (ln j)^a (lnln j)^b):
@@ -544,7 +521,9 @@ class PowLogFamily(Family):
 
         Analytic part past j2: with u = j ln 2,
           P(2^j)/2^j <= lnw-majorant/2^j <= C1 (ln u)^(q0)/u^(a-eps-free form)
-        assembled from n_upper, cum_log_lower and the msnq weight bound;
+        assembled from n(t) <= t/((ln M)^a (lnln M)^b) with M = n_lower(t)
+        (t_n <= t gives n <= t/((ln n)^a (lnln n)^b), and n >= M),
+        cum_log_lower and the msnq weight bound;
         all slowly-varying correction factors are frozen at j2 where they
         are monotone in the safe direction.  Bridge terms up to j2 use the
         exact count.

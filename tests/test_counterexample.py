@@ -94,6 +94,64 @@ class TestEvalF:
             assert v == pytest.approx(m.eval_log_abs_f(t + x), rel=1e-10)
 
 
+def _offsets_by_level(model, t, offsets):
+    """ln|f(t + x)| by a Python loop over the levels: the formula
+    log_abs_f_offsets must reproduce bit for bit."""
+    s_pos = t + offsets
+    window = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
+    out = np.zeros_like(offsets)
+    with np.errstate(divide="ignore"):
+        for i, ni in enumerate(model.mult.n, start=1):
+            if ni == 0:
+                continue
+            base = float(2**i)
+            if float(t).is_integer() and t <= 2.0**62:
+                d = float(2**i - int(t))
+            else:
+                d = base - t
+            if abs(d) <= 0.5 * base + window:
+                left = np.log(np.abs(d - offsets))
+                right = np.log(base + s_pos)
+                out += ni * (left + right - 2.0 * i * math.log(2.0))
+            else:
+                q = (s_pos / base) ** 2
+                out += ni * 0.5 * np.log1p(q * q - 2.0 * q)
+    return out
+
+
+class TestOffsetsMatchLevelLoop:
+    # integer t up to 2^62 (exact offsets), past 2^62, and non-integer t
+    TS = (2.0**40, 3.0, 2.0**62, 2.0**63, 2.0**70, 2.0**40 + 0.5, 1234.567)
+
+    @pytest.mark.parametrize("npts", [1024, 1000, 1, 0])
+    def test_bit_identical(self, model60, npts):
+        rng = np.random.default_rng(npts)
+        # t changes between calls, so a stale memoised t would show
+        for t in self.TS + self.TS[::-1]:
+            for radius in (1e-3, 0.25 * t):
+                xs = np.sort(rng.uniform(-radius, radius, npts))
+                if npts:
+                    xs[npts // 2] = 0.0  # the zero itself when t = 2^j: -inf
+                got = model60.log_abs_f_offsets(t, xs)
+                want = _offsets_by_level(model60, t, xs)
+                assert got.shape == want.shape
+                assert (got == want).all(), (t, radius, npts)
+
+    def test_blocks_bound_the_temporaries(self, model60):
+        import tracemalloc
+
+        xs = np.linspace(-1e-3, 1e-3, 1024)
+        model60.log_abs_f_offsets(2.0**40, xs)
+        tracemalloc.start()
+        try:
+            model60.log_abs_f_offsets(2.0**40, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (levels x 1024) float64 array alone would take 480 KiB
+        assert peak < 256 * 1024
+
+
 class TestMinmodSup:
     def test_single_factor_oracle(self):
         # sup over [1,3] of ln|1-s^2/4| is ln(5/4) at s=3
