@@ -5,16 +5,13 @@ Every subcommand mirrors a library operation, writes deterministic JSON
 pass, 1 when a check reports violations, 2 on configuration errors.
 A JSON config file (`weightlab run --config file.json`) carries the same
 fields as the flags: {"command": "cx.contradict", "seq": "powlog:a=1,b=2",
-...}.  WEIGHTLAB_PRECISION_BITS overrides the default 128-bit accumulation
-precision of the `cx` commands, but an explicit config/flag value wins;
-every command accepts --precision-bits, and only the `cx` commands use it.
+...}.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -53,18 +50,6 @@ from .weights import (
 
 class ConfigError(ValueError):
     pass
-
-
-def _precision_bits(params: dict) -> int:
-    if params.get("precision_bits"):
-        return int(params["precision_bits"])
-    env = os.environ.get("WEIGHTLAB_PRECISION_BITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad WEIGHTLAB_PRECISION_BITS={env!r}") from exc
-    return 128
 
 
 def _seq(params: dict, key: str = "seq"):
@@ -273,9 +258,7 @@ def h_cx_build(params: dict):
 def h_cx_dominate(params: dict):
     seq = _seq(params)
     j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(
-        dyadic_multiplicities(seq, j_max), precision_bits=_precision_bits(params)
-    )
+    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
     w = WeightEvaluator(seq, tol=float(params.get("tol", 1e-6)))
     rep = domination_check(
         model, w,
@@ -291,9 +274,7 @@ def h_cx_dominate(params: dict):
 def h_cx_schwarz(params: dict):
     seq = _seq(params)
     j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(
-        dyadic_multiplicities(seq, j_max), precision_bits=_precision_bits(params)
-    )
+    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
     js = [int(x) for x in params.get("j", [5, 10, 15])]
     deltas = [float(x) for x in params.get("delta", [0.5, 0.1])]
     results = []
@@ -314,9 +295,7 @@ def h_cx_schwarz(params: dict):
 def h_cx_contradict(params: dict):
     seq = _seq(params)
     j_max = int(params.get("j_max", 60))
-    model = CounterexampleModel(
-        dyadic_multiplicities(seq, j_max), precision_bits=_precision_bits(params)
-    )
+    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
     beta = named_beta(str(params.get("beta", "const:0.001")), seq)
     rep = contradiction_experiment(
         model, beta,
@@ -332,9 +311,7 @@ def h_cx_contradict(params: dict):
 def h_cx_scan(params: dict):
     seq = _seq(params)
     j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(
-        dyadic_multiplicities(seq, j_max), precision_bits=_precision_bits(params)
-    )
+    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
     rho = _seq(params, "rho") if params.get("rho") else seq
     w = WeightEvaluator(rho, tol=float(params.get("tol", 1e-6)))
     cfg = MinModConfig(
@@ -395,7 +372,6 @@ def run_command(command: str, params: dict) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", help="write the JSON report here (default stdout)")
     p.add_argument("--csv", help="write tabular rows here (where applicable)")
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
     p.add_argument("--j-cut", type=int, dest="j_cut")
 
 

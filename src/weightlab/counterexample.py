@@ -11,18 +11,19 @@ exceed -- the experiments below realize all three facts at finite stage.
 Sign conventions for soundness: minmod_sup returns a lower bound on the
 true supremum (dense scan plus golden-section refinement), while the
 Schwarz right-hand side is an upper bound, so every asserted inequality
-holds with certainty up to the documented float slack.
+holds with certainty up to the documented float slack.  Everything runs in
+float64; a witness of the contradiction experiment must clear an a-priori
+rounding bound of both partial sums.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .sequences import GeometricFamily, ZeroSequence
 from .weights import CheckReport, WeightEvaluator
@@ -66,9 +67,6 @@ def dyadic_multiplicities(seq: ZeroSequence, j_max: int) -> MultiplicityProfile:
 @dataclass
 class CounterexampleModel:
     mult: MultiplicityProfile
-    precision_bits: int = 128
-
-    _ln_w0_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         # one row per level with n_i > 0, in index order
@@ -159,26 +157,9 @@ class CounterexampleModel:
                 total += 0.5 * nj * math.log1p(t * t / 4.0**j)
         return total
 
-    def ln_w0_dyadic(self, m: int) -> mpf:
-        """ln of the weight at 2^m, accumulated at precision_bits."""
-        if m in self._ln_w0_cache:
-            return self._ln_w0_cache[m]
-        with mp.workprec(self.precision_bits):
-            acc = mpf(0)
-            for j, nj in enumerate(self.mult.n, start=1):
-                if nj:
-                    acc += nj * mp.log(1 + mpf(4) ** (m - j))
-            val = acc / 2
-        self._ln_w0_cache[m] = val
-        return val
-
-    def ln_w0_neg_imag(self, r: float) -> float:
-        """ln prod (1 + r/2^j)^(n_j): the weight along the ray of growth."""
-        total = 0.0
-        for j, nj in enumerate(self.mult.n, start=1):
-            if nj:
-                total += nj * math.log1p(r / 2.0**j)
-        return total
+    def ln_w0_dyadic(self, m: int) -> float:
+        """ln of the weight at 2^m: every log1p argument 4^(m-j) is exact."""
+        return self.ln_w0_real(2.0**m)
 
 
 def minmod_sup(
@@ -287,7 +268,7 @@ def schwarz_bound_check(
     rng = random.Random(rng_seed)
     center = 2.0**j
     nj = model.mult.n[j - 1]
-    rhs = 2.0 * float(model.ln_w0_dyadic(j + 1)) + nj * math.log(delta)
+    rhs = 2.0 * model.ln_w0_dyadic(j + 1) + nj * math.log(delta)
     slack = 1e-9 * (1.0 + abs(rhs))
     worst = math.inf
     violations = 0
@@ -503,6 +484,7 @@ class ContradictionReport:
     witness_index: Optional[int]
     lhs_final: float
     rhs_upper: float
+    witness_allowance: float
     schwarz_violations: int
 
     @property
@@ -517,6 +499,7 @@ class ContradictionReport:
             "witness_index": self.witness_index,
             "lhs_final": self.lhs_final,
             "rhs_upper": self.rhs_upper,
+            "witness_allowance": self.witness_allowance,
             "schwarz_violations": self.schwarz_violations,
         }
 
@@ -535,6 +518,12 @@ def _w0_rhs_tail(model: CounterexampleModel, J: int) -> float:
     return ntot * (4.0 * LN2 * s1 + 4.0 * s0)
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u/(1 - k u), u = eps/2 the float64 unit roundoff."""
+    ku = k * np.finfo(float).eps / 2.0
+    return ku / (1.0 - ku)
+
+
 def contradiction_experiment(
     model: CounterexampleModel,
     beta: BetaSpec,
@@ -547,12 +536,26 @@ def contradiction_experiment(
 
     LHS_J = sum_{j=j0}^J (n_j/2^j) ln(2^j/beta(2^j)),
     RHS   = 4 sum_{j=j0}^J ln w0(2^{j+1})/2^{j+1} + sum beta(2^j)/2^j,
-    both sides at precision_bits, the right side closed with certified
-    tails.  The witness index is the first level where the left partial
-    sum exceeds the fully tail-bounded right side; absence of a witness at
-    this truncation is reported, not an error.  Per level, the scan
-    supremum of ln|f| within beta(2^j) of 2^j is checked against the
-    Schwarz cap 2 ln w0(2^{j+1}) + n_j ln(beta(2^j)/2^j).
+    both as float64 sums of nonnegative terms, the right side closed with
+    certified tails.  The witness index is the first level where the left
+    partial sum exceeds the fully tail-bounded right side by more than
+    witness_allowance; absence of a witness at this truncation is
+    reported, not an error.  Per level, the scan supremum of ln|f| within
+    beta(2^j) of 2^j is checked against the Schwarz cap
+    2 ln w0(2^{j+1}) + n_j ln(beta(2^j)/2^j).
+
+    witness_allowance bounds the rounding of both sides a priori (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2): a
+    float sum s of nonnegative terms, each carrying at most k relative
+    roundings on its way into s plus an absolute error of at most
+    gamma_1 c_i, lies within gamma_{2k+1} (s + sum c_i) of the exact sum.
+    libm's log and log1p are taken to be within one ulp, two roundings.
+    A left term takes float(n_j), the log and the product (4 roundings);
+    the rounded quotient 2^j/beta moves its log by at most gamma_1, so
+    c_j = n_j/2^j.  A right term n_i log1p(4^(j+1-i))/2^j takes 4 roundings,
+    one per level with n_i > 0 in ln w0, and three closing additions (the
+    beta sum and the two tails, which are taken as the upper bounds their
+    certificates give).  Both sums add one rounding per level.
     """
     if J is None:
         J = model.mult.j_max
@@ -568,68 +571,65 @@ def contradiction_experiment(
     if j0 is None:
         raise ValueError("beta(2^j) > 2^j for every level: inadmissible radius")
 
-    with mp.workprec(model.precision_bits):
-        lhs = mpf(0)
-        rhs_w = mpf(0)
-        rhs_b = mpf(0)
-        rows: List[ContradictionRow] = []
-        tail_w = _w0_rhs_tail(model, J)
-        tail_b = beta.dyadic_tail(J)
-        # right side: everything up to J plus certified tails
-        rhs_upper_final = None
-        partials = []
-        for j in range(j0, J + 1):
-            b = mpf(beta(2.0**j))
-            nj = model.mult.n[j - 1]
-            two_j = mpf(2) ** j
-            if b <= two_j:
-                lhs += nj / two_j * mp.log(two_j / b)
-            rhs_w += 4 * model.ln_w0_dyadic(j + 1) / mpf(2) ** (j + 1)
-            rhs_b += b / two_j
-            partials.append((j, nj, float(lhs), float(rhs_w + rhs_b)))
-        rhs_upper_final = float(rhs_w + rhs_b) + tail_w + tail_b
+    lhs = rhs_w = rhs_b = 0.0
+    lhs_c = 0.0  # sum of c_j = n_j/2^j over the left terms
+    partials = []
+    for j in range(j0, J + 1):
+        b = beta(2.0**j)
+        nj = model.mult.n[j - 1]
+        two_j = 2.0**j
+        if b <= two_j:
+            lhs += nj / two_j * math.log(two_j / b)
+            lhs_c += nj / two_j
+        w_next = model.ln_w0_dyadic(j + 1)
+        rhs_w += 2.0 * w_next / two_j
+        rhs_b += b / two_j
+        partials.append((j, nj, b, w_next, lhs, rhs_w + rhs_b))
+    tail_w = _w0_rhs_tail(model, J)
+    tail_b = beta.dyadic_tail(J)
+    rhs_upper = rhs_w + rhs_b + tail_w + tail_b
+    k_lhs = len(partials) + 4
+    k_rhs = len(partials) + len(model._levels) + 7
+    allowance = _gamma(2 * k_lhs + 1) * (lhs + lhs_c) + _gamma(2 * k_rhs + 1) * rhs_upper
 
-        witness = None
-        schwarz_violations = 0
-        for j, nj, lhs_p, rhs_p in partials:
-            if witness is None and lhs_p > rhs_upper_final:
-                witness = j
-            mm = math.nan
-            srhs = math.nan
-            margin = math.nan
-            if check_minmod:
-                bj = beta(2.0**j)
-                mm = minmod_sup(
-                    model, 2.0**j, bj, scan_density=scan_density,
-                    refine_iters=refine_iters,
-                )
-                srhs = float(
-                    2 * model.ln_w0_dyadic(j + 1) + nj * mp.log(mpf(bj) / mpf(2) ** j)
-                )
-                slack = 1e-9 * (1.0 + abs(srhs))
-                margin = srhs + slack - mm
-                if mm != NEG_INF and margin < 0:
-                    schwarz_violations += 1
-            rows.append(
-                ContradictionRow(
-                    j=j,
-                    n_j=nj,
-                    lhs_partial=lhs_p,
-                    rhs_partial=rhs_p,
-                    rhs_tail_bound=tail_w + tail_b,
-                    minmod_sup=mm,
-                    schwarz_rhs=srhs,
-                    margin=margin,
-                )
+    rows: List[ContradictionRow] = []
+    witness = None
+    schwarz_violations = 0
+    for j, nj, bj, w_next, lhs_p, rhs_p in partials:
+        if witness is None and lhs_p > rhs_upper + allowance:
+            witness = j
+        mm = srhs = margin = math.nan
+        if check_minmod:
+            mm = minmod_sup(
+                model, 2.0**j, bj, scan_density=scan_density,
+                refine_iters=refine_iters,
             )
+            srhs = 2.0 * w_next + nj * math.log(bj / 2.0**j)
+            slack = 1e-9 * (1.0 + abs(srhs))
+            margin = srhs + slack - mm
+            if mm != NEG_INF and margin < 0:
+                schwarz_violations += 1
+        rows.append(
+            ContradictionRow(
+                j=j,
+                n_j=nj,
+                lhs_partial=lhs_p,
+                rhs_partial=rhs_p,
+                rhs_tail_bound=tail_w + tail_b,
+                minmod_sup=mm,
+                schwarz_rhs=srhs,
+                margin=margin,
+            )
+        )
     return ContradictionReport(
         beta_name=beta.name,
         j0=j0,
         j_max=J,
         rows=rows,
         witness_index=witness,
-        lhs_final=float(lhs),
-        rhs_upper=rhs_upper_final,
+        lhs_final=lhs,
+        rhs_upper=rhs_upper,
+        witness_allowance=allowance,
         schwarz_violations=schwarz_violations,
     )
 

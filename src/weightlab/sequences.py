@@ -298,7 +298,8 @@ class PowerFamily(Family):
         return float(j) ** self.a
 
     def terms(self, j_from: int, j_to: int) -> np.ndarray:
-        return np.arange(j_from, j_to + 1, dtype=float) ** self.a
+        with np.errstate(over="ignore"):
+            return np.arange(j_from, j_to + 1, dtype=float) ** self.a
 
     def inv_tail(self, k_from: int) -> float:
         # sum_{k>K} k^-a <= integral_K^inf x^-a dx = K^(1-a)/(a-1), K >= 1
@@ -738,32 +739,33 @@ class ZeroSequence:
     # prefix length used for invariant validation
     _CHECK_PREFIX = 4096
 
-    def validate(self) -> None:
+    def _check_terms(self) -> np.ndarray:
+        """The prefix the invariants are checked on: t_1..t_min(j_cut, 4096),
+        or the whole explicit list."""
         fam = self.family
-        upto = min(self.j_cut, self._CHECK_PREFIX)
         if isinstance(fam, ExplicitFamily):
-            upto = len(fam.values)
-        prev = None
-        for j in range(1, upto + 1):
-            tj = fam.term(j)
-            if not tj > 0:
+            return fam.terms(1, len(fam.values))
+        return fam.terms(1, min(self.j_cut, self._CHECK_PREFIX))
+
+    def validate(self) -> None:
+        t = self._check_terms()
+        nonpos = ~(t > 0)
+        bad = nonpos.copy()
+        bad[1:] |= t[1:] < t[:-1]
+        if bad.any():
+            j = int(np.argmax(bad)) + 1
+            if nonpos[j - 1]:
                 raise SequenceSpecError(f"t_{j} <= 0", j)
-            if prev is not None and tj < prev:
-                raise SequenceSpecError(f"t_{j} < t_{j-1}", j)
-            prev = tj
-        if self.omega0_flag and not self.check_omega0_prefix(upto):
+            raise SequenceSpecError(f"t_{j} < t_{j-1}", j)
+        if self.omega0_flag and not self.check_omega0_prefix():
             raise SequenceSpecError("omega0_flag set but t_j/j decreases on prefix")
 
-    def check_omega0_prefix(self, upto: int) -> bool:
-        fam = self.family
-        prev = None
-        for j in range(1, upto + 1):
-            tj = fam.term(j)
-            ratio = tj / j
-            if prev is not None and ratio < prev * (1.0 - 1e-15):
-                return False
-            prev = ratio
-        tail = fam.omega0_tail_claim()
+    def check_omega0_prefix(self) -> bool:
+        t = self._check_terms()
+        ratio = t / np.arange(1, len(t) + 1)
+        if np.any(ratio[1:] < ratio[:-1] * (1.0 - 1e-15)):
+            return False
+        tail = self.family.omega0_tail_claim()
         return bool(tail) if tail is not None else True
 
     def term(self, j: int) -> float:
@@ -847,10 +849,7 @@ def parse_sequence_spec(text: str, j_cut: int = 500_000) -> ZeroSequence:
         raise SequenceSpecError(f"unknown family {head!r}", 0)
 
     seq = ZeroSequence(family=fam, j_cut=j_cut, omega0_flag=False)
-    upto = min(j_cut, 4096)
-    if isinstance(fam, ExplicitFamily):
-        upto = len(fam.values)
-    seq.omega0_flag = seq.check_omega0_prefix(upto)
+    seq.omega0_flag = seq.check_omega0_prefix()
     return seq
 
 

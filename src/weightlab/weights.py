@@ -33,6 +33,16 @@ def _check_finite_real(t: float) -> float:
     return t
 
 
+def _finite_result(x, value: float, err: float) -> tuple[float, float]:
+    """(value, err), or ValueError once float64 overflow made either one
+    inf or nan (t^2/t_j^2 overflows past t ~ 1e154 for t_1 ~ 1)."""
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ValueError(
+            f"ln|w| at {x!r} overflows float64 (value {value!r}, err {err!r})"
+        )
+    return value, err
+
+
 @dataclass
 class WeightEvaluator:
     """Truncated evaluator of ln|w| with a certified tail bound.
@@ -92,7 +102,8 @@ class WeightEvaluator:
         """(value, err): value <= ln|w(t)| <= value + err.
 
         ln|w(t)| = (1/2) sum_j ln(1 + t^2/t_j^2); the tail past J is
-        bounded by (t^2/2) sum_{j>J} 1/t_j^2 since ln(1+x) <= x.
+        bounded by (t^2/2) sum_{j>J} 1/t_j^2 since ln(1+x) <= x.  Raises
+        ValueError when float64 overflow leaves value or err non-finite.
         """
         t = _check_finite_real(t)
         if t < 0:
@@ -105,7 +116,7 @@ class WeightEvaluator:
             r = np.divide(t, tj, out=rows[0])
             return np.log1p(np.multiply(r, r, out=r), out=r)
 
-        return self._half_log_sum(j_max, log_chunk), err
+        return _finite_result(t, self._half_log_sum(j_max, log_chunk), err)
 
     def _half_log_sum(self, j_max: int, log_chunk) -> float:
         """(1/2) sum of log_chunk(tj, scratch rows) over _CHUNK-term chunks
@@ -114,7 +125,9 @@ class WeightEvaluator:
         total = comp = 0.0
         for start in range(0, len(terms), _CHUNK):
             tj = terms[start : start + _CHUNK]
-            logs = log_chunk(tj, self._scratch[:, : len(tj)])
+            # an overflow reaches the result as inf or nan, which callers reject
+            with np.errstate(over="ignore"):
+                logs = log_chunk(tj, self._scratch[:, : len(tj)])
             if logs is None:
                 return NEG_INF
             part = 0.5 * float(np.sum(logs))
@@ -149,7 +162,8 @@ class WeightEvaluator:
     def eval_log_abs_omega_complex(self, z: complex) -> tuple[float, float]:
         """(value, err) with |ln|w(z)| - value| <= err; -inf at an exact zero.
 
-        |1 + iz/t_j|^2 = (1 - Im z/t_j)^2 + (Re z/t_j)^2.
+        |1 + iz/t_j|^2 = (1 - Im z/t_j)^2 + (Re z/t_j)^2.  Any other
+        non-finite value or err (float64 overflow) raises ValueError.
         """
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -167,7 +181,7 @@ class WeightEvaluator:
             return None if np.any(sq == 0.0) else np.log(sq, out=sq)
 
         value = self._half_log_sum(j_max, log_chunk)
-        return (NEG_INF, 0.0) if value == NEG_INF else (value, err)
+        return (NEG_INF, 0.0) if value == NEG_INF else _finite_result(z, value, err)
 
     def eval_log_omega_neg_imag(self, r: float) -> tuple[float, float]:
         """ln w(-i r) = sum ln(1 + r/t_j), the modulus-bound comparator."""

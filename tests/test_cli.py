@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -32,6 +33,11 @@ class TestBasics:
 
     def test_coeffs_past_float_range_exits_2(self):
         code, out, err = run_cli(["weight", "coeffs", "--seq", "geometric:r=2", "--K", "1100"])
+        assert code == 2 and not out
+        assert "overflows float64" in err
+
+    def test_eval_past_float_range_exits_2(self):
+        code, out, err = run_cli(["weight", "eval", "--seq", "geometric:r=2", "--t", "1e200"])
         assert code == 2 and not out
         assert "overflows float64" in err
 
@@ -100,6 +106,11 @@ class TestContradictCommand:
         assert code == 0
         assert (tmp_path / "out.json").exists()
 
+    def test_precision_bits_flag_removed(self):
+        code, out, _ = run_cli(["cx", "contradict", "--seq", "powlog:a=1,b=2",
+                                "--precision-bits", "128"])
+        assert code == 2 and not out
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not valid json")
@@ -148,15 +159,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
 
 
-class TestPrecisionOverride:
-    def test_env_var_applies_but_flag_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WEIGHTLAB_PRECISION_BITS", "96")
-        from weightlab.cli import _precision_bits
+class TestRuntimeDependencies:
+    def test_runs_without_mpmath(self):
+        # mpmath is a test-only dependency: importing the package must not
+        # load it, and the counterexample commands must run with it blocked
+        import weightlab
 
-        assert _precision_bits({}) == 96
-        assert _precision_bits({"precision_bits": 160}) == 160
-        monkeypatch.setenv("WEIGHTLAB_PRECISION_BITS", "not-a-number")
-        from weightlab.cli import ConfigError
-
-        with pytest.raises(ConfigError):
-            _precision_bits({})
+        src = os.path.dirname(os.path.dirname(weightlab.__file__))
+        code = (
+            "import os, sys, weightlab, weightlab.cli\n"
+            "if 'mpmath' in sys.modules: sys.exit('mpmath imported')\n"
+            "sys.modules['mpmath'] = None\n"
+            "sys.exit(weightlab.cli.main(['cx', 'contradict', '--seq', 'powlog:a=1,b=2',"
+            " '--j-max', '30', '--scan-density', '64', '--json', os.devnull]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -278,6 +278,29 @@ class TestContradiction:
         ]
         assert reps[0].witness_index == reps[1].witness_index
 
+    def test_partial_sums_within_allowance_of_mpmath(self, model60):
+        from mpmath import mp, mpf
+
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        n = model60.mult.n
+        with mp.workprec(200):
+            ln_w0 = [mp.fsum(ni * mp.log(1 + mpf(4) ** (m - i))
+                             for i, ni in enumerate(n, start=1) if ni) / 2
+                     for m in range(len(n) + 2)]
+            for beta in shipped_beta_family(seq) + classic_beta_family(seq):
+                rep = contradiction_experiment(model60, beta, check_minmod=False)
+                allow = rep.witness_allowance
+                assert 0 < allow < 1e-12 * rep.rhs_upper
+                lhs = rhs = mpf(0)
+                for row in rep.rows:
+                    b, two_j = mpf(beta(2.0**row.j)), mpf(2) ** row.j
+                    if b <= two_j:
+                        lhs += row.n_j / two_j * mp.log(two_j / b)
+                    rhs += 4 * ln_w0[row.j + 1] / (2 * two_j) + b / two_j
+                    assert abs(row.lhs_partial - lhs) <= allow, (beta.name, row.j)
+                    assert abs(row.rhs_partial - rhs) <= allow, (beta.name, row.j)
+                assert abs(rep.rhs_upper - (rhs + row.rhs_tail_bound)) <= allow
+
     def test_rhs_tail_dominates_continuation(self, model60):
         from weightlab.counterexample import _w0_rhs_tail
 

@@ -189,6 +189,26 @@ class TestInvariants:
                 family=ExplicitFamily([1.0, 1.0, 2.0]), j_cut=10, omega0_flag=True
             )
 
+    def test_prefix_checks_match_term_loop(self):
+        # validate and the omega0 check read one terms() array; the
+        # per-term loop they replaced is the reference
+        for spec in ("geometric:r=1.001", "geometric:r=2", "power:a=1.5", "power:a=2",
+                     "powlog:a=1,b=2", "powlog:a=3,b=0", "powlog:a=1.5,b=0.5",
+                     "explicit:[1,1,2]", "explicit:[1,2,4]"):
+            for j_cut in (3, 4096):
+                seq = parse_sequence_spec(spec, j_cut=j_cut)
+                fam = seq.family
+                upto = len(fam.values) if isinstance(fam, ExplicitFamily) else j_cut
+                ratios = [fam.term(j) / j for j in range(1, upto + 1)]
+                flat = not any(b < a * (1.0 - 1e-15) for a, b in zip(ratios, ratios[1:]))
+                tail = fam.omega0_tail_claim()
+                assert seq.omega0_flag == (flat and tail is not False), (spec, j_cut)
+
+    def test_nan_entry_reported_at_its_index(self):
+        with pytest.raises(SequenceSpecError, match="t_2 <= 0") as exc:
+            parse_sequence_spec("explicit:[1,nan,3]")
+        assert exc.value.position == 2
+
     def test_powlog_clamped_head(self):
         fam = PowLogFamily(1.0, 2.0)
         assert fam.term(1) == fam.term(2) == fam.term(3)

@@ -168,18 +168,21 @@ class TestTermPrefix:
 
     def test_prefix_ending_in_inf(self):
         # 2^j overflows float64 from j = 1024 on; past t = 1e154, t^2
-        # overflows too, and value and err are nan
+        # overflows too, and the evaluator refuses the point
         seq = parse_sequence_spec("geometric:r=2")
-        ts = [1e150, 3e299, 1e300]
-        zs = [1e300 * cmath.exp(0.7j), complex(0.0, -1e300)]
-        with np.errstate(over="ignore"):
-            _warm_matches_fresh(seq, ts, zs)
-            warm = WeightEvaluator(seq)
-            for t in ts:
-                assert _same(warm.eval_log_abs_omega(t), _reference(seq, t))
-            for z in zs:
-                assert _same(warm.eval_log_abs_omega_complex(z), _reference(seq, z))
-        assert math.isfinite(WeightEvaluator(seq).eval_log_abs_omega(1e150)[0])
+        warm = WeightEvaluator(seq)
+        for t in (3e299, 1e300):
+            with pytest.raises(ValueError, match="overflows float64"):
+                warm.eval_log_abs_omega(t)
+        for z in (1e300 * cmath.exp(0.7j), complex(0.0, -1e300)):
+            with pytest.raises(ValueError, match="overflows float64"):
+                warm.eval_log_abs_omega_complex(z)
+        # the prefix now ends in inf, and a finite point still matches
+        assert np.isinf(warm._prefix[-1])
+        got = warm.eval_log_abs_omega(1e150)
+        assert math.isfinite(got[0]) and math.isfinite(got[1])
+        assert got == _reference(seq, 1e150)
+        _warm_matches_fresh(seq, [1e150], [])
 
     def test_warm_call_allocates_no_chunk(self):
         w = WeightEvaluator(parse_sequence_spec("powlog:a=1,b=2"))
