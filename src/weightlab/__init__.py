@@ -39,7 +39,6 @@ from .coeffs import (
 from .criteria import (
     DyadicProfile,
     SeriesDiagnostic,
-    ThresholdPolicy,
     criteria2_report,
     integral_cross_check,
     loglog_series,

@@ -3,17 +3,22 @@
 Every subcommand mirrors a library operation, writes deterministic JSON
 (and CSV where rows are tabular), and exits 0 when all asserted checks
 pass, 1 when a check reports violations, 2 on configuration errors.
-A JSON config file (`weightlab run --config file.json`) carries the same
-fields as the flags: {"command": "cx.contradict", "seq": "powlog:a=1,b=2",
-...}.
+
+The flags and `weightlab run --config file.json` take the same options
+with the same defaults.  A config file names the command and carries the
+flag names without `--`, with `_` for `-`, and a list for a flag that
+repeats: {"command": "cx.contradict", "seq": "powlog:a=1,b=2",
+"j_max": 60, "scan_density": 128}.  A key the command does not have, or
+a value that does not convert to the option's type, is a configuration
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Optional
 
 from . import __version__
 from .coeffs import coeff_table, inf_sup_identity, log_convexity_check
@@ -52,37 +57,34 @@ class ConfigError(ValueError):
     pass
 
 
-def _seq(params: dict, key: str = "seq"):
-    spec = params.get(key)
+def _seq(p: dict, key: str = "seq"):
+    spec = p[key]
     if not spec:
         raise ConfigError(f"missing sequence spec {key!r}")
     try:
-        return parse_sequence_spec(spec, j_cut=int(params.get("j_cut", 500_000)))
+        return parse_sequence_spec(spec, j_cut=p["j_cut"])
     except SequenceSpecError as exc:
         raise ConfigError(f"bad sequence spec {spec!r}: {exc}") from exc
 
 
-def _grid(params: dict, key: str = "grid", default: Optional[str] = None):
-    text = params.get(key, default)
+def _grid(p: dict, key: str = "grid"):
+    text = p[key]
     if text is None:
         raise ConfigError(f"missing grid {key!r} (format lo:hi:n)")
     try:
         lo, hi, n = text.split(":")
         return log_grid(float(lo), float(hi), int(n))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: expected lo:hi:n") from exc
 
 
 # --------------------------------------------------------------------------
-# handlers: params dict -> (report dict, rows or None, passed bool)
+# handlers: options dict -> (report dict, rows or None, passed bool)
 
-def h_weight_eval(params: dict):
-    seq = _seq(params)
-    w = WeightEvaluator(seq, tol=float(params.get("tol", 1e-12)))
-    if params.get("t") is not None:
-        ts = [float(x) for x in params["t"]]
-    else:
-        ts = [float(x) for x in _grid(params)]
+def h_weight_eval(p: dict):
+    seq = _seq(p)
+    w = WeightEvaluator(seq, tol=p["tol"])
+    ts = p["t"] if p["t"] is not None else [float(x) for x in _grid(p)]
     points = []
     for t in ts:
         v, e = w.eval_log_abs_omega(t)
@@ -91,14 +93,13 @@ def h_weight_eval(params: dict):
     return report, None, True
 
 
-def h_weight_coeffs(params: dict):
-    seq = _seq(params)
-    n = int(params.get("n", 1))
-    K = int(params.get("K", 20))
-    tab = coeff_table(seq, n, K, tol=float(params.get("tol", 1e-12)))
+def h_weight_coeffs(p: dict):
+    seq = _seq(p)
+    n, K = p["n"], p["K"]
+    tab = coeff_table(seq, n, K, tol=p["tol"])
     conv = log_convexity_check(tab)
     ident = []
-    for k in range(1, min(K - 1, int(params.get("k_identity", 8))) + 1):
+    for k in range(1, min(K - 1, p["k_identity"]) + 1):
         r = inf_sup_identity(tab, k)
         ident.append({"k": k, "rel_error": r.rel_error})
     report = {
@@ -115,10 +116,9 @@ def h_weight_coeffs(params: dict):
     return report, None, conv.passed
 
 
-def h_criteria_classify(params: dict):
-    seq = _seq(params)
-    k_max = int(params.get("k_max", 20_000))
-    rep = criteria2_report(seq, k_max)
+def h_criteria_classify(p: dict):
+    seq = _seq(p)
+    rep = criteria2_report(seq, p["k_max"])
     out = {
         "command": "criteria.classify",
         "spec": rep["spec"],
@@ -130,10 +130,9 @@ def h_criteria_classify(params: dict):
     return out, None, ok
 
 
-def h_criteria_omega6(params: dict):
-    seq = _seq(params)
-    J = int(params.get("J", 25))
-    rep = msnq_omega_conditions(seq, J, k_max=params.get("k_max"))
+def h_criteria_omega6(p: dict):
+    seq = _seq(p)
+    rep = msnq_omega_conditions(seq, p["J"], k_max=p["k_max"])
     out = {
         "command": "criteria.omega6",
         "spec": rep["spec"],
@@ -148,17 +147,14 @@ def h_criteria_omega6(params: dict):
     return out, None, ok
 
 
-def h_weight_checks(params: dict):
-    seq = _seq(params)
-    w = WeightEvaluator(seq, tol=float(params.get("tol", 1e-9)))
-    L = float(params.get("L", 2.0))
-    scaling = scaling_inequality_check(w, L, samples=int(params.get("samples", 50)))
+def h_weight_checks(p: dict):
+    seq = _seq(p)
+    w = WeightEvaluator(seq, tol=1e-9)
+    scaling = scaling_inequality_check(w, p["L"], samples=p["samples"])
     modulus = modulus_bound_check(
-        w, samples=int(params.get("samples", 200)),
-        rng_seed=int(params.get("seed", 1)),
-        radius=float(params.get("radius", 1e3)),
+        w, samples=p["samples"], rng_seed=p["seed"], radius=p["radius"]
     )
-    c_min, strong = strong_nqa_tail_check(seq, K=int(params.get("K", 200)))
+    c_min, strong = strong_nqa_tail_check(seq, K=p["K"])
     report = {
         "command": "weight.checks",
         "seq": seq.spec_string(),
@@ -169,13 +165,13 @@ def h_weight_checks(params: dict):
     return report, None, scaling.passed and modulus.passed
 
 
-def h_majorant_alpha(params: dict):
-    seq = _seq(params)
+def h_majorant_alpha(p: dict):
+    seq = _seq(p)
     m = ConcaveSeriesMajorant(seq)
-    w = WeightEvaluator(seq, tol=float(params.get("tol", 1e-9)))
+    w = WeightEvaluator(seq, tol=1e-9)
     pts = []
     dominated = True
-    for t in _grid(params, default="1:1e6:64"):
+    for t in _grid(p):
         t = float(t)
         av, aerr = m.eval(t)
         lv, lerr = w.eval_log_abs_omega(t)
@@ -191,14 +187,12 @@ def h_majorant_alpha(params: dict):
     return report, None, dominated
 
 
-def h_majorant_beta(params: dict):
-    seq = _seq(params)
+def h_majorant_beta(p: dict):
+    seq = _seq(p)
     m = ConcaveSeriesMajorant(seq)
-    grid = _grid(params, default="1:1e6:64")
-    lam = float(params["lam"]) if params.get("lam") else lambda_search(
-        m.eval, float(grid[0]), float(grid[-1])
-    )
-    bm = BetaMajorant(alpha=m.eval, lam=lam, tail_terms=int(params.get("tail_terms", 12)))
+    grid = _grid(p)
+    lam = p["lam"] or lambda_search(m.eval, float(grid[0]), float(grid[-1]))
+    bm = BetaMajorant(alpha=m.eval, lam=lam, tail_terms=p["tail_terms"])
     pts = []
     above = True
     for t in grid:
@@ -219,18 +213,14 @@ def h_majorant_beta(params: dict):
     return report, None, above
 
 
-def h_majorant_sk_sweep(params: dict):
-    rep = s_k_nonneg_sweep(
-        trials=int(params.get("trials", 100)),
-        k_max=int(params.get("k_max", 25)),
-        rng_seed=int(params.get("seed", 1)),
-    )
+def h_majorant_sk_sweep(p: dict):
+    rep = s_k_nonneg_sweep(trials=p["trials"], k_max=p["k_max"], rng_seed=p["seed"])
     rep["command"] = "majorant.sk-sweep"
     return rep, None, rep["passed"]
 
 
-def h_majorant_step(params: dict):
-    st = step_counterexample(int(params.get("k_max", 6)))
+def h_majorant_step(p: dict):
+    st = step_counterexample(p["k_max"])
     probe = step_threshold_probe(st)
     report = {
         "command": "majorant.step",
@@ -241,242 +231,190 @@ def h_majorant_step(params: dict):
     return report, None, probe["all_exactly_one"]
 
 
-def h_cx_build(params: dict):
-    seq = _seq(params)
-    j_max = int(params.get("j_max", 40))
-    mult = dyadic_multiplicities(seq, j_max)
+def _model(p: dict, seq) -> CounterexampleModel:
+    return CounterexampleModel(dyadic_multiplicities(seq, p["j_max"]))
+
+
+def h_cx_build(p: dict):
+    seq = _seq(p)
+    mult = dyadic_multiplicities(seq, p["j_max"])
     report = {
         "command": "cx.build",
         "seq": seq.spec_string(),
-        "j_max": j_max,
+        "j_max": p["j_max"],
         "multiplicities": mult.n,
         "total": mult.total,
     }
     return report, None, True
 
 
-def h_cx_dominate(params: dict):
-    seq = _seq(params)
-    j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
-    w = WeightEvaluator(seq, tol=float(params.get("tol", 1e-6)))
+def h_cx_dominate(p: dict):
+    seq = _seq(p)
+    w = WeightEvaluator(seq, tol=1e-6)
     rep = domination_check(
-        model, w,
-        samples=int(params.get("samples", 500)),
-        rng_seed=int(params.get("seed", 1)),
-        radius=float(params.get("radius", 1e4)),
+        _model(p, seq), w, samples=p["samples"], rng_seed=p["seed"], radius=p["radius"]
     )
-    report = {"command": "cx.dominate", "seq": seq.spec_string(), "j_max": j_max,
+    report = {"command": "cx.dominate", "seq": seq.spec_string(), "j_max": p["j_max"],
               "result": rep.to_dict()}
     return report, None, rep.passed
 
 
-def h_cx_schwarz(params: dict):
-    seq = _seq(params)
-    j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
-    js = [int(x) for x in params.get("j", [5, 10, 15])]
-    deltas = [float(x) for x in params.get("delta", [0.5, 0.1])]
+def h_cx_schwarz(p: dict):
+    seq = _seq(p)
+    model = _model(p, seq)
     results = []
     ok = True
-    for j in js:
-        for d in deltas:
-            rep = schwarz_bound_check(
-                model, j, d,
-                samples=int(params.get("samples", 200)),
-                rng_seed=int(params.get("seed", 1)),
-            )
+    for j in p["j"]:
+        for d in p["delta"]:
+            rep = schwarz_bound_check(model, j, d, samples=p["samples"], rng_seed=p["seed"])
             ok &= rep.passed
             results.append(rep.to_dict())
     report = {"command": "cx.schwarz", "seq": seq.spec_string(), "results": results}
     return report, None, ok
 
 
-def h_cx_contradict(params: dict):
-    seq = _seq(params)
-    j_max = int(params.get("j_max", 60))
-    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
-    beta = named_beta(str(params.get("beta", "const:0.001")), seq)
+def h_cx_contradict(p: dict):
+    seq = _seq(p)
+    model = _model(p, seq)
+    beta = named_beta(p["beta"], seq)
     rep = contradiction_experiment(
-        model, beta,
-        J=int(params["J"]) if params.get("J") else None,
-        scan_density=int(params.get("scan_density", 512)),
-        refine_iters=int(params.get("refine_iters", 40)),
+        model, beta, J=p["J"] or None, scan_density=p["scan_density"], refine_iters=40
     )
     report = {"command": "cx.contradict", "seq": seq.spec_string(),
               "summary": rep.to_summary()}
     return report, rep.rows, rep.passed_schwarz
 
 
-def h_cx_scan(params: dict):
-    seq = _seq(params)
-    j_max = int(params.get("j_max", 40))
-    model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
-    rho = _seq(params, "rho") if params.get("rho") else seq
-    w = WeightEvaluator(rho, tol=float(params.get("tol", 1e-6)))
-    cfg = MinModConfig(
-        c_grid=tuple(float(x) for x in params.get("c_grid", [0.5, 1.0, 2.0, 4.0])),
-        c_prime_grid=tuple(float(x) for x in params.get("c_prime_grid", [0.0, 1.0, 10.0])),
-        scan_density=int(params.get("scan_density", 1024)),
-        refine_iters=int(params.get("refine_iters", 48)),
-    )
-    grid = _grid(params, "t_grid", default="2:65536:32")
-    rep = minmod_radius_scan(model, w, cfg, [float(t) for t in grid])
+def h_cx_scan(p: dict):
+    seq = _seq(p)
+    model = _model(p, seq)
+    rho = _seq(p, "rho") if p["rho"] else seq
+    w = WeightEvaluator(rho, tol=1e-6)
+    grid = _grid(p, "t_grid")
+    rep = minmod_radius_scan(model, w, MinModConfig(), [float(t) for t in grid])
     report = {"command": "cx.scan", "seq": seq.spec_string(),
               "rho": rho.spec_string(), "scan": rep}
     # failures are findings here, not errors
     return report, None, True
 
 
-HANDLERS = {
-    "weight.eval": h_weight_eval,
-    "weight.coeffs": h_weight_coeffs,
-    "weight.checks": h_weight_checks,
-    "criteria.classify": h_criteria_classify,
-    "criteria.omega6": h_criteria_omega6,
-    "majorant.alpha": h_majorant_alpha,
-    "majorant.beta": h_majorant_beta,
-    "majorant.sk-sweep": h_majorant_sk_sweep,
-    "majorant.step": h_majorant_step,
-    "cx.build": h_cx_build,
-    "cx.dominate": h_cx_dominate,
-    "cx.schwarz": h_cx_schwarz,
-    "cx.contradict": h_cx_contradict,
-    "cx.scan": h_cx_scan,
+# --------------------------------------------------------------------------
+# the options of every command, declared once: option -> default.  The
+# default's type is the option's type; a bare type stands for an option
+# without a default (None), and a list for a flag that may repeat.  A flag
+# is the option name with `-` for `_`.
+
+SEQ = {"seq": str, "j_cut": 500_000}
+OUTPUTS = {
+    "json": "write the JSON report here (default stdout)",
+    "csv": "write tabular rows here (where applicable)",
+}
+
+COMMANDS = {
+    "weight.eval": (h_weight_eval, {**SEQ, "t": [float], "grid": str, "tol": 1e-12}),
+    "weight.coeffs": (h_weight_coeffs,
+                      {**SEQ, "n": 1, "K": 20, "tol": 1e-12, "k_identity": 8}),
+    "weight.checks": (h_weight_checks, {**SEQ, "L": 2.0, "samples": 200, "seed": 1,
+                                        "radius": 1e3, "K": 200}),
+    "criteria.classify": (h_criteria_classify, {**SEQ, "k_max": 20_000}),
+    "criteria.omega6": (h_criteria_omega6, {**SEQ, "J": 25, "k_max": int}),
+    "majorant.alpha": (h_majorant_alpha, {**SEQ, "grid": "1:1e6:64"}),
+    "majorant.beta": (h_majorant_beta,
+                      {**SEQ, "grid": "1:1e6:64", "lam": float, "tail_terms": 12}),
+    "majorant.sk-sweep": (h_majorant_sk_sweep, {"trials": 100, "k_max": 25, "seed": 1}),
+    "majorant.step": (h_majorant_step, {"k_max": 6}),
+    "cx.build": (h_cx_build, {**SEQ, "j_max": 40}),
+    "cx.dominate": (h_cx_dominate, {**SEQ, "j_max": 40, "samples": 500, "seed": 1,
+                                    "radius": 1e4}),
+    "cx.schwarz": (h_cx_schwarz, {**SEQ, "j_max": 40, "j": [5, 10, 15],
+                                  "delta": [0.5, 0.1], "samples": 200, "seed": 1}),
+    "cx.contradict": (h_cx_contradict, {**SEQ, "j_max": 60, "beta": "const:0.001",
+                                        "J": int, "scan_density": 512}),
+    "cx.scan": (h_cx_scan, {**SEQ, "rho": str, "j_max": 40, "t_grid": "2:65536:32"}),
 }
 
 
-def _emit(report: dict, rows, params: dict) -> None:
-    text = json_text(report)
-    json_path = params.get("json")
-    if json_path:
-        with open(json_path, "w", newline="") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
-    csv_path = params.get("csv")
-    if csv_path and rows is not None:
-        with open(csv_path, "w", newline="") as fp:
-            write_csv(fp, CONTRADICTION_COLUMNS, rows)
+def _kind(default) -> tuple:
+    """The value type of an option with this default, and whether it repeats."""
+    many = isinstance(default, list)
+    item = default[0] if many else default
+    return (item if isinstance(item, type) else type(item)), many
+
+
+def _cast(kind: type, value):
+    out = kind(value)
+    # a config value must already be of the type, or a string that parses
+    # as one: 2.5 for an int option or 40 for a spec is an error
+    if isinstance(value, bool) or (not isinstance(value, str) and out != value):
+        raise ValueError(value)
+    return out
+
+
+def _options(command: str, params: dict) -> dict:
+    """Every option of `command`, typed, with its default where `params`
+    gives none.  Keys that `command` does not declare are errors."""
+    options = {**COMMANDS[command][1], **dict.fromkeys(OUTPUTS, str)}
+    unknown = sorted(params.keys() - options.keys())
+    if unknown:
+        raise ConfigError(f"{command} has no option {unknown[0]!r}")
+    out = {}
+    for key, default in options.items():
+        value = params.get(key)
+        kind, many = _kind(default)
+        if value is None:
+            out[key] = None if default in (kind, [kind]) else default
+            continue
+        try:
+            if many != isinstance(value, list):
+                raise TypeError(value)
+            out[key] = [_cast(kind, v) for v in value] if many else _cast(kind, value)
+        except (TypeError, ValueError):
+            what = f"a list of {kind.__name__}" if many else kind.__name__
+            raise ConfigError(f"option {key!r} needs {what}, not {value!r}") from None
+    return out
 
 
 def run_command(command: str, params: dict) -> int:
-    handler = HANDLERS.get(command)
-    if handler is None:
+    if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    report, rows, passed = handler(params)
-    _emit(report, rows, params)
+    p = _options(command, params)
+    report, rows, passed = COMMANDS[command][0](p)
+    text = json_text(report)
+    if p["json"]:
+        with open(p["json"], "w", newline="") as fp:
+            fp.write(text)
+    else:
+        sys.stdout.write(text)
+    if p["csv"] and rows is not None:
+        with open(p["csv"], "w", newline="") as fp:
+            write_csv(fp, CONTRADICTION_COLUMNS, rows)
     return 0 if passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", help="write the JSON report here (default stdout)")
-    p.add_argument("--csv", help="write tabular rows here (where applicable)")
-    p.add_argument("--j-cut", type=int, dest="j_cut")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="weightlab", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="group", required=True)
-
-    weight = sub.add_parser("weight").add_subparsers(dest="sub", required=True)
-    p = weight.add_parser("eval")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--t", action="append")
-    p.add_argument("--grid")
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p = weight.add_parser("coeffs")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--K", type=int, default=20)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--k-identity", type=int, dest="k_identity")
-    _add_common(p)
-    p = weight.add_parser("checks")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--L", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--radius", type=float, default=1e3)
-    p.add_argument("--K", type=int, default=200)
-    _add_common(p)
-
-    crit = sub.add_parser("criteria").add_subparsers(dest="sub", required=True)
-    p = crit.add_parser("classify")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--k-max", type=int, dest="k_max")
-    _add_common(p)
-    p = crit.add_parser("omega6")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--J", type=int, default=25)
-    p.add_argument("--k-max", type=int, dest="k_max")
-    _add_common(p)
-
-    maj = sub.add_parser("majorant").add_subparsers(dest="sub", required=True)
-    p = maj.add_parser("alpha")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--grid")
-    _add_common(p)
-    p = maj.add_parser("beta")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--grid")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--tail-terms", type=int, dest="tail_terms")
-    _add_common(p)
-    p = maj.add_parser("sk-sweep")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--k-max", type=int, dest="k_max", default=25)
-    p.add_argument("--seed", type=int, default=1)
-    _add_common(p)
-    p = maj.add_parser("step")
-    p.add_argument("--k-max", type=int, dest="k_max", default=6)
-    _add_common(p)
-
-    cx = sub.add_parser("cx").add_subparsers(dest="sub", required=True)
-    p = cx.add_parser("build")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--j-max", type=int, dest="j_max", default=40)
-    _add_common(p)
-    p = cx.add_parser("dominate")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--j-max", type=int, dest="j_max", default=40)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--radius", type=float, default=1e4)
-    _add_common(p)
-    p = cx.add_parser("schwarz")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--j-max", type=int, dest="j_max", default=40)
-    p.add_argument("--j", action="append")
-    p.add_argument("--delta", action="append")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=1)
-    _add_common(p)
-    p = cx.add_parser("contradict")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--j-max", type=int, dest="j_max", default=60)
-    p.add_argument("--beta", default="const:0.001")
-    p.add_argument("--J", type=int)
-    p.add_argument("--scan-density", type=int, dest="scan_density")
-    _add_common(p)
-    p = cx.add_parser("scan")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--rho")
-    p.add_argument("--j-max", type=int, dest="j_max", default=40)
-    p.add_argument("--t-grid", dest="t_grid")
-    _add_common(p)
-
-    p = sub.add_parser("run")
-    p.add_argument("--config", required=True)
+    groups = {}
+    for command, (_, options) in COMMANDS.items():
+        group, name = command.split(".")
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="sub", required=True)
+        p = groups[group].add_parser(name)
+        for key, default in options.items():
+            kind, many = _kind(default)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           action="append" if many else "store", required=key == "seq")
+        for key, text in OUTPUTS.items():
+            p.add_argument("--" + key, help=text)
+    sub.add_parser("run").add_argument("--config", required=True)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already
         return int(exc.code or 0)
@@ -484,23 +422,17 @@ def main(argv=None) -> int:
         if ns.group == "run":
             try:
                 with open(ns.config) as fp:
-                    cfg = json.load(fp)
-            except (OSError, json.JSONDecodeError) as exc:
+                    params = json.load(fp)
+            except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read config {ns.config!r}: {exc}") from exc
-            command = cfg.pop("command", None)
-            if not command:
+            if not isinstance(params, dict) or not params.get("command"):
                 raise ConfigError("config needs a 'command' field")
-            return run_command(command, cfg)
-        params = {k: v for k, v in vars(ns).items() if v is not None}
-        command = f"{ns.group}.{ns.sub}"
+            command = params.pop("command")
+        else:
+            params = vars(ns)
+            command = f"{params.pop('group')}.{params.pop('sub')}"
         return run_command(command, params)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SequenceSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

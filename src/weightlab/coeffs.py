@@ -229,11 +229,11 @@ class InfSupResult:
         return abs(math.expm1(self.log_lhs - self.log_rhs))
 
 
-def inf_sup_identity(table: CoeffTable, k: int, search_grid: int = 96) -> InfSupResult:
+def inf_sup_identity(table: CoeffTable, k: int) -> InfSupResult:
     """Numerical check of min_{t>0} t^-k sup_p a_p t^p = a_k.
 
     The candidate minimizer t* = a_{k-1}/a_k (where the max term switches
-    from index k-1 to k) seeds a log-spaced grid that golden-section
+    from index k-1 to k) seeds a 96-point log-spaced grid that golden-section
     refinement then sharpens.
     """
     if not (1 <= k <= table.K - 1):
@@ -249,7 +249,7 @@ def inf_sup_identity(table: CoeffTable, k: int, search_grid: int = 96) -> InfSup
         return float(np.max(logs)) - k * log_t
 
     lo, hi = log_t_star - 3.0, log_t_star + 3.0
-    grid = np.linspace(lo, hi, search_grid)
+    grid = np.linspace(lo, hi, 96)
     vals = [objective(x) for x in grid]
     i = int(np.argmin(vals))
     a = grid[max(0, i - 1)]
@@ -282,10 +282,10 @@ def log_convexity_margins(table: CoeffTable) -> np.ndarray:
     return out
 
 
-def log_convexity_check(table: CoeffTable, slack_factor: float = 3.0) -> CheckReport:
-    """a_k^2 >= a_{k-1} a_{k+1} (1 - trunc)^slack_factor on the table."""
+def log_convexity_check(table: CoeffTable) -> CheckReport:
+    """a_k^2 >= a_{k-1} a_{k+1} (1 - trunc)^3 on the table."""
     margins = log_convexity_margins(table)
-    allowed = slack_factor * math.log1p(-min(table.trunc_error_rel, 0.5)) - 1e-12
+    allowed = 3.0 * math.log1p(-min(table.trunc_error_rel, 0.5)) - 1e-12
     finite = margins[~np.isnan(margins)]
     worst = float(np.min(finite)) if len(finite) else 0.0
     return CheckReport(

@@ -122,8 +122,10 @@ class CounterexampleModel:
         carried exactly so offsets far below the float spacing of t still
         move the factor.  Remote levels use the cancellation-free
         0.5 log1p(-2q + q^2), q = s^2/4^i, which huge multiplicities do
-        not amplify.  All levels are evaluated at once, OFFSET_BLOCK points
-        at a time, and summed in level order.
+        not amplify.  Where q could pass 2^500, so that q^2 would overflow,
+        the remote form is taken as ln q + 0.5 log1p(1/q^2 - 2/q).  All
+        levels are evaluated at once, OFFSET_BLOCK points at a time, and
+        summed in level order.
         """
         d = self._level_offsets(t)
         base = self._base
@@ -131,17 +133,25 @@ class CounterexampleModel:
         # the near levels are consecutive rows: 2^i in [(t - window)/1.5, 2(t + window)]
         near = np.flatnonzero(np.abs(d) <= 0.5 * base + window)
         lo, hi = (near[0], near[-1] + 1) if len(near) else (0, 0)
+        # the levels whose q can pass 2^500 are the first rows: 2^i < s 2^-250
+        big = int(np.searchsorted(base[:, 0], (t + window) * 2.0**-250))
         out = np.zeros_like(offsets)
         with np.errstate(divide="ignore"):
             for k in range(0, len(offsets), OFFSET_BLOCK):
                 x = offsets[k : k + OFFSET_BLOCK]
                 s_pos = t + x
-                q = (s_pos / base) ** 2
+                q = (s_pos / base[big:]) ** 2
                 # row 0 stays zero, so the sequential accumulate adds the
                 # levels to 0.0 one by one, exactly as a per-level loop would
                 terms = np.zeros((len(d) + 1, len(x)))
                 # log1p's argument (q-1)^2 - 1 never rounds below -1
-                terms[1:] = self._half_n * np.log1p(q * q - 2.0 * q)
+                terms[1 + big :] = self._half_n[big:] * np.log1p(q * q - 2.0 * q)
+                if big:
+                    r = base[:big] / s_pos  # 1/q = r^2, and ln q = -2 ln r
+                    v = r * r
+                    terms[1 : 1 + big] = self._half_n[:big] * (
+                        np.log1p(v * v - 2.0 * v) - 4.0 * np.log(r)
+                    )
                 lr = np.log(np.abs(d[lo:hi] - x)) + np.log(base[lo:hi] + s_pos)
                 terms[1 + lo : 1 + hi] = self._n[lo:hi] * (lr - self._ln_4i[lo:hi])
                 out[k : k + OFFSET_BLOCK] = np.add.accumulate(terms, axis=0)[-1]

@@ -183,10 +183,11 @@ class SeriesDiagnostic:
             return None
         return float(self.partial_sums[-1]) + self.tail_bound
 
-    def to_dict(self, decimate_to: int = 64) -> dict:
+    def to_dict(self) -> dict:
+        """The JSON form, with the partial sums decimated to 64 points."""
         ps = list(map(float, self.partial_sums))
-        if len(ps) > decimate_to:
-            idx = np.linspace(0, len(ps) - 1, decimate_to).round().astype(int)
+        if len(ps) > 64:
+            idx = np.linspace(0, len(ps) - 1, 64).round().astype(int)
             ps = [ps[i] for i in idx]
         return {
             "condition": self.condition,
@@ -199,23 +200,12 @@ class SeriesDiagnostic:
         }
 
 
-@dataclass
-class ThresholdPolicy:
-    """divergent-trend when the last partial sum exceeds factor times the
-    halfway partial sum (and is positive).
-
-    Linearly growing partial sums have last/halfway ratio 2 exactly, so
-    the default factor sits just below that: constant-term divergence is
-    detected, while slow (logarithmic and down) divergence stays
-    inconclusive unless a certificate backs it.
-    """
-
-    factor: float = 1.8
-
-    def threshold(self, partial: np.ndarray) -> float:
-        if len(partial) < 4:
-            return math.inf
-        return self.factor * float(partial[len(partial) // 2])
+# divergent-trend when the last partial sum exceeds TREND_FACTOR times the
+# halfway partial sum (and is positive).  Linearly growing partial sums have
+# last/halfway ratio 2 exactly, so the factor sits just below that:
+# constant-term divergence is detected, while slow (logarithmic and down)
+# divergence stays inconclusive unless a certificate backs it.
+TREND_FACTOR = 1.8
 
 
 def _finish(
@@ -224,11 +214,10 @@ def _finish(
     onset: int,
     tail: Optional[float],
     div: Optional[DivergenceCertificate],
-    policy: ThresholdPolicy,
     skipped: int = 0,
 ) -> SeriesDiagnostic:
     arr = np.array(partial, dtype=float)
-    thr = policy.threshold(arr)
+    thr = TREND_FACTOR * float(arr[len(arr) // 2]) if len(arr) >= 4 else math.inf
     if tail is not None and math.isfinite(tail):
         verdict = VERDICT_CONV
         cert = None
@@ -254,11 +243,7 @@ def _finish(
     )
 
 
-def nqa_series(
-    p: DyadicProfile,
-    tail: Optional[float] = None,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-) -> SeriesDiagnostic:
+def nqa_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
     """Partial sums of sum a_j / 2^j."""
     acc = 0.0
     partial = []
@@ -267,14 +252,10 @@ def nqa_series(
         partial.append(acc)
     if tail is None and p.certs.nqa_tail is not None:
         tail = p.certs.nqa_tail(p.j_max)
-    return _finish("nqa", partial, p.j_min, tail, p.certs.nqa_div, policy)
+    return _finish("nqa", partial, p.j_min, tail, p.certs.nqa_div)
 
 
-def msnq_series(
-    p: DyadicProfile,
-    tail: Optional[float] = None,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-) -> SeriesDiagnostic:
+def msnq_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
     """Partial sums of sum (a_j/2^j) ln(2^j / a_{j+1}).
 
     Terms are accumulated from the first index where a_{j+1} <= 2^j (so
@@ -284,7 +265,7 @@ def msnq_series(
     if not p.from_increasing:
         raise ValueError("msnq series needs a profile from an increasing function")
     if len(p.values) < 2:
-        return _finish("msnq", [], p.j_min, None, None, policy)
+        return _finish("msnq", [], p.j_min, None, None)
     acc = 0.0
     partial = []
     onset = None
@@ -308,29 +289,25 @@ def msnq_series(
         acc += (a_j / 2.0**j) * math.log(2.0**j / a_next)
         partial.append(acc)
     if onset is None:
-        return _finish("msnq", [], p.j_min, None, None, policy, skipped)
+        return _finish("msnq", [], p.j_min, None, None, skipped)
     if tail is None and p.certs.msnq_tail is not None:
         tail = p.certs.msnq_tail(p.j_max - 1)
-    return _finish("msnq", partial, onset, tail, p.certs.msnq_div, policy, skipped)
+    return _finish("msnq", partial, onset, tail, p.certs.msnq_div, skipped)
 
 
-def loglog_series(
-    p: DyadicProfile,
-    tail: Optional[float] = None,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-) -> SeriesDiagnostic:
+def loglog_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
     """Partial sums of sum (a_j/2^j) ln j (terms from j = 2)."""
     acc = 0.0
     partial = []
     if len(p.values) == 0:
-        return _finish("loglog", [], p.j_min, None, None, policy)
+        return _finish("loglog", [], p.j_min, None, None)
     for j, a in zip(p.index_range(), p.values):
         if j >= 2:
             acc += (a / 2.0**j) * math.log(j)
         partial.append(acc)
     if tail is None and p.certs.loglog_tail is not None:
         tail = p.certs.loglog_tail(p.j_max)
-    return _finish("loglog", partial, max(p.j_min, 2), tail, p.certs.loglog_div, policy)
+    return _finish("loglog", partial, max(p.j_min, 2), tail, p.certs.loglog_div)
 
 
 def positive_part_diff(p: DyadicProfile) -> DyadicProfile:
@@ -436,9 +413,7 @@ def profile_from_callable(
 # ---------------------------------------------------------------------------
 # index series (sums over the zero index j rather than dyadic levels)
 
-def _index_series(
-    seq: ZeroSequence, cond: str, k_max: int, policy: ThresholdPolicy
-) -> SeriesDiagnostic:
+def _index_series(seq: ZeroSequence, cond: str, k_max: int) -> SeriesDiagnostic:
     """Partial sums of the index series for condition i/v/vi.
 
     i : ln^+(t_j/j)/t_j,  v : ln^+ln(j)/t_j,  vi : ln^+ln(t_j)/t_j.
@@ -475,20 +450,15 @@ def _index_series(
         acc += float(csum[-1])
     tail = fam.index_series_tail(cond, k_max)
     div = fam.index_series_divergence(cond)
-    return _finish(f"index-{cond}", partial, 1, tail, div, policy)
+    return _finish(f"index-{cond}", partial, 1, tail, div)
 
 
-def _record_points(k_max: int, n_points: int = 128):
-    pts = np.unique(np.linspace(1, k_max, min(n_points, k_max)).round().astype(int))
+def _record_points(k_max: int):
+    pts = np.unique(np.linspace(1, k_max, min(128, k_max)).round().astype(int))
     return list(pts)
 
 
-def msnq_omega_conditions(
-    seq: ZeroSequence,
-    J: int,
-    k_max: Optional[int] = None,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-):
+def msnq_omega_conditions(seq: ZeroSequence, J: int, k_max: Optional[int] = None):
     """Diagnostics for the six equivalent-for-omega0 characterizations.
 
     (i) sum ln^+(t_j/j)/t_j;  (ii)-(iv) the dyadic msnq series on the n, N
@@ -500,12 +470,12 @@ def msnq_omega_conditions(
     if k_max is None:
         k_max = int(min(seq.j_cut, max(1000, seq.count_leq(2.0 ** min(J, 40)))))
     diags = {
-        "i": _index_series(seq, "i", k_max, policy),
-        "ii": msnq_series(profile_n(seq, J), policy=policy),
-        "iii": msnq_series(profile_big_n(seq, J), policy=policy),
-        "iv": msnq_series(profile_log_omega(seq, J), policy=policy),
-        "v": _index_series(seq, "v", k_max, policy),
-        "vi": _index_series(seq, "vi", k_max, policy),
+        "i": _index_series(seq, "i", k_max),
+        "ii": msnq_series(profile_n(seq, J)),
+        "iii": msnq_series(profile_big_n(seq, J)),
+        "iv": msnq_series(profile_log_omega(seq, J)),
+        "v": _index_series(seq, "v", k_max),
+        "vi": _index_series(seq, "vi", k_max),
     }
     v14 = {diags[c].verdict for c in ("i", "ii", "iii", "iv")}
     v_all = {d.verdict for d in diags.values()}
@@ -519,9 +489,7 @@ def msnq_omega_conditions(
     return report
 
 
-def criteria2_report(
-    seq: ZeroSequence, k_max: int, policy: ThresholdPolicy = ThresholdPolicy()
-) -> dict:
+def criteria2_report(seq: ZeroSequence, k_max: int) -> dict:
     """The three index conditions: lnln j, ln^+ln t_j and ln^+(t_j/j) sums.
 
     The first two are equivalent; both imply the third, and all three
@@ -530,9 +498,9 @@ def criteria2_report(
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
     diags = {
-        "loglog_j": _index_series(seq, "v", k_max, policy),
-        "loglog_t": _index_series(seq, "vi", k_max, policy),
-        "logratio": _index_series(seq, "i", k_max, policy),
+        "loglog_j": _index_series(seq, "v", k_max),
+        "loglog_t": _index_series(seq, "vi", k_max),
+        "logratio": _index_series(seq, "i", k_max),
     }
     verdicts = {d.verdict for d in diags.values()}
     return {
@@ -616,20 +584,14 @@ def integral_cross_check(f: SampledFunction, kind: str, tail: Optional[float] = 
     }
 
 
-def permanence_checks(
-    p: DyadicProfile,
-    c: float,
-    L: float,
-    q: DyadicProfile,
-    policy: ThresholdPolicy = ThresholdPolicy(),
-) -> dict:
+def permanence_checks(p: DyadicProfile, c: float, L: float, q: DyadicProfile) -> dict:
     """Stability of the msnq verdict under scaling, dilation, sums and
     pointwise domination."""
-    base = msnq_series(p, policy=policy)
-    scaled = msnq_series(p.scaled(c), policy=policy)
+    base = msnq_series(p)
+    scaled = msnq_series(p.scaled(c))
     m = max(0, math.ceil(math.log2(L))) if L > 1 else 0
-    shifted = msnq_series(p.shifted(m), policy=policy) if m < len(p.values) else None
-    summed = msnq_series(p.plus(q), policy=policy)
+    shifted = msnq_series(p.shifted(m)) if m < len(p.values) else None
+    summed = msnq_series(p.plus(q))
 
     ln_q = min(len(p.values), len(q.values))
     dominated = bool(np.all(q.values[:ln_q] <= p.values[:ln_q]))
@@ -650,13 +612,13 @@ def permanence_checks(
             from_increasing=q.from_increasing,
             certs=q_certs,
         )
-        q_diag = msnq_series(q_dom, policy=policy)
+        q_diag = msnq_series(q_dom)
 
     checks = {
         "scaled_keeps_verdict": scaled.verdict == base.verdict,
         "shifted_keeps_verdict": shifted.verdict == base.verdict if shifted else None,
         "sum_convergent": summed.verdict == VERDICT_CONV
-        if base.verdict == VERDICT_CONV and msnq_series(q, policy=policy).verdict == VERDICT_CONV
+        if base.verdict == VERDICT_CONV and msnq_series(q).verdict == VERDICT_CONV
         else None,
         "dominated_inherits": (q_diag.verdict == VERDICT_CONV)
         if (dominated and base.verdict == VERDICT_CONV and q_diag is not None)

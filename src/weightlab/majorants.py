@@ -167,17 +167,15 @@ def _log1pexp(y: float) -> float:
 
 @dataclass
 class ConcaveSeriesMajorant:
-    """alpha(t) = offset + 2 ln(1 + sum_k (scale*t)^k/(t_1...t_k)).
+    """alpha(t) = ln 3 + 2 ln(1 + sum_k (4t)^k/(t_1...t_k)).
 
     Increasing; concave whenever t_j/j is nondecreasing.  Evaluation is a
     log-sum-exp over k with the cutoff chosen so the term ratio
-    (scale*t)/t_{k+1} stays below 1/2, giving a geometric tail bound.
+    4t/t_{k+1} stays below 1/2, giving a geometric tail bound.
     The returned value is a lower bound; value+err an upper bound.
     """
 
     sequence: ZeroSequence
-    scale: float = 4.0
-    offset: float = LN3
     k_eval_cap: int = 2_000_000
 
     _cumlog: np.ndarray = field(default_factory=lambda: np.zeros(1), repr=False)
@@ -204,7 +202,7 @@ class ConcaveSeriesMajorant:
     def eval(self, t: float) -> tuple[float, float]:
         if not (t > 0) or not math.isfinite(t):
             raise ValueError("need finite t > 0")
-        x = self.scale * t
+        x = 4.0 * t
         k_star = self.sequence.count_leq(2.0 * x) + self._EXTRA
         if k_star + 1 > self.k_eval_cap:
             raise KEvalError(
@@ -230,7 +228,7 @@ class ConcaveSeriesMajorant:
             tail_over = 2.0 * math.exp(min(log_next - log_1ps, 700.0))
         else:
             tail_over = 0.0
-        value = self.offset + 2.0 * log_1ps
+        value = LN3 + 2.0 * log_1ps
         err = 2.0 * math.log1p(tail_over)
         return value, err
 

@@ -57,16 +57,16 @@ class DivergenceCertificate:
     reason: str
 
 
-def _bisect_count(term, t: float, hi_start: int = 2) -> int:
+def _bisect_count(term, t: float) -> int:
     """#{j >= 1 : term(j) <= t} for a nondecreasing term function."""
     if term(1) > t:
         return 0
-    lo, hi = 1, hi_start
+    lo, hi = 1, 2
     while term(hi) <= t:
         lo = hi
         hi *= 2
         if hi > 2**400:
-            raise OverflowError("zero count exceeds 2^400")
+            raise ValueError("zero count exceeds 2^400")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if term(mid) <= t:
@@ -295,7 +295,10 @@ class PowerFamily(Family):
         self.a = float(a)
 
     def term(self, j: int) -> float:
-        return float(j) ** self.a
+        try:
+            return float(j) ** self.a
+        except OverflowError:
+            return math.inf
 
     def terms(self, j_from: int, j_to: int) -> np.ndarray:
         with np.errstate(over="ignore"):

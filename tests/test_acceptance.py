@@ -90,7 +90,7 @@ def test_criterion_2_coefficient_laws():
         cache = {}
         for n in (1, 2, 3):
             tab = coeff_table(seq, n, 40)
-            conv = log_convexity_check(tab, slack_factor=3.0)
+            conv = log_convexity_check(tab)
             assert conv.passed, (spec, n)
             worst_conv = min(worst_conv, conv.worst_margin)
             for t in log_grid(0.1, 1e6, 50):

@@ -41,6 +41,17 @@ class TestBasics:
         assert code == 2 and not out
         assert "overflows float64" in err
 
+    def test_eval_power_overflow_exits_2(self):
+        code, out, err = run_cli(["weight", "eval", "--seq", "power:a=100", "--t", "1e307"])
+        assert code == 2 and not out
+        assert "overflows float64" in err
+
+    def test_zero_count_past_2_400_exits_2(self):
+        code, out, err = run_cli(["cx", "contradict", "--seq", "powlog:a=1,b=2",
+                                  "--j-max", "600"])
+        assert code == 2 and not out
+        assert "zero count exceeds 2^400" in err
+
     def test_unknown_family_exits_2(self):
         code, _, _ = run_cli(["weight", "eval", "--seq", "foo:r=2", "--t", "1"])
         assert code == 2
@@ -117,6 +128,102 @@ class TestContradictCommand:
         assert run_cli(["run", "--config", str(cfg_path)])[0] == 2
         cfg_path.write_text(json.dumps({"seq": "geometric:r=2"}))
         assert run_cli(["run", "--config", str(cfg_path)])[0] == 2
+
+    def test_past_level_256_has_no_false_violation(self, tmp_path):
+        # q = (s/2^i)^2 passes 2^512 at the low levels from j = 257 on
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        code, _, _ = run_cli(
+            ["cx", "contradict", "--seq", "powlog:a=1,b=2", "--j-max", "300",
+             "--beta", "invlogsq", "--scan-density", "64",
+             "--csv", str(csv_path), "--json", str(json_path)]
+        )
+        assert code == 0
+        assert json.loads(json_path.read_text())["summary"]["schwarz_violations"] == 0
+        rows = csv_path.read_text().splitlines()
+        assert len(rows) == 301
+        assert not any(c in ("inf", "-inf", "nan") for r in rows for c in r.split(","))
+
+
+def _config_of(argv):
+    """The `run --config` equivalent of a flag invocation."""
+    cfg = {"command": f"{argv[0]}.{argv[1]}"}
+    flags = argv[2:]
+    for flag, text in zip(flags[::2], flags[1::2]):
+        key = flag[2:].replace("-", "_")
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        if key in ("j", "delta", "t"):
+            value = cfg.get(key, []) + [value]
+        cfg[key] = value
+    return cfg
+
+
+def _run_config(cfg, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(["run", "--config", str(cfg_path)])
+
+
+class TestConfigMatchesFlags:
+    CRITERION_9 = [
+        ["weight", "eval", "--seq", "powlog:a=1,b=2", "--grid", "1:1e4:16"],
+        ["weight", "coeffs", "--seq", "geometric:r=2", "--n", "2", "--K", "12"],
+        ["weight", "checks", "--seq", "power:a=2", "--samples", "60", "--seed", "5"],
+        ["criteria", "classify", "--seq", "powlog:a=3,b=0", "--k-max", "2000"],
+        ["criteria", "omega6", "--seq", "geometric:r=2", "--J", "15"],
+        ["majorant", "alpha", "--seq", "geometric:r=2", "--grid", "1:1e5:24"],
+        ["majorant", "beta", "--seq", "geometric:r=2", "--grid", "1:1e5:24"],
+        ["majorant", "sk-sweep", "--trials", "10", "--k-max", "10", "--seed", "2"],
+        ["majorant", "step"],
+        ["cx", "build", "--seq", "powlog:a=1,b=2", "--j-max", "30"],
+        ["cx", "dominate", "--seq", "powlog:a=1,b=2", "--j-max", "25",
+         "--samples", "100", "--seed", "6", "--radius", "100"],
+        ["cx", "schwarz", "--seq", "powlog:a=1,b=2", "--j-max", "25",
+         "--j", "5", "--j", "10", "--delta", "0.5", "--samples", "60", "--seed", "8"],
+        ["cx", "contradict", "--seq", "powlog:a=1,b=2", "--j-max", "30",
+         "--beta", "const:0.001", "--scan-density", "128"],
+        ["cx", "scan", "--seq", "powlog:a=1,b=2", "--j-max", "20",
+         "--rho", "geometric:r=2", "--t-grid", "2:256:6"],
+    ]
+
+    @pytest.mark.parametrize("argv", CRITERION_9, ids=lambda a: f"{a[0]}-{a[1]}")
+    def test_criterion_9_byte_identical(self, argv, tmp_path):
+        flags, config = tmp_path / "flags.json", tmp_path / "config.json"
+        code = run_cli(argv + ["--json", str(flags)])[0]
+        cfg = dict(_config_of(argv), json=str(config))
+        assert _run_config(cfg, tmp_path)[0] == code
+        assert config.read_bytes() == flags.read_bytes()
+
+    def test_checks_defaults_agree(self, tmp_path):
+        # the scaling check takes the one `samples` default on both paths
+        flags, config = tmp_path / "flags.json", tmp_path / "config.json"
+        run_cli(["weight", "checks", "--seq", "power:a=2", "--json", str(flags)])
+        cfg = {"command": "weight.checks", "seq": "power:a=2", "json": str(config)}
+        _run_config(cfg, tmp_path)
+        assert config.read_bytes() == flags.read_bytes()
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"command": "cx.contradict", "seq": "powlog:a=1,b=2", "betta": "invlogsq"}, "betta"),
+        ({"command": "cx.scan", "seq": "powlog:a=1,b=2", "refine_iters": 10}, "refine_iters"),
+        ({"command": "majorant.step", "j_cut": 5}, "j_cut"),
+        ({"command": "weight.coeffs", "seq": "power:a=2", "K": 2.5}, "K"),
+        ({"command": "weight.coeffs", "seq": "power:a=2", "K": "forty"}, "K"),
+        ({"command": "weight.eval", "seq": 40, "t": [1.0]}, "seq"),
+        ({"command": "weight.eval", "seq": "power:a=2", "t": 1.0}, "t"),
+        ({"command": "cx.schwarz", "seq": "powlog:a=1,b=2", "j": [5, "x"]}, "j"),
+        ({"command": "cx.build", "seq": "powlog:a=1,b=2", "json": 5}, "json"),
+    ])
+    def test_undeclared_or_ill_typed_key_exits_2(self, cfg, key, tmp_path):
+        code, out, err = _run_config(cfg, tmp_path)
+        assert code == 2 and not out
+        assert repr(key) in err
+
+    def test_dead_j_cut_flags_removed(self):
+        for argv in (["majorant", "sk-sweep"], ["majorant", "step"]):
+            code, out, _ = run_cli(argv + ["--j-cut", "5"])
+            assert code == 2 and not out
 
 
 class TestDeterminism:

@@ -151,6 +151,25 @@ class TestOffsetsMatchLevelLoop:
         # one (levels x 1024) float64 array alone would take 480 KiB
         assert peak < 256 * 1024
 
+    def test_past_level_256_matches_mpmath(self):
+        # at t = 2^280 the low levels have q = (s/2^i)^2 above 2^500, where
+        # q^2 overflows float64
+        from mpmath import mp, mpf
+
+        model = CounterexampleModel(
+            dyadic_multiplicities(parse_sequence_spec("powlog:a=1,b=2"), 300)
+        )
+        t = 2.0**280
+        xs = np.array([-0.25 * t, -1e-3, 1e-3, 2.0**200, 0.25 * t])
+        got = model.log_abs_f_offsets(t, xs)
+        assert np.isfinite(got).all()
+        with mp.workprec(600):
+            for x, g in zip(xs, got):
+                s = mpf(t) + mpf(x)
+                terms = [ni * mp.log(abs(1 - (s / mpf(2) ** i) ** 2))
+                         for i, ni in enumerate(model.mult.n, start=1) if ni]
+                assert abs(g - mp.fsum(terms)) <= 1e-12 * mp.fsum(map(abs, terms)), x
+
 
 class TestMinmodSup:
     def test_single_factor_oracle(self):

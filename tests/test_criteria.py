@@ -6,7 +6,6 @@ import pytest
 from weightlab import (
     DyadicProfile,
     SampledFunction,
-    ThresholdPolicy,
     ZeroSequence,
     criteria2_report,
     integral_cross_check,
