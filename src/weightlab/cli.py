@@ -277,9 +277,7 @@ def h_cx_contradict(p: dict):
     seq = _seq(p)
     model = _model(p, seq)
     beta = named_beta(p["beta"], seq)
-    rep = contradiction_experiment(
-        model, beta, J=p["J"] or None, scan_density=p["scan_density"], refine_iters=40
-    )
+    rep = contradiction_experiment(model, beta, J=p["J"] or None, scan_density=p["scan_density"])
     report = {"command": "cx.contradict", "seq": seq.spec_string(),
               "summary": rep.to_summary()}
     return report, rep.rows, rep.passed_schwarz

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from .sampling import zoom_max
 from .sequences import ExplicitFamily, ZeroSequence
 from .weights import WeightEvaluator, CheckReport
 
@@ -233,8 +234,8 @@ def inf_sup_identity(table: CoeffTable, k: int) -> InfSupResult:
     """Numerical check of min_{t>0} t^-k sup_p a_p t^p = a_k.
 
     The candidate minimizer t* = a_{k-1}/a_k (where the max term switches
-    from index k-1 to k) seeds a 96-point log-spaced grid that golden-section
-    refinement then sharpens.
+    from index k-1 to k) is evaluated directly, and centres a 96-point grid
+    in ln t, +-3 wide, that zoom_max searches for the minimum.
     """
     if not (1 <= k <= table.K - 1):
         raise IdentityInapplicableError(f"k={k} outside [1, K-1]")
@@ -243,32 +244,15 @@ def inf_sup_identity(table: CoeffTable, k: int) -> InfSupResult:
         raise IdentityInapplicableError("identity inapplicable: zero coefficient")
 
     log_t_star = la[k - 1] - la[k]
+    p = np.arange(table.K + 1)
 
-    def objective(log_t: float) -> float:
-        logs = la + np.arange(table.K + 1) * log_t
-        return float(np.max(logs)) - k * log_t
+    def neg_objective(log_t: np.ndarray) -> np.ndarray:
+        """k ln t - max_p (ln a_p + p ln t), the negated objective."""
+        return k * log_t - np.max(la + np.multiply.outer(log_t, p), axis=1)
 
-    lo, hi = log_t_star - 3.0, log_t_star + 3.0
-    grid = np.linspace(lo, hi, 96)
-    vals = [objective(x) for x in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    # golden-section refinement on [a, b]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    best = min(min(vals), fc, fd, objective(log_t_star))
+    grid = np.linspace(log_t_star - 3.0, log_t_star + 3.0, 96)
+    at_star = -float(neg_objective(np.array([log_t_star]))[0])
+    best = min(-zoom_max(neg_objective, grid), at_star)
     return InfSupResult(k=k, log_lhs=best, log_rhs=float(la[k]), minimizer=math.exp(log_t_star))
 
 

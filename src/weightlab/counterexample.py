@@ -9,7 +9,7 @@ bounds yields a finite quantity that the minimum-modulus sums must not
 exceed -- the experiments below realize all three facts at finite stage.
 
 Sign conventions for soundness: minmod_sup returns a lower bound on the
-true supremum (dense scan plus golden-section refinement), while the
+true supremum (the largest value a dense scan and zoom evaluated), while the
 Schwarz right-hand side is an upper bound, so every asserted inequality
 holds with certainty up to the documented float slack.  Everything runs in
 float64; a witness of the contradiction experiment must clear an a-priori
@@ -25,6 +25,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from .sampling import zoom_max
 from .sequences import GeometricFamily, ZeroSequence
 from .weights import CheckReport, WeightEvaluator
 
@@ -34,6 +35,8 @@ LN2 = math.log(2.0)
 # temporaries stay near 30 KiB, below glibc's mmap threshold, so the heap
 # reuses them instead of mapping and faulting them in on every call
 OFFSET_BLOCK = 64
+# the largest j_max of a model: ln_w0_dyadic(j_max + 1) squares 2^(j_max+1)
+MAX_MODEL_LEVEL = 510
 
 
 @dataclass
@@ -59,6 +62,8 @@ def dyadic_multiplicities(seq: ZeroSequence, j_max: int) -> MultiplicityProfile:
     """n_1 = n(2), n_j = n(2^j) - n(2^{j-1}); partial sums reproduce n(2^j)."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    if j_max > 1023:
+        raise ValueError(f"j_max {j_max} > 1023: the dyadic point 2^j overflows float64")
     counts = [seq.count_leq(2.0**j) for j in range(1, j_max + 1)]
     n = [counts[0]] + [counts[j] - counts[j - 1] for j in range(1, j_max)]
     return MultiplicityProfile(j_max=j_max, n=n, source_spec=seq.spec_string())
@@ -69,6 +74,11 @@ class CounterexampleModel:
     mult: MultiplicityProfile
 
     def __post_init__(self):
+        if self.mult.j_max > MAX_MODEL_LEVEL:
+            raise ValueError(
+                f"j_max {self.mult.j_max} > {MAX_MODEL_LEVEL}: the model's weight at "
+                f"2^(j_max+1) squares it, and 4^(j_max+1) overflows float64"
+            )
         # one row per level with n_i > 0, in index order
         self._levels = [i for i, ni in enumerate(self.mult.n, start=1) if ni]
         rows = np.array([(i, self.mult.n[i - 1], float(2**i)) for i in self._levels], float)
@@ -82,17 +92,26 @@ class CounterexampleModel:
     def eval_log_abs_f(self, z: complex) -> float:
         """sum_j n_j ln|1 - (z/2^j)^2|; -inf at an exact zero.
 
-        Depends on z only through z^2, so f(-z) = f(z) exactly.
+        Depends on z only through z^2, so f(-z) = f(z) exactly.  Where
+        |q| = |z/2^j|^2 passes 2^500, so that |q|^2 would overflow, the
+        factor is taken as -ln|v| + 0.5 log1p(|v|^2 - 2 Re v), v = 1/q.
         """
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("argument must be finite")
-        z2 = z * z
+        size = abs(z)
         total = 0.0
         for j, nj in enumerate(self.mult.n, start=1):
             if nj == 0:
                 continue
-            q = z2 / 4.0**j
+            if size > 2.0 ** (j + 250):
+                r = 2.0**j / z  # v = r^2, and ln|v| = 2 ln|r|
+                v = r * r
+                u = v.real * v.real + v.imag * v.imag - 2.0 * v.real
+                total += nj * 0.5 * (math.log1p(u) - 4.0 * math.log(abs(r)))
+                continue
+            w = z * 2.0**-j
+            q = w * w
             # |1-q|^2 = 1 + u with u = -2 Re q + |q|^2; log1p keeps the
             # tiny-u factors accurate under huge multiplicities
             u = -2.0 * q.real + (q.real * q.real + q.imag * q.imag)
@@ -103,7 +122,7 @@ class CounterexampleModel:
 
     def _level_offsets(self, t: float) -> np.ndarray:
         """2^i - t per level (exact when t is an integer up to 2^62),
-        memoised for the last t, which a golden-section search keeps."""
+        memoised for the last t, which a zoom_max search keeps."""
         last_t, d = self._last_offsets
         if d is None or last_t != t:
             if float(t).is_integer() and t <= 2.0**62:
@@ -177,13 +196,12 @@ def minmod_sup(
     t: float,
     radius: float,
     scan_density: int = 2048,
-    refine_iters: int = 60,
 ) -> float:
     """Lower bound for sup ln|f(s)| over real s in [t-radius, t+radius].
 
-    Dense scan in offset coordinates followed by golden-section refinement
-    around the best bracket.  The interval is clipped to (0, inf); an
-    empty clipped interval is a domain error.
+    zoom_max over a dense scan in offset coordinates: the largest value
+    it evaluates is a lower bound.  The interval is clipped to (0, inf);
+    an empty clipped interval is a domain error.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -193,29 +211,7 @@ def minmod_sup(
         raise ValueError("scan interval lies outside (0, inf)")
     lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
     xs = np.linspace(lo - t, hi - t, scan_density)
-    vals = model.log_abs_f_offsets(t, xs)
-    k = int(np.argmax(vals))
-    best = float(vals[k])
-    a = xs[max(0, k - 1)]
-    b = xs[min(len(xs) - 1, k + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def g(x: float) -> float:
-        return float(model.log_abs_f_offsets(t, np.array([x]))[0])
-
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(refine_iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = g(d)
-    return max(best, fc, fd)
+    return zoom_max(lambda x: model.log_abs_f_offsets(t, x), xs)
 
 
 def domination_check(
@@ -467,7 +463,6 @@ class MinModConfig:
     c_grid: tuple = (0.5, 1.0, 2.0, 4.0)
     c_prime_grid: tuple = (0.0, 1.0, 10.0)
     scan_density: int = 1024
-    refine_iters: int = 48
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +534,6 @@ def contradiction_experiment(
     beta: BetaSpec,
     J: Optional[int] = None,
     scan_density: int = 1024,
-    refine_iters: int = 48,
-    check_minmod: bool = True,
 ) -> ContradictionReport:
     """Accumulate the minimum-modulus sums against the Schwarz budget.
 
@@ -608,17 +601,12 @@ def contradiction_experiment(
     for j, nj, bj, w_next, lhs_p, rhs_p in partials:
         if witness is None and lhs_p > rhs_upper + allowance:
             witness = j
-        mm = srhs = margin = math.nan
-        if check_minmod:
-            mm = minmod_sup(
-                model, 2.0**j, bj, scan_density=scan_density,
-                refine_iters=refine_iters,
-            )
-            srhs = 2.0 * w_next + nj * math.log(bj / 2.0**j)
-            slack = 1e-9 * (1.0 + abs(srhs))
-            margin = srhs + slack - mm
-            if mm != NEG_INF and margin < 0:
-                schwarz_violations += 1
+        mm = minmod_sup(model, 2.0**j, bj, scan_density=scan_density)
+        srhs = 2.0 * w_next + nj * math.log(bj / 2.0**j)
+        slack = 1e-9 * (1.0 + abs(srhs))
+        margin = srhs + slack - mm
+        if mm != NEG_INF and margin < 0:
+            schwarz_violations += 1
         rows.append(
             ContradictionRow(
                 j=j,
@@ -667,10 +655,7 @@ def minmod_radius_scan(
                 if r <= 0:
                     fails.append(t)
                     continue
-                m = minmod_sup(
-                    model, t, r, scan_density=cfg.scan_density,
-                    refine_iters=cfg.refine_iters,
-                )
+                m = minmod_sup(model, t, r, scan_density=cfg.scan_density)
                 if not m >= -r:
                     fails.append(t)
             results.append(

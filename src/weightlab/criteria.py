@@ -53,9 +53,6 @@ class SeriesCertificates:
     def get_tail(self, kind: str):
         return getattr(self, f"{kind}_tail")
 
-    def get_div(self, kind: str):
-        return getattr(self, f"{kind}_div")
-
 
 @dataclass
 class DyadicProfile:

@@ -35,11 +35,6 @@ def _sanitize(obj):
     return obj
 
 
-def dump_json(obj, fp: IO[str]) -> None:
-    json.dump(_sanitize(obj), fp, sort_keys=True, indent=2)
-    fp.write("\n")
-
-
 def json_text(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
 

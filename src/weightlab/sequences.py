@@ -115,10 +115,6 @@ class Family:
         """True/False when the family's msNQA status is known analytically."""
         return None
 
-    @property
-    def loglog_convergent(self) -> Optional[bool]:
-        return None
-
     def omega0_tail_claim(self) -> Optional[bool]:
         """Whether t_j/j is nondecreasing beyond any finite prefix."""
         return None
@@ -229,10 +225,6 @@ class GeometricFamily(Family):
     def msnq_convergent(self) -> bool:
         return True
 
-    @property
-    def loglog_convergent(self) -> bool:
-        return True
-
     def omega0_tail_claim(self) -> bool:
         # r^(j+1)/(j+1) >= r^j/j iff r >= 1 + 1/j; true for all j >= j0,
         # the prefix check covers the finитely many early indices.
@@ -322,10 +314,6 @@ class PowerFamily(Family):
 
     @property
     def msnq_convergent(self) -> bool:
-        return True
-
-    @property
-    def loglog_convergent(self) -> bool:
         return True
 
     def omega0_tail_claim(self) -> bool:
@@ -465,10 +453,6 @@ class PowLogFamily(Family):
     def msnq_convergent(self) -> bool:
         # sum ln(t_j/j)/t_j ~ sum lnln j/(j (ln j)^a (lnln j)^b):
         # converges iff a > 1, or a = 1 and b > 2.
-        return self.a > 1.0 or self.b > 2.0
-
-    @property
-    def loglog_convergent(self) -> bool:
         return self.a > 1.0 or self.b > 2.0
 
     def omega0_tail_claim(self) -> bool:
@@ -675,10 +659,6 @@ class ExplicitFamily(Family):
 
     @property
     def msnq_convergent(self) -> Optional[bool]:
-        return True if self.infinite_tail else None
-
-    @property
-    def loglog_convergent(self) -> Optional[bool]:
         return True if self.infinite_tail else None
 
     def omega0_tail_claim(self) -> Optional[bool]:

@@ -11,13 +11,6 @@ from __future__ import annotations
 import math
 
 
-def geometric_tail(x: float, j_from: int) -> float:
-    """Sum_{j >= j_from} x^j = x^j_from / (1 - x), exact for 0 <= x < 1."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError("ratio must lie in [0, 1)")
-    return x**j_from / (1.0 - x)
-
-
 def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> float:
     """Upper bound for sum_{j >= j_from} coeff * j^p * ln(j)^q * x^j.
 

@@ -161,7 +161,7 @@ def test_criterion_5_counterexample_realization():
     ok = True
     details = []
     for beta in shipped_beta_family(seq):
-        rep = contradiction_experiment(model, beta, scan_density=512, refine_iters=40)
+        rep = contradiction_experiment(model, beta, scan_density=512)
         ok &= rep.witness_index is not None and rep.witness_index <= 60
         ok &= rep.schwarz_violations == 0
         details.append(f"{beta.name}:J*={rep.witness_index}")
@@ -186,7 +186,7 @@ def test_criterion_6_schwarz_bound():
     rhs = 2.0 * float(single.ln_w0_dyadic(2)) + math.log(0.5)
     ok = abs(rhs - math.log(2.5)) < 1e-10
     # max of ln|f| on the circle |z-2|=1 is attained on the real axis at 3
-    lhs = minmod_sup(single, 2.0, 1.0, scan_density=4001, refine_iters=80)
+    lhs = minmod_sup(single, 2.0, 1.0, scan_density=4001)
     ok &= abs(lhs - math.log(1.25)) < 1e-10
     ok &= viol == 0
     report(6, ok, f"grid j in (5,10,15) x delta (0.5,0.1): {viol} violations; "

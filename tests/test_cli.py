@@ -87,6 +87,45 @@ class TestBasics:
         assert json.loads(out)["multiplicities"] == [1] * 10
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("argv", [
+        ["cx", "schwarz", "--seq", "powlog:a=1,b=2", "--j-max", "300", "--j", "280",
+         "--delta", "0.5", "--samples", "20"],
+        ["cx", "dominate", "--seq", "powlog:a=1,b=2", "--j-max", "40", "--samples", "50",
+         "--radius", "1e80"],
+        ["cx", "schwarz", "--seq", "geometric:r=2", "--j-max", "510", "--j", "400",
+         "--delta", "0.5"],
+    ])
+    def test_complex_f_past_q_2_500_has_no_false_violation(self, argv):
+        # |q| = |z/2^j|^2 passes 2^500 at the low levels, where |q|^2 overflows
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        rep = json.loads(out)
+        results = rep["results"] if "results" in rep else [rep["result"]]
+        assert [r["details"]["violations"] for r in results] == [0] * len(results)
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "511"], "510"),
+        (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "600"], "510"),
+        (["cx", "build", "--seq", "geometric:r=2", "--j-max", "1100"], "1023"),
+    ])
+    def test_levels_past_float_range_exit_2(self, argv, bound):
+        code, out, err = run_cli(argv)
+        assert code == 2 and not out
+        assert f"> {bound}" in err and "overflows float64" in err
+
+    def test_last_levels_in_range(self):
+        code, out, _ = run_cli(["cx", "contradict", "--seq", "geometric:r=2",
+                                "--j-max", "510", "--scan-density", "64"])
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["rhs_upper"] == 6.80168616277246
+        assert summary["witness_index"] == 3
+        code, out, _ = run_cli(["cx", "build", "--seq", "geometric:r=2", "--j-max", "1023"])
+        assert code == 0
+        assert json.loads(out)["multiplicities"] == [1] * 1023
+
+
 class TestContradictCommand:
     def test_contradict_writes_csv_and_json(self, tmp_path):
         csv_path = tmp_path / "rows.csv"

@@ -24,6 +24,7 @@ from weightlab import (
     shipped_beta_family,
 )
 from weightlab.counterexample import BetaSpec
+from weightlab.sampling import ZOOM_POINTS, ZOOM_STAGES, zoom_max
 
 NEG_INF = float("-inf")
 
@@ -92,6 +93,25 @@ class TestEvalF:
         vals = m.log_abs_f_offsets(t, xs)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(m.eval_log_abs_f(t + x), rel=1e-10)
+
+    def test_past_q_2_500_matches_mpmath(self):
+        # at |z| = 2^280 the low levels have |q| = |z/2^j|^2 above 2^500,
+        # where |q|^2 overflows float64
+        from mpmath import mp, mpc, mpf
+
+        model = CounterexampleModel(
+            dyadic_multiplicities(parse_sequence_spec("powlog:a=1,b=2"), 300)
+        )
+        r = 2.0**280
+        zs = [r * complex(math.cos(a), math.sin(a)) for a in (0.1, 1.0, math.pi / 2, 3.0)]
+        with mp.workprec(600):
+            for z in zs:
+                got = model.eval_log_abs_f(z)
+                assert math.isfinite(got)
+                zz = mpc(z.real, z.imag)
+                terms = [ni * mp.log(abs(1 - (zz / mpf(2) ** j) ** 2))
+                         for j, ni in enumerate(model.mult.n, start=1) if ni]
+                assert abs(got - mp.fsum(terms)) <= 1e-12 * mp.fsum(map(abs, terms)), z
 
 
 def _offsets_by_level(model, t, offsets):
@@ -171,11 +191,85 @@ class TestOffsetsMatchLevelLoop:
                 assert abs(g - mp.fsum(terms)) <= 1e-12 * mp.fsum(map(abs, terms)), x
 
 
+class TestZoomMax:
+    def test_smooth_interior_maximum(self):
+        got = zoom_max(lambda x: -((x - 0.3137) ** 2), np.linspace(-1.0, 1.0, 17))
+        # the last stage's spacing is 2^-32 of the scan spacing 2^-3
+        assert -(2.0**-35) ** 2 <= got <= 0.0
+
+    @pytest.mark.parametrize("peak", [-1.0, 1.0])
+    def test_endpoint_maximum(self, peak):
+        grids = []
+
+        def f(x):
+            grids.append(x)
+            return -np.abs(x - peak)
+
+        assert zoom_max(f, np.linspace(-1.0, 1.0, 17)) == 0.0
+        # the zoom stays inside the scanned interval
+        assert all(g.min() >= -1.0 and g.max() <= 1.0 for g in grids)
+
+    def test_all_minus_inf(self):
+        assert zoom_max(lambda x: np.full(len(x), NEG_INF), np.linspace(0.0, 1.0, 9)) == NEG_INF
+
+
+def _golden_minmod(model, t, radius, scan_density, iters=48):
+    """minmod_sup as a dense scan plus golden-section refinement, the
+    search zoom_max replaced: the reference its values must not fall below."""
+    lo, hi = t - radius, t + radius
+    lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
+    xs = np.linspace(lo - t, hi - t, scan_density)
+    vals = model.log_abs_f_offsets(t, xs)
+    k = int(np.argmax(vals))
+    a, b = xs[max(0, k - 1)], xs[min(len(xs) - 1, k + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def g(x):
+        return float(model.log_abs_f_offsets(t, np.array([x]))[0])
+
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = g(c), g(d)
+    for _ in range(iters):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = g(d)
+    return max(float(vals[k]), fc, fd)
+
+
 class TestMinmodSup:
+    @pytest.mark.parametrize("name", ["selfref", "const:0.01"])
+    def test_not_below_golden_section(self, model60, name):
+        beta = named_beta(name, parse_sequence_spec("powlog:a=1,b=2"))
+        rep = contradiction_experiment(model60, beta)
+        for row in rep.rows:
+            t = 2.0**row.j
+            ref = _golden_minmod(model60, t, beta(t), 1024)
+            assert row.minmod_sup >= ref - 1e-15 * (1.0 + abs(ref)), row.j
+
+    def test_one_offsets_call_per_stage(self):
+        model = CounterexampleModel(
+            dyadic_multiplicities(parse_sequence_spec("powlog:a=1,b=2"), 30)
+        )
+        sizes = []
+        offsets = model.log_abs_f_offsets
+
+        def counting(t, xs):
+            sizes.append(len(xs))
+            return offsets(t, xs)
+
+        model.log_abs_f_offsets = counting
+        minmod_sup(model, 2.0**20, 0.5, scan_density=512)
+        assert sizes == [512] + [ZOOM_POINTS] * ZOOM_STAGES
+
     def test_single_factor_oracle(self):
         # sup over [1,3] of ln|1-s^2/4| is ln(5/4) at s=3
         m = single_factor_model()
-        val = minmod_sup(m, 2.0, 1.0, scan_density=1001, refine_iters=60)
+        val = minmod_sup(m, 2.0, 1.0, scan_density=1001)
         assert val == pytest.approx(math.log(1.25), abs=1e-12)
 
     def test_shrinking_radius_at_zero_trends_down(self):
@@ -253,9 +347,7 @@ class TestContradiction:
     def test_shipped_betas_find_witness(self, model60):
         seq = parse_sequence_spec("powlog:a=1,b=2")
         for beta in shipped_beta_family(seq):
-            rep = contradiction_experiment(
-                model60, beta, scan_density=256, refine_iters=30
-            )
+            rep = contradiction_experiment(model60, beta, scan_density=256)
             assert rep.witness_index is not None and rep.witness_index <= 60, beta.name
             assert rep.schwarz_violations == 0
             # left partial sums nondecreasing
@@ -264,9 +356,7 @@ class TestContradiction:
 
     def test_classic_beta_reports_no_witness(self, model60):
         # the triple-log left side cannot cross the Schwarz budget here
-        rep = contradiction_experiment(
-            model60, named_beta("invlogsq"), scan_density=256, refine_iters=30
-        )
+        rep = contradiction_experiment(model60, named_beta("invlogsq"), scan_density=256)
         assert rep.witness_index is None
         assert rep.lhs_final < rep.rhs_upper
         assert rep.schwarz_violations == 0
@@ -277,9 +367,7 @@ class TestContradiction:
         model = CounterexampleModel(dyadic_multiplicities(seq, 50))
         from weightlab.counterexample import beta_self_referential
 
-        rep = contradiction_experiment(
-            model, beta_self_referential(seq), scan_density=256, refine_iters=30
-        )
+        rep = contradiction_experiment(model, beta_self_referential(seq), scan_density=256)
         assert rep.witness_index is None
         assert rep.schwarz_violations == 0
 
@@ -292,7 +380,7 @@ class TestContradiction:
         seq = parse_sequence_spec("powlog:a=1,b=2")
         beta = named_beta("const:0.01", seq)
         reps = [
-            contradiction_experiment(model60, beta, scan_density=d, refine_iters=20)
+            contradiction_experiment(model60, beta, scan_density=d)
             for d in (128, 512)
         ]
         assert reps[0].witness_index == reps[1].witness_index
@@ -307,7 +395,7 @@ class TestContradiction:
                              for i, ni in enumerate(n, start=1) if ni) / 2
                      for m in range(len(n) + 2)]
             for beta in shipped_beta_family(seq) + classic_beta_family(seq):
-                rep = contradiction_experiment(model60, beta, check_minmod=False)
+                rep = contradiction_experiment(model60, beta)
                 allow = rep.witness_allowance
                 assert 0 < allow < 1e-12 * rep.rhs_upper
                 lhs = rhs = mpf(0)
