@@ -92,14 +92,19 @@ class CounterexampleModel:
     def eval_log_abs_f(self, z: complex) -> float:
         """sum_j n_j ln|1 - (z/2^j)^2|; -inf at an exact zero.
 
-        Depends on z only through z^2, so f(-z) = f(z) exactly.  Where
-        |q| = |z/2^j|^2 passes 2^500, so that |q|^2 would overflow, the
-        factor is taken as -ln|v| + 0.5 log1p(|v|^2 - 2 Re v), v = 1/q.
+        Symmetric in z and -z, so f(-z) = f(z) exactly.  A factor whose
+        zero lies near z, |Re w| in (1/2, 3/2) and |Im w| < 1/2 with
+        w = z/2^j, is taken as ln(|1 - w| |1 + w|).  Where |q| =
+        |z/2^j|^2 passes 2^500, so that |q|^2 would overflow, the factor
+        is taken as -ln|v| + 0.5 log1p(|v|^2 - 2 Re v), v = 1/q.
         """
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError("argument must be finite")
         size = abs(z)
+        # |w| = |z|/2^j lies in [1/2, 2) only at the levels j = e - 1, e,
+        # with |z| = m 2^e, m in [1/2, 1)
+        e = math.frexp(size)[1]
         total = 0.0
         for j, nj in enumerate(self.mult.n, start=1):
             if nj == 0:
@@ -111,12 +116,21 @@ class CounterexampleModel:
                 total += nj * 0.5 * (math.log1p(u) - 4.0 * math.log(abs(r)))
                 continue
             w = z * 2.0**-j
+            if 0 <= e - j <= 1 and abs(w.imag) < 0.5 and 0.5 < abs(w.real) < 1.5:
+                # near the zero at w = +-1, where 1 + u below cancels:
+                # 1 -+ w is exact (Sterbenz), so |1 - q| = |1 - w||1 + w|
+                # keeps its relative accuracy
+                near = abs(1.0 - w) * abs(1.0 + w)
+                if near == 0.0:
+                    return NEG_INF
+                total += nj * math.log(near)
+                continue
             q = w * w
             # |1-q|^2 = 1 + u with u = -2 Re q + |q|^2; log1p keeps the
-            # tiny-u factors accurate under huge multiplicities
+            # tiny-u factors accurate under huge multiplicities.  Off the
+            # near branch w is at least 1/2 from +-1 or |w| is outside
+            # [1/2, 2), so |1 - q| >= 1/2 and u >= -3/4 never reaches -1
             u = -2.0 * q.real + (q.real * q.real + q.imag * q.imag)
-            if u == -1.0:
-                return NEG_INF
             total += nj * 0.5 * math.log1p(u)
         return total
 

@@ -395,18 +395,6 @@ def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> Dyadi
     )
 
 
-def profile_from_callable(
-    fn, j_min: int, j_max: int, source: str = "callable", from_increasing: bool = True
-) -> DyadicProfile:
-    vals = [float(fn(2.0**j)) for j in range(j_min, j_max + 1)]
-    return DyadicProfile(
-        j_min=j_min,
-        values=np.array(vals),
-        source=source,
-        from_increasing=from_increasing,
-    )
-
-
 # ---------------------------------------------------------------------------
 # index series (sums over the zero index j rather than dyadic levels)
 

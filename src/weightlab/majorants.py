@@ -13,6 +13,18 @@ C_k = (1/k!)(c_1 - c_{k+2}) prod_{j<=k+1} c_j + S_k >= 0 this is exactly
 the second-derivative positivity that makes ln(sum prod(c_j) t^k / k!)
 concave, hence the concavity of the series majorant below when t_j/j is
 nondecreasing (there c_j = j/t_j is nonincreasing).
+
+Every term shares one denominator, so the sums run on exact integers.
+With d the lcm of the denominators of c_1..c_{k+2}, n_j = d c_j and
+N_m = n_1...n_m, and since 1/(p! q!) - 1/((p-1)!(q+1)!) =
+C(k+1, p)(k+1-2p)/(k+1)!, the numerators over (k+1)! d^(k+2) > 0 are
+
+    S_k: sum_{p=1..k} C(k+1, p)(k+1-2p) N_{p+1} N_{k+1-p}
+    C_k: (k+1)(n_1 - n_{k+2}) N_{k+1} + the S_k numerator
+    C_k straight from its double sum (the independent check):
+         (k+1) sum_{p=0..k} C(k, p)(N_{p+1} N_{k+1-p} - N_{p+2} N_{k-p})
+
+so signs and equalities are decided on the numerators alone.
 """
 
 from __future__ import annotations
@@ -21,13 +33,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .sampling import SampledFunction, log_grid
 from .sequences import ZeroSequence
-from .weights import CheckReport
 
 LN3 = math.log(3.0)
 
@@ -61,51 +72,62 @@ class RationalSeq:
         return cls(tuple(vals))
 
 
-def _prefix_products(c: Sequence[Fraction], upto: int):
-    prods = [Fraction(1)]
-    for j in range(upto):
-        prods.append(prods[-1] * c[j])
-    return prods  # prods[m] = prod_{j<=m} c_j
+def _integer_form(c: RationalSeq, k: int) -> tuple[int, list, list]:
+    """(d, n, N) for c_1..c_{k+2}: d the lcm of their denominators,
+    n[j-1] = d c_j and N[i] = n_1...n_i (N[0] = 1), all integers."""
+    if len(c) < k + 2:
+        raise ValueError(f"need at least {k + 2} entries, have {len(c)}")
+    head = c.c[: k + 2]
+    d = math.lcm(*(x.denominator for x in head))
+    n = [x.numerator * (d // x.denominator) for x in head]
+    N = [1]
+    for v in n:
+        N.append(N[-1] * v)
+    return d, n, N
+
+
+def _s_num(N: list, k: int) -> int:
+    """(k+1)! d^(k+2) S_k."""
+    return sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p + 1] * N[k + 1 - p]
+               for p in range(1, k + 1))
+
+
+def _c_num(n: list, N: list, k: int, s_num: int) -> int:
+    """(k+1)! d^(k+2) C_k from the S_k numerator."""
+    return (k + 1) * (n[0] - n[k + 1]) * N[k + 1] + s_num
+
+
+def _c_direct_num(N: list, k: int) -> int:
+    """(k+1)! d^(k+2) C_k straight from its double sum."""
+    return (k + 1) * sum(math.comb(k, p) * (N[p + 1] * N[k + 1 - p] - N[p + 2] * N[k - p])
+                         for p in range(k + 1))
+
+
+def _value(num: int, d: int, k: int) -> Fraction:
+    """The rational num / ((k+1)! d^(k+2))."""
+    return Fraction(num, math.factorial(k + 1) * d ** (k + 2))
 
 
 def s_k_value(c: RationalSeq, k: int) -> Fraction:
     """Exact S_k; requires c_1..c_{k+2} (matching the C_k companion)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(c) < k + 2:
-        raise ValueError(f"need at least {k + 2} entries, have {len(c)}")
-    prods = _prefix_products(c.c, k + 2)
-    total = Fraction(0)
-    for p in range(1, k + 1):
-        q = k - p
-        coeff = Fraction(1, math.factorial(p) * math.factorial(q)) - Fraction(
-            1, math.factorial(p - 1) * math.factorial(q + 1)
-        )
-        total += coeff * prods[p + 1] * prods[q + 1]
-    return total
+    d, _, N = _integer_form(c, k)
+    return _value(_s_num(N, k), d, k)
 
 
-def c_k_value(c: RationalSeq, k: int, s_k: Optional[Fraction] = None) -> Fraction:
-    """Exact C_k = (1/k!)(c_1 - c_{k+2}) prod_{j<=k+1} c_j + S_k; pass
-    s_k when S_k is already known."""
-    if len(c) < k + 2:
-        raise ValueError(f"need at least {k + 2} entries, have {len(c)}")
-    prods = _prefix_products(c.c, k + 1)
-    lead = Fraction(1, math.factorial(k)) * (c.c[0] - c.c[k + 1]) * prods[k + 1]
-    return lead + (s_k_value(c, k) if s_k is None else s_k)
+def c_k_value(c: RationalSeq, k: int) -> Fraction:
+    """Exact C_k = (1/k!)(c_1 - c_{k+2}) prod_{j<=k+1} c_j + S_k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d, n, N = _integer_form(c, k)
+    return _value(_c_num(n, N, k, _s_num(N, k)), d, k)
 
 
 def c_k_direct(c: RationalSeq, k: int) -> Fraction:
     """Independent expansion of C_k straight from its double-sum definition."""
-    if len(c) < k + 2:
-        raise ValueError(f"need at least {k + 2} entries")
-    prods = _prefix_products(c.c, k + 2)
-    total = Fraction(0)
-    for p in range(0, k + 1):
-        q = k - p
-        w = Fraction(1, math.factorial(p) * math.factorial(q))
-        total += w * (prods[p + 1] * prods[q + 1] - prods[p + 2] * prods[q])
-    return total
+    d, _, N = _integer_form(c, k)
+    return _value(_c_direct_num(N, k), d, k)
 
 
 _SWEEP_FACTORS = (Fraction(1), Fraction(9, 10), Fraction(3, 4), Fraction(1, 2))
@@ -116,8 +138,8 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
 
     Sequences are cumulative products of factors from {1, 9/10, 3/4, 1/2}
     (ties included on purpose: the strict cases hinge on whether some
-    c_k > c_{k+1}).  Any violation is recorded; exact rationals make the
-    check its own oracle.
+    c_k > c_{k+1}).  Any violation is recorded; exact integers make the
+    check its own oracle.  Only a reported value becomes a Fraction.
     """
     if k_max < 1 or trials < 1:
         raise ValueError("need trials >= 1 and k_max >= 1")
@@ -132,18 +154,22 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
         for _ in range(length - 1):
             vals.append(vals[-1] * rng.choice(_SWEEP_FACTORS))
         seq = RationalSeq(tuple(vals))
+        d, n, N = _integer_form(seq, k_max)
         for k in range(1, k_max + 1):
-            s = s_k_value(seq, k)
-            ck = c_k_value(seq, k, s)
+            s = _s_num(N, k)
+            ck = _c_num(n, N, k, s)
             checked += 1
             if trial == 0 and k <= 4:
                 # exact rationals serialize as numerator/denominator strings
-                samples.append({"k": k, "S_k": str(s), "C_k": str(ck)})
+                samples.append({"k": k, "S_k": str(_value(s, d, k)),
+                                "C_k": str(_value(ck, d, k))})
             if s < 0:
-                violations.append({"trial": trial, "k": k, "kind": "S", "value": str(s)})
+                violations.append({"trial": trial, "k": k, "kind": "S",
+                                   "value": str(_value(s, d, k))})
             if ck < 0:
-                violations.append({"trial": trial, "k": k, "kind": "C", "value": str(ck)})
-            if ck != c_k_direct(seq, k):
+                violations.append({"trial": trial, "k": k, "kind": "C",
+                                   "value": str(_value(ck, d, k))})
+            if ck != _c_direct_num(N, k):
                 violations.append({"trial": trial, "k": k, "kind": "C-mismatch"})
     return {
         "trials": trials,
@@ -239,18 +265,6 @@ class ConcaveSeriesMajorant:
         grid = log_grid(lo, hi, n)
         vals = [self.eval(float(t))[0] for t in grid]
         return SampledFunction(grid, np.array(vals), label="concave-series-majorant")
-
-
-def second_divided_differences(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """f[t0,t1,t2] on consecutive triples; <= 0 for concave functions."""
-    out = []
-    for i in range(len(grid) - 2):
-        t0, t1, t2 = grid[i : i + 3]
-        f0, f1, f2 = values[i : i + 3]
-        d01 = (f1 - f0) / (t1 - t0)
-        d12 = (f2 - f1) / (t2 - t1)
-        out.append((d12 - d01) / (t2 - t0))
-    return np.array(out)
 
 
 class LambdaDomainError(ValueError):
@@ -489,20 +503,3 @@ def step_threshold_probe(step: StepFunction) -> dict:
         "does_not_decay": all(p >= 0.5 for p in prods),
     }
 
-
-def composite_monotonicity_check(
-    alpha_vals: np.ndarray, gamma_vals: np.ndarray, grid: np.ndarray
-) -> CheckReport:
-    """t -> alpha ln(gamma/alpha) is nondecreasing when alpha, gamma are
-    increasing and gamma/alpha >= e on the grid."""
-    if np.any(gamma_vals / alpha_vals < math.e * (1 - 1e-12)):
-        raise ValueError("needs gamma/alpha >= e on the grid")
-    comp = alpha_vals * np.log(gamma_vals / alpha_vals)
-    diffs = np.diff(comp)
-    worst = float(np.min(diffs)) if len(diffs) else 0.0
-    return CheckReport(
-        name="composite-product-monotone",
-        passed=bool(np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(comp[:-1])))),
-        worst_margin=worst,
-        details={"points": len(grid)},
-    )

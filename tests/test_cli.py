@@ -104,6 +104,15 @@ class TestFloatRange:
         results = rep["results"] if "results" in rep else [rep["result"]]
         assert [r["details"]["violations"] for r in results] == [0] * len(results)
 
+    def test_schwarz_next_to_the_zero_checks_every_sample(self):
+        # at delta 1e-10 every sample lies within 2^5 1e-10 of the zero 2^5
+        code, out, _ = run_cli(["cx", "schwarz", "--seq", "powlog:a=1,b=2", "--j", "5",
+                                "--delta", "1e-10", "--samples", "20"])
+        assert code == 0
+        result = json.loads(out)["results"][0]
+        assert result["details"]["violations"] == 0
+        assert isinstance(result["worst_margin"], float)
+
     @pytest.mark.parametrize("argv, bound", [
         (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "511"], "510"),
         (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "600"], "510"),

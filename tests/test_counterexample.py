@@ -71,6 +71,16 @@ class TestEvalF:
         assert m.eval_log_abs_f(-2.0) == NEG_INF
         assert m.eval_log_abs_f(1.0) == pytest.approx(math.log(0.75), abs=1e-15)
 
+    @pytest.mark.parametrize("e", [1e-8, 1e-9, 1e-12])
+    def test_next_to_a_real_zero(self, e):
+        # 1 - 2 Re q + |q|^2 cancels here; w = z/2 is the float 1 + eps, and
+        # ln|1 - w^2| = ln(eps (2 + eps)) with eps = w - 1 exact
+        m = single_factor_model()
+        for z in (2.0 * (1.0 + e), -2.0 * (1.0 + e)):
+            eps = abs(z) / 2.0 - 1.0
+            expect = math.log(eps * (2.0 + eps))
+            assert m.eval_log_abs_f(z) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
     @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_even(self, z):

@@ -21,7 +21,16 @@ from weightlab import (
     profile_n,
     WeightEvaluator,
 )
-from weightlab.criteria import VERDICT_CONV, VERDICT_DIV, VERDICT_INC, profile_from_callable
+from weightlab.criteria import VERDICT_CONV, VERDICT_DIV, VERDICT_INC
+
+
+def profile_from_callable(fn, j_min, j_max, from_increasing=True):
+    """A dyadic profile a_j = fn(2^j) for j = j_min..j_max."""
+    vals = [float(fn(2.0**j)) for j in range(j_min, j_max + 1)]
+    return DyadicProfile(
+        j_min=j_min, values=np.array(vals), source="callable",
+        from_increasing=from_increasing,
+    )
 
 
 def plain_profile(values, j_min=1, increasing=True):

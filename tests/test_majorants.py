@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +26,109 @@ from weightlab import (
     step_counterexample,
     step_dyadic_tail,
 )
-from weightlab.majorants import (
-    c_k_direct,
-    composite_monotonicity_check,
-    step_threshold_probe,
-)
+from weightlab.majorants import c_k_direct, step_threshold_probe
+from weightlab.weights import CheckReport
+
+
+# -- reference: the combinatorial core in Fraction arithmetic, prefix
+# products and p-loops straight from the definitions of S_k and C_k
+
+def _ref_prefix_products(c, upto):
+    prods = [Fraction(1)]
+    for j in range(upto):
+        prods.append(prods[-1] * c[j])
+    return prods  # prods[m] = prod_{j<=m} c_j
+
+
+def ref_s_k(c, k):
+    prods = _ref_prefix_products(c, k + 2)
+    total = Fraction(0)
+    for p in range(1, k + 1):
+        q = k - p
+        coeff = Fraction(1, math.factorial(p) * math.factorial(q)) - Fraction(
+            1, math.factorial(p - 1) * math.factorial(q + 1)
+        )
+        total += coeff * prods[p + 1] * prods[q + 1]
+    return total
+
+
+def ref_c_k(c, k, s_k):
+    prods = _ref_prefix_products(c, k + 1)
+    return Fraction(1, math.factorial(k)) * (c[0] - c[k + 1]) * prods[k + 1] + s_k
+
+
+def ref_c_k_direct(c, k):
+    prods = _ref_prefix_products(c, k + 2)
+    total = Fraction(0)
+    for p in range(0, k + 1):
+        q = k - p
+        w = Fraction(1, math.factorial(p) * math.factorial(q))
+        total += w * (prods[p + 1] * prods[q + 1] - prods[p + 2] * prods[q])
+    return total
+
+
+def ref_sweep(trials, k_max, rng_seed):
+    factors = (Fraction(1), Fraction(9, 10), Fraction(3, 4), Fraction(1, 2))
+    rng = random.Random(rng_seed)
+    violations = []
+    samples = []
+    checked = 0
+    for trial in range(trials):
+        length = k_max + 2
+        start = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+        vals = [start]
+        for _ in range(length - 1):
+            vals.append(vals[-1] * rng.choice(factors))
+        c = RationalSeq(tuple(vals)).c
+        for k in range(1, k_max + 1):
+            s = ref_s_k(c, k)
+            ck = ref_c_k(c, k, s)
+            checked += 1
+            if trial == 0 and k <= 4:
+                samples.append({"k": k, "S_k": str(s), "C_k": str(ck)})
+            if s < 0:
+                violations.append({"trial": trial, "k": k, "kind": "S", "value": str(s)})
+            if ck < 0:
+                violations.append({"trial": trial, "k": k, "kind": "C", "value": str(ck)})
+            if ck != ref_c_k_direct(c, k):
+                violations.append({"trial": trial, "k": k, "kind": "C-mismatch"})
+    return {
+        "trials": trials,
+        "k_max": k_max,
+        "rng_seed": rng_seed,
+        "checked": checked,
+        "first_trial_samples": samples,
+        "violations": violations,
+        "passed": not violations,
+    }
+
+
+def composite_monotonicity_check(alpha_vals, gamma_vals, grid):
+    """t -> alpha ln(gamma/alpha) is nondecreasing when alpha, gamma are
+    increasing and gamma/alpha >= e on the grid."""
+    if np.any(gamma_vals / alpha_vals < math.e * (1 - 1e-12)):
+        raise ValueError("needs gamma/alpha >= e on the grid")
+    comp = alpha_vals * np.log(gamma_vals / alpha_vals)
+    diffs = np.diff(comp)
+    worst = float(np.min(diffs)) if len(diffs) else 0.0
+    return CheckReport(
+        name="composite-product-monotone",
+        passed=bool(np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(comp[:-1])))),
+        worst_margin=worst,
+        details={"points": len(grid)},
+    )
+
+
+def second_divided_differences(grid, values):
+    """f[t0,t1,t2] on consecutive triples; <= 0 for concave functions."""
+    out = []
+    for i in range(len(grid) - 2):
+        t0, t1, t2 = grid[i : i + 3]
+        f0, f1, f2 = values[i : i + 3]
+        d01 = (f1 - f0) / (t1 - t0)
+        d12 = (f2 - f1) / (t2 - t1)
+        out.append((d12 - d01) / (t2 - t0))
+    return np.array(out)
 
 
 class TestRationalSeq:
@@ -82,7 +182,6 @@ class TestCombinatorialCore:
         c = RationalSeq((4, 3, Fraction(5, 2), 2, 1, 1, Fraction(1, 2)))
         for k in range(1, 6):
             assert c_k_value(c, k) == c_k_direct(c, k)
-            assert c_k_value(c, k, s_k_value(c, k)) == c_k_direct(c, k)
 
     def test_insufficient_length(self):
         with pytest.raises(ValueError):
@@ -109,6 +208,35 @@ class TestCombinatorialCore:
         rep = s_k_nonneg_sweep(trials=20, k_max=12, rng_seed=7)
         assert rep["passed"]
         assert rep["checked"] == 20 * 12
+
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+            min_size=2,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_form_matches_reference(self, vals):
+        # arbitrary denominators, ties included, not only the sweep's factors
+        c = RationalSeq(tuple(sorted(vals, reverse=True)))
+        for k in range(0, len(c) - 1):
+            assert c_k_direct(c, k) == ref_c_k_direct(c.c, k)
+            if k >= 1:
+                s = ref_s_k(c.c, k)
+                assert s_k_value(c, k) == s
+                assert c_k_value(c, k) == ref_c_k(c.c, k, s)
+
+
+# criterion 9's command, the benchmark's certify inputs for a few seeds,
+# the README's command and a long sequence
+@pytest.mark.parametrize(
+    "trials,k_max,seed",
+    [(10, 10, 2), (40, 25, 1), (40, 25, 7), (40, 25, 123), (100, 25, 1), (3, 60, 5)],
+)
+def test_sweep_report_matches_reference(trials, k_max, seed):
+    got = s_k_nonneg_sweep(trials=trials, k_max=k_max, rng_seed=seed)
+    assert json.dumps(got) == json.dumps(ref_sweep(trials, k_max, seed))
 
 
 class TestAlphaMajorant:
@@ -209,8 +337,6 @@ class TestBetaMajorant:
     def test_concave_composite(self):
         # concave, increasing alpha and gamma with gamma/alpha >= e keep
         # alpha ln(gamma/alpha) concave: second divided differences <= tol
-        from weightlab.majorants import second_divided_differences
-
         grid = log_grid(1.0, 1e4, 80)
         alpha = np.sqrt(grid)
         gamma = math.e * grid**0.7
