@@ -9,11 +9,14 @@ bounds yields a finite quantity that the minimum-modulus sums must not
 exceed -- the experiments below realize all three facts at finite stage.
 
 Sign conventions for soundness: minmod_sup returns a lower bound on the
-true supremum (the largest value a dense scan and zoom evaluated), while the
-Schwarz right-hand side is an upper bound, so every asserted inequality
-holds with certainty up to the documented float slack.  Everything runs in
-float64; a witness of the contradiction experiment must clear an a-priori
-rounding bound of both partial sums.
+true supremum, because it returns a value it evaluated.  Where a certificate
+on the derivative of ln|f| shows that the supremum lies at an end of the
+interval, that value is the larger end value; elsewhere it is the largest
+value a dense scan and zoom evaluated.  The Schwarz right-hand side is an
+upper bound, so every asserted inequality holds with certainty up to the
+documented float slack.  Everything runs in float64; a witness of the
+contradiction experiment must clear an a-priori rounding bound of both
+partial sums.
 """
 
 from __future__ import annotations
@@ -190,6 +193,38 @@ class CounterexampleModel:
                 out[k : k + OFFSET_BLOCK] = np.add.accumulate(terms, axis=0)[-1]
         return out
 
+    def sup_at_ends(self, lo: float, hi: float) -> bool:
+        """True when the supremum of ln|f| on [lo, hi] provably lies at an end.
+
+        That is certified when [lo, hi] holds exactly one zero z = 2^i and
+        ln|f| decreases on [lo, z) and increases on (z, hi]; a side is
+        empty when an end lies on z.  The level-l term of the derivative is 2 n_l s/(s^2 - 4^l).
+        On (z, hi] level i contributes at least n_i/(s - z) >= n_i/(hi - z),
+        the levels below contribute positive terms, and a level l above
+        subtracts at most 2 n_l hi/(4^l - hi^2).  On [lo, z) level i
+        contributes at most -2 n_i lo/(z^2 - lo^2), the levels above
+        contribute negative terms, and a level l below adds at most
+        2 n_l lo/(lo^2 - 4^l), since s/(s^2 - 4^l) decreases past 2^l.  Each
+        side holds when the level-i bound exceeds twice the sum of the
+        others; the factor 2 absorbs the rounding of the bounds.  The
+        differences of squares are formed as products, which stay finite up
+        to MAX_MODEL_LEVEL.
+        """
+        base, n = self._base[:, 0], self._n[:, 0]
+        i = int(np.searchsorted(base, lo))  # base[:i] < lo <= base[i:]
+        if int(np.searchsorted(base, hi, side="right")) != i + 1:
+            return False
+        z, ni = base[i], n[i]
+        above, below = base[i + 1 :], base[:i]
+        rises = falls = True
+        if hi > z:
+            pull_down = np.sum(n[i + 1 :] * (2.0 * hi) / ((above - hi) * (above + hi)))
+            rises = ni / (hi - z) > 2.0 * pull_down
+        if lo < z:
+            pull_up = np.sum(n[:i] * (2.0 * lo) / ((lo - below) * (lo + below)))
+            falls = ni * (2.0 * lo) / ((z - lo) * (z + lo)) > 2.0 * pull_up
+        return bool(rises and falls)
+
     # -- the dyadic weight ---------------------------------------------------
     def ln_w0_real(self, t: float) -> float:
         """ln of prod (1 + t^2/4^j)^(n_j/2) at real t (float64)."""
@@ -210,12 +245,18 @@ def minmod_sup(
     t: float,
     radius: float,
     scan_density: int = 2048,
+    *,
+    at_least: Optional[float] = None,
 ) -> float:
     """Lower bound for sup ln|f(s)| over real s in [t-radius, t+radius].
 
-    zoom_max over a dense scan in offset coordinates: the largest value
-    it evaluates is a lower bound.  The interval is clipped to (0, inf);
-    an empty clipped interval is a domain error.
+    The interval is clipped to (0, inf); an empty clipped interval is a
+    domain error.  Its two ends are evaluated first.  Where
+    model.sup_at_ends certifies that the supremum lies at an end, the
+    larger end value is returned.  Otherwise zoom_max searches a dense scan
+    in offset coordinates.  Either way the result is a value evaluated, so
+    a lower bound.  A caller that asks only whether the supremum reaches
+    at_least gets the first end value that does, without a search.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -225,6 +266,10 @@ def minmod_sup(
         raise ValueError("scan interval lies outside (0, inf)")
     lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
     xs = np.linspace(lo - t, hi - t, scan_density)
+    # the window is the full scan's, so these are the scan's end values
+    best = float(np.max(model.log_abs_f_offsets(t, xs[[0, -1]])))
+    if (at_least is not None and best >= at_least) or model.sup_at_ends(lo, hi):
+        return best
     return zoom_max(lambda x: model.log_abs_f_offsets(t, x), xs)
 
 
@@ -241,17 +286,19 @@ def domination_check(
     factor |1-(z/2^j)^2| <= 1+(|z|/2^j)^2); the source-weight bound
     additionally uses that the dyadic zeros only coarsen the source zeros
     downward.  Slack: certified truncation error of the source evaluator
-    plus 1e-9 relative float headroom.
+    plus 1e-9 relative float headroom.  A sample on a zero of f, where
+    ln|f| = -inf, satisfies both bounds; it is counted as on_zero.
     """
     rng = random.Random(rng_seed)
     worst = math.inf
-    violations = 0
+    violations = on_zero = 0
     for _ in range(samples):
         r = radius * math.sqrt(rng.random())
         theta = 2.0 * math.pi * rng.random()
         z = complex(r * math.cos(theta), r * math.sin(theta))
         lhs = model.eval_log_abs_f(z)
         if lhs == NEG_INF:
+            on_zero += 1
             continue
         rhs0 = 2.0 * model.ln_w0_real(abs(z))
         v, err = w.eval_log_abs_omega(abs(z))
@@ -265,7 +312,8 @@ def domination_check(
         name="domination",
         passed=violations == 0,
         worst_margin=worst,
-        details={"samples": samples, "violations": violations, "radius": radius},
+        details={"samples": samples, "violations": violations, "on_zero": on_zero,
+                 "radius": radius},
     )
 
 
@@ -279,7 +327,8 @@ def schwarz_bound_check(
     """ln|f(z)| <= 2 ln w0(2^{j+1}) + n_j ln(delta) on |z - 2^j| <= 2^j delta.
 
     Samples the circle of radius 2^j delta uniformly in angle plus random
-    interior points of the disk.
+    interior points of the disk.  A sample that rounds onto a zero of f,
+    where ln|f| = -inf, satisfies the bound; it is counted as on_zero.
     """
     if not (1 <= j <= model.mult.j_max):
         raise ValueError("j outside the model range")
@@ -291,7 +340,7 @@ def schwarz_bound_check(
     rhs = 2.0 * model.ln_w0_dyadic(j + 1) + nj * math.log(delta)
     slack = 1e-9 * (1.0 + abs(rhs))
     worst = math.inf
-    violations = 0
+    violations = on_zero = 0
     for k in range(samples):
         if k % 2 == 0:
             theta = 2.0 * math.pi * k / samples
@@ -302,6 +351,7 @@ def schwarz_bound_check(
         z = center * complex(1.0 + rad * math.cos(theta), rad * math.sin(theta))
         lhs = model.eval_log_abs_f(z)
         if lhs == NEG_INF:
+            on_zero += 1
             continue
         margin = rhs + slack - lhs
         worst = min(worst, margin)
@@ -311,7 +361,8 @@ def schwarz_bound_check(
         name="schwarz-bound",
         passed=violations == 0,
         worst_margin=worst,
-        details={"j": j, "delta": delta, "samples": samples, "violations": violations},
+        details={"j": j, "delta": delta, "samples": samples, "violations": violations,
+                 "on_zero": on_zero},
     )
 
 
@@ -658,18 +709,18 @@ def minmod_radius_scan(
     with minus the radius; failures concentrate at the dyadic zeros as t
     grows when no admissible radius can work.
     """
+    ts = [float(t) for t in t_grid]
+    log_rho = [rho.eval_log_abs_omega(t)[0] for t in ts]
     results = []
     for c in cfg.c_grid:
         for cp in cfg.c_prime_grid:
             fails = []
-            for t in t_grid:
-                t = float(t)
-                v, _ = rho.eval_log_abs_omega(t)
+            for t, v in zip(ts, log_rho):
                 r = c * v + cp
                 if r <= 0:
                     fails.append(t)
                     continue
-                m = minmod_sup(model, t, r, scan_density=cfg.scan_density)
+                m = minmod_sup(model, t, r, scan_density=cfg.scan_density, at_least=-r)
                 if not m >= -r:
                     fails.append(t)
             results.append(
@@ -677,7 +728,7 @@ def minmod_radius_scan(
                     "c": c,
                     "c_prime": cp,
                     "failures": fails,
-                    "n_checked": len(list(t_grid)),
+                    "n_checked": len(ts),
                     "all_pass": not fails,
                 }
             )

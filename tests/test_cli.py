@@ -113,6 +113,14 @@ class TestFloatRange:
         assert result["details"]["violations"] == 0
         assert isinstance(result["worst_margin"], float)
 
+    def test_schwarz_counts_a_sample_on_the_zero(self):
+        # sample 0, z = 32 (1 + 1e-17), rounds to the zero 32 itself
+        code, out, _ = run_cli(["cx", "schwarz", "--seq", "powlog:a=1,b=2", "--j", "5",
+                                "--delta", "1e-17", "--samples", "20"])
+        assert code == 0
+        details = json.loads(out)["results"][0]["details"]
+        assert details["on_zero"] == 1 and details["samples"] == 20
+
     @pytest.mark.parametrize("argv, bound", [
         (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "511"], "510"),
         (["cx", "contradict", "--seq", "geometric:r=2", "--j-max", "600"], "510"),

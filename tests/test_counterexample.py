@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weightlab import (
     CounterexampleModel,
@@ -24,7 +24,7 @@ from weightlab import (
     shipped_beta_family,
 )
 from weightlab.counterexample import BetaSpec
-from weightlab.sampling import ZOOM_POINTS, ZOOM_STAGES, zoom_max
+from weightlab.sampling import ZOOM_POINTS, ZOOM_STAGES, log_grid, zoom_max
 
 NEG_INF = float("-inf")
 
@@ -273,8 +273,86 @@ class TestMinmodSup:
             return offsets(t, xs)
 
         model.log_abs_f_offsets = counting
+        # one zero, 2^20, inside: the certificate settles it from the ends
         minmod_sup(model, 2.0**20, 0.5, scan_density=512)
-        assert sizes == [512] + [ZOOM_POINTS] * ZOOM_STAGES
+        assert sizes == [2]
+        # two zeros, 2^19 and 2^20, inside: the ends, the scan, the zoom
+        sizes.clear()
+        minmod_sup(model, 3.0 * 2.0**18, 2.0**18 + 1.0, scan_density=512)
+        assert sizes == [2, 512] + [ZOOM_POINTS] * ZOOM_STAGES
+        # the same interval, when an end value is all the caller asks for
+        sizes.clear()
+        minmod_sup(model, 3.0 * 2.0**18, 2.0**18 + 1.0, scan_density=512, at_least=-math.inf)
+        assert sizes == [2]
+
+    def test_certified_levels_match_the_zoom_search(self, model60):
+        # the four shipped radii at every level of the j_max 60 model: the
+        # result is the full scan-and-zoom search's, bit for bit
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        for beta in shipped_beta_family(seq):
+            for j in range(1, 61):
+                t, r = 2.0**j, beta(2.0**j)
+                if r > t:
+                    continue
+                lo, hi = t - r, t + r
+                xs = np.linspace(lo - t, hi - t, 1024)
+                ref = zoom_max(lambda x: model60.log_abs_f_offsets(t, x), xs)
+                assert minmod_sup(model60, t, r, scan_density=1024) == ref, (beta.name, j)
+                assert model60.sup_at_ends(lo, hi), (beta.name, j)
+
+    @pytest.mark.parametrize("mult, lo, hi", [
+        # the zero 2 below lifts [lo, 4): far from and just past the bound
+        ([10, 1], 2.2, 4.0 * (1.0 + 1e-9)),
+        ([1, 1], 3.0, 4.0 * (1.0 + 1e-9)),
+        # the zero 4 above bends (2, hi]
+        ([1, 10], 2.0 * (1.0 - 1e-9), 3.8),
+        ([1, 1], 2.0 * (1.0 - 1e-9), 3.5),
+    ])
+    def test_interior_maximum_is_not_certified(self, mult, lo, hi):
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "two zeros"))
+        t, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        assert not model.sup_at_ends(t - r, t + r)
+        ends = max(model.log_abs_f_offsets(t, np.array([-r, r])))
+        dense = max(model.eval_log_abs_f(s) for s in np.linspace(t - r, t + r, 2001))
+        assert dense > ends + 0.01
+        got = minmod_sup(model, t, r, scan_density=256)
+        assert got >= dense - 1e-12
+        # a threshold above both ends still gets the search
+        assert minmod_sup(model, t, r, scan_density=256, at_least=ends + 0.005) == got
+
+    def test_end_on_the_zero(self):
+        m = single_factor_model()
+        assert m.sup_at_ends(2.0, 3.0) and m.sup_at_ends(1.0, 2.0) and m.sup_at_ends(2.0, 2.0)
+        assert not m.sup_at_ends(0.5, 1.5)  # no zero inside
+        assert minmod_sup(m, 2.5, 0.5) == pytest.approx(math.log(1.25), abs=1e-15)
+        # a radius below the float spacing of 2 collapses the interval onto the zero
+        assert minmod_sup(m, 2.0, 1e-17) == NEG_INF
+
+    # a share of the way to the next zero, drawn uniformly or log-uniformly,
+    # so that one end can sit far out while the other hugs the zero
+    SHARE = st.one_of(st.floats(1e-12, 0.999), st.floats(0.05, 12.0).map(lambda d: 10.0**-d))
+
+    @given(
+        mult=st.lists(st.integers(0, 1000), min_size=2, max_size=30),
+        level=st.integers(0, 29),
+        below=SHARE,
+        above=SHARE,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_certified_sup_not_below_a_dense_scan(self, mult, level, below, above):
+        # an interval from z (1 - below/2) to z (1 + above) around the zero
+        # z = 2^(level+1); its neighbours z/2 and 2z lie outside
+        level = min(level, len(mult) - 1)
+        mult[level] = max(mult[level], 1)
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
+        z = 2.0 ** (level + 1)
+        t = z * (1.0 + 0.5 * (above - 0.5 * below))
+        r = z * 0.5 * (above + 0.5 * below)
+        assume(model.sup_at_ends(t - r, t + r))
+        got = minmod_sup(model, t, r, scan_density=64)
+        ref = max(model.eval_log_abs_f(s) for s in np.linspace(t - r, t + r, 1001))
+        scale = sum(mult) * (1.0 + math.log(1.0 + t + r))
+        assert got >= ref - 1e-12 * scale, (got, ref)
 
     def test_single_factor_oracle(self):
         # sup over [1,3] of ln|1-s^2/4| is ln(5/4) at s=3
@@ -312,6 +390,15 @@ class TestDomination:
     def test_real_zero_trivially_dominated(self):
         m = single_factor_model()
         assert m.eval_log_abs_f(2.0) == NEG_INF  # any bound dominates -inf
+
+    def test_counts_samples_on_a_zero(self):
+        m = single_factor_model()
+        w = WeightEvaluator(parse_sequence_spec("geometric:r=2"))
+        rep = domination_check(m, w, samples=20, rng_seed=1, radius=4.0)
+        assert rep.details["on_zero"] == 0
+        m.eval_log_abs_f = lambda z: NEG_INF
+        rep = domination_check(m, w, samples=20, rng_seed=1, radius=4.0)
+        assert rep.details["on_zero"] == 20 and rep.details["violations"] == 0
 
 
 class TestSchwarz:
@@ -430,7 +517,57 @@ class TestContradiction:
         assert tail >= brute
 
 
+def _scan_failures(model, rho, cfg, t_grid):
+    """minmod_radius_scan's failure lists, each point decided by the full
+    scan-and-zoom search: the reference the ends-first search must match."""
+    out = {}
+    for c in cfg.c_grid:
+        for cp in cfg.c_prime_grid:
+            fails = []
+            for t in t_grid:
+                t = float(t)
+                r = c * rho.eval_log_abs_omega(t)[0] + cp
+                if r <= 0:
+                    fails.append(t)
+                    continue
+                lo, hi = t - r, t + r
+                lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
+                xs = np.linspace(lo - t, hi - t, cfg.scan_density)
+                if not zoom_max(lambda x: model.log_abs_f_offsets(t, x), xs) >= -r:
+                    fails.append(t)
+            out[(c, cp)] = fails
+    return out
+
+
 class TestMinmodRadiusScan:
+    def test_failures_match_the_zoom_search(self):
+        # the README command: cx scan --seq powlog:a=1,b=2 --rho geometric:r=2
+        # --t-grid 2:65536:32, with the CLI's default j_max 40
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        model = CounterexampleModel(dyadic_multiplicities(seq, 40))
+        rho = WeightEvaluator(parse_sequence_spec("geometric:r=2"), tol=1e-6)
+        cfg = MinModConfig()
+        t_grid = log_grid(2.0, 65536.0, 32)
+        rep = minmod_radius_scan(model, rho, cfg, t_grid)
+        want = _scan_failures(model, rho, cfg, t_grid)
+        got = {(g["c"], g["c_prime"]): g["failures"] for g in rep["grid"]}
+        assert got == want
+        assert rep["any_failures"]
+
+    def test_rho_evaluated_once_per_point(self):
+        m = single_factor_model()
+        rho = WeightEvaluator(parse_sequence_spec("geometric:r=2"))
+        calls = []
+        evaluate = rho.eval_log_abs_omega
+
+        def counting(t):
+            calls.append(t)
+            return evaluate(t)
+
+        rho.eval_log_abs_omega = counting
+        minmod_radius_scan(m, rho, MinModConfig(scan_density=64), [1.0, 3.0, 10.0])
+        assert calls == [1.0, 3.0, 10.0]
+
     def test_generous_radius_passes(self):
         m = single_factor_model()
         seq = parse_sequence_spec("geometric:r=2")
