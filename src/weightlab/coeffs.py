@@ -4,11 +4,15 @@ a_k is the square root of the u^k coefficient in prod_j (1 + u/t_j^2)^n
 (indexing by powers of z^2, the only nonzero ones).  One builder makes
 every table.  The n = 1 coefficients, the elementary symmetric functions
 e_k of the 1/t_j^2, come from a DP in np.longdouble that scales index k
-by the product of the k largest factors, so every multiplier is at most 1;
-the n-th power is a log-space convolution of that table, also in long
-double.  All terms are positive, so nothing cancels, and the rounding
-bound is read from np.finfo(np.longdouble).eps, never hard-coded: long
-double is plain float64 on some platforms.  trunc_error_rel bounds the
+by the product of the k largest factors, so every multiplier is at most 1.
+The first K factors enter one at a time; the factors past K enter in
+blocks of up to BLOCK, each folded in as one product of the state with
+the block's polynomial.  The n-th power is a log-space convolution of
+that table, also in long double.  All terms are positive, so nothing
+cancels, and the rounding bound is read from np.finfo(np.longdouble).eps,
+never hard-coded: long double is plain float64 on some platforms.  The DP
+is within gamma_{J' + (B + 9) K} (Higham, 2nd ed., section 4.2), J' the
+factor count with the last block padded to B.  trunc_error_rel bounds the
 relative error of every a_k: the omitted factors, which shrink it by at
 most exp(nK * tail) - 1, plus that rounding bound.
 """
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sampling import zoom_max
 from .sequences import ExplicitFamily, ZeroSequence
@@ -31,6 +36,10 @@ FLOAT = np.longdouble
 MAX_FACTORS = 30_000
 # largest degree sandwich_check builds a big table for
 K_ADAPT_CAP = 6000
+# factors past K go through the DP this many at a time
+BLOCK = 64
+# blocks whose polynomials are formed together
+CHUNK = 16
 
 
 class IdentityInapplicableError(ValueError):
@@ -77,59 +86,120 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     Index k holds E_k = (t_1 ... t_k)^2 e_k / 2^shift_k, e_k the k-th
     elementary symmetric function of the factors so far.  Factor m maps
     E_k to E_k + E_{k-1} (t_k/t_m)^2: every multiplier is at most 1, E_m
-    starts at exactly 1, and by Newton's inequalities E_k grows at most
-    m-fold.  Once m >= K the multiplier is split as c_k s_m, with
-    c_k = (t_k/t_K)^2 and s_m = (t_K/t_m)^2 both at most 1, so a step is
-    one scalar and one array product.  Every 16 factors an entry past
-    sqrt(max) is scaled into [1/2, 1) by a power of two, which goes into
-    shift_k.  An increment too small for FLOAT is below the entry it
-    joins by far more than eps.
+    starts at exactly 1, and E_{k-1} <= k E_k, so a factor grows E_k at
+    most (k+1)-fold.  The K head factors go one at a time.  The factors
+    past K go B at a time: with c_l = (t_l/t_K)^2 and s_m = (t_K/t_m)^2,
+    both at most 1, a block with polynomial q = prod_m (1 + s_m v) maps
+    E_k to sum_i E_{k-i} W_{k,i} q_i, W_{k,i} = prod_{l=k-i+1..k} c_l
+    times the offsets' power of two.  The last block is padded with
+    s = 0, an exact factor 1.  Between blocks (and every 16 head factors)
+    an entry past fold_at = sqrt(max) is scaled into [1/2, 1) by a power
+    of two, which goes into shift_k; B is small enough that (K+1)^B <=
+    fold_at/4, so no entry and no W_{k,i} overflows within a block.  An
+    increment too small for FLOAT is below the entry it joins by far more
+    than eps.
     """
     j_max, tail = _pick_factor_count(seq, K, tol)
-    t = np.fromiter(map(seq.term, range(1, j_max + 1)), dtype=FLOAT, count=j_max)
-    finite = np.isfinite(t)
-    if not finite[-1] and not isinstance(seq.family, ExplicitFamily):
+    t = seq.terms(1, j_max)
+    n_finite = int(np.count_nonzero(np.isfinite(t)))  # t is nondecreasing
+    if n_finite < j_max and not isinstance(seq.family, ExplicitFamily):
         # a dropped zero would turn positive a_k into -inf
         raise ValueError(
-            f"{seq.spec_string()}: t_{int(np.argmin(finite)) + 1} overflows "
+            f"{seq.spec_string()}: t_{n_finite + 1} overflows "
             f"float64, and the table needs {j_max} factors"
         )
-    t = t[finite]
+    t = t[:n_finite]
     top = min(K, len(t))
+    # the head in FLOAT; the tail stays float64 and is widened per chunk
+    t_head = t[:top].astype(FLOAT)
+    n_tail = len(t) - top
     fold_at = np.sqrt(np.finfo(FLOAT).max)
-    e = np.zeros(top + 1, dtype=FLOAT)
+    B = n_blocks = 0
+    if n_tail:
+        B = int(min(BLOCK, n_tail, (np.log2(fold_at) - 2) // math.log2(top + 1)))
+        n_blocks = -(-n_tail // B)
+    # two rows of B zeros and E: a block reads one row and writes the other
+    rows = np.zeros((2, B + top + 1), dtype=FLOAT)
+    e = rows[0, B:]
     e[0] = 1
     shift = np.zeros(top + 1, dtype=np.int64)
     gain = np.ones(top, dtype=FLOAT)  # 2^(shift_{k-1} - shift_k)
-    c = (t[:top] / t[top - 1]) ** 2
-    cg = c  # c_k 2^(shift_{k-1} - shift_k)
     x = np.empty(top, dtype=FLOAT)
-    for m in range(len(t)):
-        k = min(m + 1, top)
-        if m < top:
-            x[:k] = e[:k] * (t[:k] / t[m]) ** 2 * gain[:k]
-        else:
-            np.multiply(e[:top], (t[top - 1] / t[m]) ** 2, out=x)
-            x *= cg
-        e[1 : k + 1] += x[:k]
-        if m % 16 == 15 and np.max(e) > fold_at:
-            big = e > fold_at
-            _, s = np.frexp(e[big])
-            e[big] = np.ldexp(e[big], -s)
-            shift[big] += s
+    for m in range(top):
+        x[: m + 1] = e[: m + 1] * (t_head[: m + 1] / t_head[m]) ** 2 * gain[: m + 1]
+        e[1 : m + 2] += x[: m + 1]
+        if m % 16 == 15 and _fold(e, shift, fold_at):
             gain = np.ldexp(FLOAT(1), shift[:-1] - shift[1:])
-            cg = c * gain
+    if n_blocks:
+        c = (t_head / t_head[-1]) ** 2
+        W = _block_gains(c, shift, B)
+        windows = sliding_window_view(rows, B + 1, axis=1)
+        cur = 0
+        for first in range(0, n_blocks, CHUNK):
+            s = np.zeros((min(CHUNK, n_blocks - first), B), dtype=FLOAT)
+            t_m = t[top + first * B : top + (first + len(s)) * B]
+            s.flat[: len(t_m)] = (t_head[-1] / t_m) ** 2
+            for q in _block_polys(s):
+                if _fold(rows[cur, B:], shift, fold_at):
+                    W = _block_gains(c, shift, B)
+                np.einsum("kj,kj,j->k", windows[cur], W, q[::-1], out=rows[1 - cur, B:])
+                cur = 1 - cur
+        e = rows[cur, B:]
     log_kept = np.log(e)
     log_offset = shift * np.log(FLOAT(2))
-    log_2t = 2 * np.log(t[:top])
+    log_2t = 2 * np.log(t_head)
     log_e = np.full(K + 1, NEG_INF, dtype=FLOAT)
     log_e[: top + 1] = log_kept + log_offset - np.concatenate(([0], np.cumsum(log_2t)))
     sum_abs = np.concatenate(([0], np.cumsum(np.abs(log_2t))))
     mag = 1.0 + float(np.max(np.abs(log_kept) + np.abs(log_offset) + sum_abs))
-    # an increment carries at most 8 roundings (each squared quotient
-    # counts 3, each product 1) into a positive sum: E_k after m factors
-    # is within gamma_{m + 8k} (Higham, 2nd ed., section 4.2)
-    return _BaseTable(log_e, j_max, tail, len(t) + 8 * top, mag)
+    # each squared quotient counts 3 roundings, each product and each sum
+    # 1 (Higham, 2nd ed., section 4.2).  A head factor gives every path
+    # through the DP 1 rounding, and 8 to one that advances.  A block
+    # gives B, from its sum of B + 1 terms, and 2B + 8i + 1 <= B + (B + 9)i
+    # to one that advances by i >= 1: two products, 4i - 1 in W_{k,i} and
+    # 4i + B in q_i.  So E_k is within gamma_{top + n_blocks B + (B+9)k}.
+    per_advance = B + 9 if n_blocks else 8
+    return _BaseTable(log_e, j_max, tail, top + n_blocks * B + per_advance * top, mag)
+
+
+def _fold(e: np.ndarray, shift: np.ndarray, fold_at) -> bool:
+    """Scale every entry of e past fold_at into [1/2, 1), adding the power
+    of two to shift; whether any was."""
+    big = e > fold_at
+    if not big.any():
+        return False
+    _, s = np.frexp(e[big])
+    e[big] = np.ldexp(e[big], -s)
+    shift[big] += s
+    return True
+
+
+def _block_gains(c: np.ndarray, shift: np.ndarray, B: int) -> np.ndarray:
+    """W[k, B - i] = 2^(shift_{k-i} - shift_k) prod_{l=k-i+1..k} c_l, the
+    multiplier that carries E_{k-i} to index k across a block, for
+    0 <= i <= B (0 for i > k); the columns run in the order of a window
+    E_{k-B} .. E_k."""
+    top = len(c)
+    c_pad = np.concatenate((np.zeros(B, dtype=c.dtype), c))
+    W = np.empty((top + 1, B + 1), dtype=c.dtype)
+    W[:, B] = 1
+    for i in range(1, B + 1):
+        np.multiply(W[:, B - i + 1], c_pad[B - i : B - i + top + 1], out=W[:, B - i])
+    if shift.any():
+        shift_pad = np.concatenate((np.zeros(B, dtype=shift.dtype), shift))
+        np.ldexp(W, sliding_window_view(shift_pad, B + 1) - shift[:, None], out=W)
+    return W
+
+
+def _block_polys(s: np.ndarray) -> np.ndarray:
+    """Row b holds the coefficients of prod_m (1 + s[b, m] v), lowest power
+    first: each entry q_i is positive and at most C(B, i)."""
+    nb, B = s.shape
+    q = np.zeros((nb, B + 1), dtype=s.dtype)
+    q[:, 0] = 1
+    for m in range(B):
+        q[:, 1 : m + 2] += s[:, m : m + 1] * q[:, : m + 1]
+    return q
 
 
 def _power_table(base: _BaseTable, n: int) -> CoeffTable:
@@ -149,11 +219,19 @@ def _power_table(base: _BaseTable, n: int) -> CoeffTable:
     per_mul = 4 * mag + K + math.log((K + 1) / eps) + 8
     rounding = (eps * (n * (base.dp_rounding + (K + 8) * mag) + (n - 1) * per_mul)
                 + float(np.finfo(float).eps) * mag)
+    try:
+        trunc_error_rel = math.expm1(n * K * base.tail + rounding)
+    except OverflowError:
+        raise ValueError(
+            f"J = {base.factors_used} factors (capped at min(j_cut, "
+            f"{MAX_FACTORS})) omit a tail sum_(j>J) 1/t_j^2 = {base.tail:.3g}: "
+            f"the error bound exp(n K tail) - 1 overflows, so no a_k is certified"
+        ) from None
     return CoeffTable(
         n=n,
         K=K,
         log_a=(0.5 * log_full).astype(float),
-        trunc_error_rel=math.expm1(n * K * base.tail + rounding),
+        trunc_error_rel=trunc_error_rel,
         factors_used=base.factors_used,
     )
 

@@ -392,9 +392,15 @@ class PowLogFamily(Family):
         return m * lm**self.a * llm**self.b
 
     def terms(self, j_from: int, j_to: int) -> np.ndarray:
-        m = np.maximum(np.arange(j_from, j_to + 1, dtype=float), 3.0)
+        m = np.arange(j_from, j_to + 1, dtype=float)
+        np.maximum(m, 3.0, out=m)
         lm = np.log(m)
-        return m * lm**self.a * np.log(lm) ** self.b
+        out = lm**self.a
+        out *= m
+        np.log(lm, out=lm)
+        lm **= self.b
+        out *= lm
+        return out
 
     # -- tail bounds --------------------------------------------------------
     def inv_tail(self, k_from: int) -> float:

@@ -36,6 +36,14 @@ class TestBasics:
         assert code == 2 and not out
         assert "overflows float64" in err
 
+    def test_coeffs_with_unbounded_tail_exits_2(self):
+        # 30,000 factors of r = 1 + 1e-7 leave sum_(j>J) 1/t_j^2 near 5e6,
+        # and exp(n K tail) - 1 overflows: no a_k is certified
+        code, out, err = run_cli(["weight", "coeffs", "--seq", "geometric:r=1.0000001",
+                                  "--n", "2", "--K", "40"])
+        assert code == 2 and not out
+        assert "J = 30000 factors" in err and "overflows" in err
+
     def test_eval_past_float_range_exits_2(self):
         code, out, err = run_cli(["weight", "eval", "--seq", "geometric:r=2", "--t", "1e200"])
         assert code == 2 and not out

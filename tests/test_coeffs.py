@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,14 +167,35 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("float_type", [np.longdouble, np.float64])
     def test_equal_zeros_binomial(self, float_type, monkeypatch):
-        # a_k^2 = C(2000, k) spans more than float64 holds: the DP must fold
-        # its entries into per-index offsets
+        # a_k^2 = C(N, k) spans more than float64 holds: the DP must fold
+        # its entries into per-index offsets, at K < N also between the
+        # blocks of the factors past K.  C(10000, 3000) ~ e^6100 passes the
+        # long double fold threshold too
         monkeypatch.setattr(coeffs, "FLOAT", float_type)
-        N = 2000
-        tab = coeff_table(ZeroSequence(ExplicitFamily([1.0] * N), j_cut=5), 1, N)
-        with mp.workprec(200):
-            lg = [mp.loggamma(k + 1) for k in range(N + 1)]
-            assert_within_claim(tab, [(lg[N] - lg[k] - lg[N - k]) / 2 for k in range(N + 1)])
+        for N, K in [(2000, 2000), (2000, 300), (10000, 3000)]:
+            tab = coeff_table(ZeroSequence(ExplicitFamily([1.0] * N), j_cut=5), 1, K)
+            with mp.workprec(200):
+                lg = [mp.loggamma(k + 1) for k in range(N + 1)]
+                want = [(lg[N] - lg[k] - lg[N - k]) / 2 for k in range(K + 1)]
+                assert_within_claim(tab, want)
+
+    @pytest.mark.parametrize("float_type", [np.longdouble, np.float64])
+    @given(
+        st.lists(
+            st.floats(min_value=0.5, max_value=50.0), min_size=150, max_size=300
+        ).map(sorted),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_blocked_tail_against_mpmath(self, float_type, zeros, K, n):
+        # J > K: the factors past K span two or more blocks and a partial
+        # one.  An explicit list omits nothing, so trunc_error_rel is the
+        # rounding bound alone
+        with mock.patch.object(coeffs, "FLOAT", float_type):
+            seq = ZeroSequence(ExplicitFamily(zeros), j_cut=5)
+            tab = coeff_table(seq, n, K)
+        assert_within_claim(tab, mp_log_a(seq, len(zeros), n, K))
 
     def test_float64_long_double(self, monkeypatch):
         # platforms where long double is plain float64
