@@ -8,7 +8,6 @@ dyadic-zero minimum-modulus experiments.
 """
 
 from .sequences import (
-    CutoffInsufficientError,
     DivergenceCertificate,
     ExplicitFamily,
     GeometricFamily,
@@ -17,7 +16,6 @@ from .sequences import (
     SequenceSpecError,
     ZeroSequence,
     parse_sequence_spec,
-    render_spec,
 )
 from .weights import (
     WeightEvaluator,
@@ -69,7 +67,6 @@ from .counterexample import (
     BetaSpec,
     ContradictionReport,
     CounterexampleModel,
-    MinModConfig,
     MultiplicityProfile,
     minmod_radius_scan,
     classic_beta_family,

@@ -24,7 +24,6 @@ from . import __version__
 from .coeffs import coeff_table, inf_sup_identity, log_convexity_check
 from .counterexample import (
     CounterexampleModel,
-    MinModConfig,
     minmod_radius_scan,
     contradiction_experiment,
     domination_check,
@@ -289,7 +288,7 @@ def h_cx_scan(p: dict):
     rho = _seq(p, "rho") if p["rho"] else seq
     w = WeightEvaluator(rho, tol=1e-6)
     grid = _grid(p, "t_grid")
-    rep = minmod_radius_scan(model, w, MinModConfig(), [float(t) for t in grid])
+    rep = minmod_radius_scan(model, w, [float(t) for t in grid])
     report = {"command": "cx.scan", "seq": seq.spec_string(),
               "rho": rho.spec_string(), "scan": rep}
     # failures are findings here, not errors

@@ -66,20 +66,6 @@ class _BaseTable:
     mag: float  # bound on the magnitude of every logarithm summed
 
 
-def _pick_factor_count(seq: ZeroSequence, K: int, tol: float) -> tuple[int, float]:
-    """Smallest doubling J >= 16 with sum_{j>J} 1/t_j^2 <= tol, then at
-    least K + 1 so that every a_k is positive, within the budgets."""
-    fam = seq.family
-    if isinstance(fam, ExplicitFamily):
-        return len(fam.values), 0.0
-    cap = min(seq.j_cut, MAX_FACTORS)
-    j = 16
-    while j < cap and fam.inv_sq_tail(j) > tol:
-        j = min(cap, j * 2)
-    j = min(cap, max(j, K + 1))
-    return j, fam.inv_sq_tail(j)
-
-
 def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     """ln e_k, k <= K, of the first J factors 1/t_j^2 (t_j nondecreasing).
 
@@ -99,7 +85,9 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     increment too small for FLOAT is below the entry it joins by far more
     than eps.
     """
-    j_max, tail = _pick_factor_count(seq, K, tol)
+    # the smallest doubling J >= 16 with sum_{j>J} 1/t_j^2 <= tol, then at
+    # least K + 1 so that every a_k is positive, within the budgets
+    j_max, tail = seq.cutoff(seq.family.inv_sq_tail, tol, 16, min(seq.j_cut, MAX_FACTORS), K + 1)
     t = seq.terms(1, j_max)
     n_finite = int(np.count_nonzero(np.isfinite(t)))  # t is nondecreasing
     if n_finite < j_max and not isinstance(seq.family, ExplicitFamily):

@@ -523,13 +523,6 @@ def named_beta(name: str, seq: Optional[ZeroSequence] = None) -> BetaSpec:
     raise ValueError(f"unknown beta {name!r}")
 
 
-@dataclass
-class MinModConfig:
-    c_grid: tuple = (0.5, 1.0, 2.0, 4.0)
-    c_prime_grid: tuple = (0.0, 1.0, 10.0)
-    scan_density: int = 1024
-
-
 # ---------------------------------------------------------------------------
 # the finite-stage contradiction experiment
 
@@ -697,13 +690,15 @@ def contradiction_experiment(
     )
 
 
-def minmod_radius_scan(
-    model: CounterexampleModel,
-    rho: WeightEvaluator,
-    cfg: MinModConfig,
-    t_grid,
-) -> dict:
-    """Minimum-modulus probe with radius c ln|rho(t)| + c' over a (c, c') grid.
+# minmod_radius_scan's radii c ln|rho(t)| + c' and its scan density
+SCAN_C_GRID = (0.5, 1.0, 2.0, 4.0)
+SCAN_C_PRIME_GRID = (0.0, 1.0, 10.0)
+SCAN_DENSITY = 1024
+
+
+def minmod_radius_scan(model: CounterexampleModel, rho: WeightEvaluator, t_grid) -> dict:
+    """Minimum-modulus probe with radius c ln|rho(t)| + c' for every c in
+    SCAN_C_GRID and c' in SCAN_C_PRIME_GRID.
 
     For each t the scan supremum of ln|f| within the radius is compared
     with minus the radius; failures concentrate at the dyadic zeros as t
@@ -712,15 +707,15 @@ def minmod_radius_scan(
     ts = [float(t) for t in t_grid]
     log_rho = [rho.eval_log_abs_omega(t)[0] for t in ts]
     results = []
-    for c in cfg.c_grid:
-        for cp in cfg.c_prime_grid:
+    for c in SCAN_C_GRID:
+        for cp in SCAN_C_PRIME_GRID:
             fails = []
             for t, v in zip(ts, log_rho):
                 r = c * v + cp
                 if r <= 0:
                     fails.append(t)
                     continue
-                m = minmod_sup(model, t, r, scan_density=cfg.scan_density, at_least=-r)
+                m = minmod_sup(model, t, r, scan_density=SCAN_DENSITY, at_least=-r)
                 if not m >= -r:
                     fails.append(t)
             results.append(

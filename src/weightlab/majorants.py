@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import SampledFunction, log_grid
-from .sequences import ZeroSequence
+from .sequences import ExplicitFamily, ZeroSequence
 
 LN3 = math.log(3.0)
 
@@ -182,8 +182,8 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
     }
 
 
-class KEvalError(RuntimeError):
-    """Inner-series cutoff insufficient for the requested argument."""
+class KEvalError(ValueError):
+    """The inner series needs more terms than the sequence's j_cut."""
 
 
 def _log1pexp(y: float) -> float:
@@ -198,22 +198,25 @@ class ConcaveSeriesMajorant:
     Increasing; concave whenever t_j/j is nondecreasing.  Evaluation is a
     log-sum-exp over k with the cutoff chosen so the term ratio
     4t/t_{k+1} stays below 1/2, giving a geometric tail bound.
-    The returned value is a lower bound; value+err an upper bound.
+    The returned value is a lower bound; value+err an upper bound.  The
+    cutoff is at most the sequence's j_cut, and an argument that needs
+    more terms raises KEvalError; an explicit list has no such cap, since
+    its terms past the list are 0.
     """
 
     sequence: ZeroSequence
-    k_eval_cap: int = 2_000_000
-
-    _cumlog: np.ndarray = field(default_factory=lambda: np.zeros(1), repr=False)
+    _cumlog: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._cumlog = np.zeros(1)  # cumlog[k] = sum_{i<=k} ln t_i
+        fam = self.sequence.family
+        self._cap = math.inf if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
 
     def _ensure_cumlog(self, k: int) -> None:
         have = len(self._cumlog) - 1
         if k <= have:
             return
-        k = min(max(k, 2 * have, 1024), self.k_eval_cap)
+        k = min(max(k, 2 * have, 1024), self._cap)
         tj = self.sequence.terms(have + 1, k)
         fin = np.isfinite(tj)
         logs = np.where(fin, np.log(np.where(fin, tj, 1.0)), np.inf)
@@ -230,10 +233,10 @@ class ConcaveSeriesMajorant:
             raise ValueError("need finite t > 0")
         x = 4.0 * t
         k_star = self.sequence.count_leq(2.0 * x) + self._EXTRA
-        if k_star + 1 > self.k_eval_cap:
+        if k_star + 1 > self._cap:
             raise KEvalError(
-                f"inner series needs {k_star + 1} terms, cap is {self.k_eval_cap}; "
-                "raise k_eval_cap"
+                f"alpha({t:g}) needs {k_star + 1} inner-series terms, more than "
+                f"--j-cut {self.sequence.j_cut}"
             )
         self._ensure_cumlog(k_star + 1)
         lnx = math.log(x)
@@ -420,7 +423,7 @@ class StepFunction:
         return SampledFunction(grid[keep], vals[keep], label="step-counterexample")
 
 
-def step_counterexample(k_max: int = 6, exponent_fn=None) -> StepFunction:
+def step_counterexample(k_max: int = 6) -> StepFunction:
     """Steps f(t) = thr_k / ln(thr_k) at thr_k = e^(k^2), k = 1..k_max.
 
     The first threshold is e; sum 1/ln(thr_k) = sum 1/k^2 converges, so the
@@ -428,11 +431,9 @@ def step_counterexample(k_max: int = 6, exponent_fn=None) -> StepFunction:
     f(thr_k) ln(thr_k)/thr_k = 1 exactly at every threshold (computed via
     the exact log forms: the exponent cancels symbolically).
     """
-    if exponent_fn is None:
-        exponent_fn = lambda k: float(k * k)
-    log_thr = [exponent_fn(k) for k in range(1, k_max + 1)]
-    if abs(log_thr[0] - 1.0) > 1e-12:
-        raise ValueError("first threshold must be e (log threshold 1)")
+    if k_max < 1:
+        raise ValueError("step counterexample needs k_max >= 1")
+    log_thr = [float(k * k) for k in range(1, k_max + 1)]
     log_vals = [lth - math.log(lth) for lth in log_thr]
     return StepFunction(log_thresholds=log_thr, log_values=log_vals)
 

@@ -45,10 +45,6 @@ class SequenceSpecError(ValueError):
         self.position = position
 
 
-class CutoffInsufficientError(RuntimeError):
-    """The enumerated prefix cannot answer the query exactly."""
-
-
 @dataclass(frozen=True)
 class DivergenceCertificate:
     """Analytic witness that a nonnegative series diverges."""
@@ -606,16 +602,12 @@ class PowLogFamily(Family):
 
 
 class ExplicitFamily(Family):
-    """Finite nondecreasing list of zeros; +inf beyond (finite product).
-
-    With infinite_tail=False the sequence is an unknown continuation of the
-    listed prefix: queries that would need entries past the list raise
-    CutoffInsufficientError instead of assuming +inf.
-    """
+    """Finite nondecreasing list of zeros; t_j = +inf past the list, so w is
+    a finite product and every tail past the list is exactly 0."""
 
     name = "explicit"
 
-    def __init__(self, values, infinite_tail: bool = True):
+    def __init__(self, values):
         vals = [float(v) for v in values]
         if not vals:
             raise SequenceSpecError("explicit family needs at least one value")
@@ -627,27 +619,14 @@ class ExplicitFamily(Family):
                     f"non-monotone explicit list: t_{i+1} < t_{i}", i
                 )
         self.values = vals
-        self.infinite_tail = bool(infinite_tail)
 
     def term(self, j: int) -> float:
-        if j <= len(self.values):
-            return self.values[j - 1]
-        if self.infinite_tail:
-            return math.inf
-        raise CutoffInsufficientError(
-            f"explicit prefix has {len(self.values)} entries; t_{j} unknown"
-        )
+        return self.values[j - 1] if j <= len(self.values) else math.inf
 
     def count_leq(self, t: float) -> int:
         import bisect
 
-        c = bisect.bisect_right(self.values, t)
-        if c == len(self.values) and not self.infinite_tail:
-            raise CutoffInsufficientError(
-                f"count at t={t:g} may exceed the known prefix of "
-                f"{len(self.values)} entries"
-            )
-        return c
+        return bisect.bisect_right(self.values, t)
 
     def inv_tail(self, k_from: int) -> float:
         if k_from >= len(self.values):
@@ -664,16 +643,14 @@ class ExplicitFamily(Family):
         return sum(math.log(v) for v in self.values[:m])
 
     @property
-    def msnq_convergent(self) -> Optional[bool]:
-        return True if self.infinite_tail else None
+    def msnq_convergent(self) -> bool:
+        return True
 
-    def omega0_tail_claim(self) -> Optional[bool]:
+    def omega0_tail_claim(self) -> bool:
         # +inf/j is nondecreasing, so only the finite prefix matters
-        return True if self.infinite_tail else None
+        return True
 
-    def index_series_tail(self, cond: str, k_from: int) -> Optional[float]:
-        if not self.infinite_tail:
-            return None
+    def index_series_tail(self, cond: str, k_from: int) -> float:
         total = 0.0
         for k in range(max(k_from + 1, 2), len(self.values) + 1):
             tk = self.values[k - 1]
@@ -685,9 +662,7 @@ class ExplicitFamily(Family):
                 total += max(0.0, math.log(math.log(tk))) / tk if tk > 1.0 else 0.0
         return total
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> Optional[float]:
-        if not self.infinite_tail:
-            return None
+    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> float:
         # P(2^j) <= m (j ln2 + ln sqrt2 + max(0, -ln t_1)), m = len(values)
         m = len(self.values)
         c = 0.5 * LN2 + max(0.0, -math.log(self.values[0]))
@@ -711,9 +686,12 @@ class ExplicitFamily(Family):
 class ZeroSequence:
     """A zero sequence: a family plus an enumeration budget for sums.
 
-    j_cut caps term-wise enumeration in evaluators (counting via bisection
-    is exact regardless).  omega0_flag asserts t_j/j is nondecreasing,
-    verified on the enumerated prefix and by family tail knowledge.
+    j_cut (the CLI's --j-cut) caps every term-wise enumeration: the
+    evaluators' cutoff, a coefficient table's factor count and the concave
+    majorant's inner series, which raises KEvalError past it.  Counting via
+    bisection is exact regardless.  omega0_flag asserts t_j/j is
+    nondecreasing, verified on the enumerated prefix and by family tail
+    knowledge.
     """
 
     family: Family
@@ -765,6 +743,20 @@ class ZeroSequence:
 
     def count_leq(self, t: float) -> int:
         return self.family.count_leq(t)
+
+    def cutoff(self, bound, tol: float, start: int, cap: int,
+               at_least: int = 0) -> tuple[int, float]:
+        """(J, bound(J)) for the first J of start, 2 start, 4 start, ...
+        with bound(J) <= tol, raised to at_least, never past cap.  bound(J)
+        bounds what the terms past J add; an explicit list is taken whole,
+        with nothing omitted."""
+        if isinstance(self.family, ExplicitFamily):
+            return len(self.family.values), 0.0
+        j = min(start, cap)
+        while j < cap and bound(j) > tol:
+            j = min(cap, 2 * j)
+        j = min(cap, max(j, at_least))
+        return j, bound(j)
 
     def spec_string(self) -> str:
         return self.family.spec_string()
@@ -840,7 +832,3 @@ def parse_sequence_spec(text: str, j_cut: int = 500_000) -> ZeroSequence:
     seq = ZeroSequence(family=fam, j_cut=j_cut, omega0_flag=False)
     seq.omega0_flag = seq.check_omega0_prefix()
     return seq
-
-
-def render_spec(seq: ZeroSequence) -> str:
-    return seq.spec_string()

@@ -18,7 +18,9 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
     x * ((j+1)/j)^p * (ln(j+1)/ln j)^q decrease in j, so the ratio at
     j_from dominates; when it is < 1 the tail is bounded by the first
     term times 1/(1 - ratio).  If the ratio at j_from is >= 1 the start
-    index is advanced until it drops below 1 (it tends to x < 1).
+    index is advanced until it drops below 1 (it tends to x < 1).  If it
+    is still >= 1 after 10,000 steps (x very close to 1), the result is
+    +inf: no finite bound, so no certificate.
     """
     if coeff == 0.0:
         return 0.0
@@ -37,7 +39,7 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
         head += term(j)
         j += 1
         if j > j_from + 10_000:
-            raise ValueError("poly_geom_tail: ratio did not drop below 1")
+            return math.inf
 
 
 def log_pow_integral(q: int, p: float, lower: float) -> float:

@@ -60,6 +60,26 @@ class TestBasics:
         assert code == 2 and not out
         assert "zero count exceeds 2^400" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["majorant", "alpha", "--seq", "geometric:r=1.0000001", "--grid", "1:1e6:5"],
+        ["majorant", "beta", "--seq", "power:a=1.0000001", "--grid", "1:1e6:5"],
+        ["majorant", "alpha", "--seq", "powlog:a=1,b=2", "--grid", "1:1e300:5"],
+    ])
+    def test_majorant_past_j_cut_exits_2(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 2 and not out
+        assert "inner-series terms, more than --j-cut 500000" in err
+
+    def test_omega6_with_an_unclosable_tail_is_inconclusive(self):
+        # r = 2^(1/a - 1) is within 7e-8 of 1: no geometric tail bound
+        # closes, so the dyadic msnq series have no certificate
+        code, out, _ = run_cli(["criteria", "omega6", "--seq", "power:a=1.0000001",
+                                "--J", "25"])
+        assert code in (0, 1)
+        diags = json.loads(out)["diagnostics"]
+        assert [diags[c]["verdict"] for c in ("ii", "iii", "iv")] == ["inconclusive"] * 3
+        assert all(diags[c]["tail_bound"] is None for c in ("ii", "iii", "iv"))
+
     def test_unknown_family_exits_2(self):
         code, _, _ = run_cli(["weight", "eval", "--seq", "foo:r=2", "--t", "1"])
         assert code == 2

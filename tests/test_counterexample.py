@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from weightlab import (
     CounterexampleModel,
-    MinModConfig,
     MultiplicityProfile,
     WeightEvaluator,
     ZeroSequence,
@@ -23,7 +22,7 @@ from weightlab import (
     schwarz_bound_check,
     shipped_beta_family,
 )
-from weightlab.counterexample import BetaSpec
+from weightlab.counterexample import SCAN_C_GRID, SCAN_C_PRIME_GRID, SCAN_DENSITY, BetaSpec
 from weightlab.sampling import ZOOM_POINTS, ZOOM_STAGES, log_grid, zoom_max
 
 NEG_INF = float("-inf")
@@ -517,12 +516,12 @@ class TestContradiction:
         assert tail >= brute
 
 
-def _scan_failures(model, rho, cfg, t_grid):
+def _scan_failures(model, rho, t_grid):
     """minmod_radius_scan's failure lists, each point decided by the full
     scan-and-zoom search: the reference the ends-first search must match."""
     out = {}
-    for c in cfg.c_grid:
-        for cp in cfg.c_prime_grid:
+    for c in SCAN_C_GRID:
+        for cp in SCAN_C_PRIME_GRID:
             fails = []
             for t in t_grid:
                 t = float(t)
@@ -532,7 +531,7 @@ def _scan_failures(model, rho, cfg, t_grid):
                     continue
                 lo, hi = t - r, t + r
                 lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
-                xs = np.linspace(lo - t, hi - t, cfg.scan_density)
+                xs = np.linspace(lo - t, hi - t, SCAN_DENSITY)
                 if not zoom_max(lambda x: model.log_abs_f_offsets(t, x), xs) >= -r:
                     fails.append(t)
             out[(c, cp)] = fails
@@ -546,10 +545,9 @@ class TestMinmodRadiusScan:
         seq = parse_sequence_spec("powlog:a=1,b=2")
         model = CounterexampleModel(dyadic_multiplicities(seq, 40))
         rho = WeightEvaluator(parse_sequence_spec("geometric:r=2"), tol=1e-6)
-        cfg = MinModConfig()
         t_grid = log_grid(2.0, 65536.0, 32)
-        rep = minmod_radius_scan(model, rho, cfg, t_grid)
-        want = _scan_failures(model, rho, cfg, t_grid)
+        rep = minmod_radius_scan(model, rho, t_grid)
+        want = _scan_failures(model, rho, t_grid)
         got = {(g["c"], g["c_prime"]): g["failures"] for g in rep["grid"]}
         assert got == want
         assert rep["any_failures"]
@@ -565,24 +563,21 @@ class TestMinmodRadiusScan:
             return evaluate(t)
 
         rho.eval_log_abs_omega = counting
-        minmod_radius_scan(m, rho, MinModConfig(scan_density=64), [1.0, 3.0, 10.0])
+        minmod_radius_scan(m, rho, [1.0, 3.0, 10.0])
         assert calls == [1.0, 3.0, 10.0]
 
     def test_generous_radius_passes(self):
         m = single_factor_model()
         seq = parse_sequence_spec("geometric:r=2")
         rho = WeightEvaluator(seq)
-        cfg = MinModConfig(c_grid=(4.0,), c_prime_grid=(10.0,), scan_density=512)
-        rep = minmod_radius_scan(m, rho, cfg, [1.0, 3.0, 10.0])
-        assert not rep["any_failures"]
+        rep = minmod_radius_scan(m, rho, [1.0, 3.0, 10.0])
+        (generous,) = [g for g in rep["grid"] if (g["c"], g["c_prime"]) == (4.0, 10.0)]
+        assert generous["all_pass"] and generous["n_checked"] == 3
 
     def test_counterexample_fails_at_dyadic_points(self):
         seq = parse_sequence_spec("powlog:a=1,b=2")
         model = CounterexampleModel(dyadic_multiplicities(seq, 40))
         rho = WeightEvaluator(ZeroSequence(seq.family, j_cut=60_000), tol=1e-6)
-        cfg = MinModConfig(
-            c_grid=(0.5, 1.0), c_prime_grid=(0.0, 1.0), scan_density=512
-        )
         t_grid = [2.0**j for j in (20, 25, 30, 35)]
-        rep = minmod_radius_scan(model, rho, cfg, t_grid)
-        assert rep["any_failures"]
+        rep = minmod_radius_scan(model, rho, t_grid)
+        assert any(g["failures"] for g in rep["grid"] if g["c"] <= 1.0 and g["c_prime"] <= 1.0)

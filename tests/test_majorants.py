@@ -274,9 +274,9 @@ class TestAlphaMajorant:
             assert chord <= vals[i + 1] + 1e-9 * abs(vals[i + 1])
 
     def test_cutoff_error(self):
-        seq = parse_sequence_spec("powlog:a=1,b=2")
-        m = ConcaveSeriesMajorant(seq, k_eval_cap=100)
-        with pytest.raises(KEvalError):
+        seq = parse_sequence_spec("powlog:a=1,b=2", j_cut=100)
+        m = ConcaveSeriesMajorant(seq)
+        with pytest.raises(KEvalError, match="--j-cut 100"):
             m.eval(1e6)
 
     def test_monotone(self):
@@ -345,7 +345,9 @@ class TestBetaMajorant:
         assert np.all(sdd <= 1e-9 * np.maximum(1.0, np.abs(comp[:-2])))
 
     def test_powlog_lambda_on_wide_domain(self):
-        seq = parse_sequence_spec("powlog:a=1,b=2")
+        # alpha(2e * 1e6) needs 500,158 inner-series terms, past the
+        # default j_cut
+        seq = parse_sequence_spec("powlog:a=1,b=2", j_cut=2_000_000)
         m = ConcaveSeriesMajorant(seq)
         lam = lambda_search(m.eval, 1.0, 1e6, samples=64)
         assert lam > 0
@@ -366,7 +368,7 @@ class TestStepCounterexample:
         st_fn = step_counterexample(6)
         assert st_fn.log_thresholds[0] == 1.0
         with pytest.raises(ValueError):
-            step_counterexample(3, exponent_fn=lambda k: float(k * k + 1))
+            step_counterexample(0)
 
     def test_below_first_threshold(self):
         st_fn = step_counterexample(4)
