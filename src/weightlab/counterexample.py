@@ -17,6 +17,10 @@ upper bound, so every asserted inequality holds with certainty up to the
 documented float slack.  Everything runs in float64; a witness of the
 contradiction experiment must clear an a-priori rounding bound of both
 partial sums.
+
+ln|f| has one evaluator, CounterexampleModel.log_abs_f_offsets, for real
+and complex points alike: the scans, the Schwarz and domination samples and
+eval_log_abs_f all go through it, all levels of a point at once.
 """
 
 from __future__ import annotations
@@ -84,113 +88,77 @@ class CounterexampleModel:
             )
         # one row per level with n_i > 0, in index order
         self._levels = [i for i, ni in enumerate(self.mult.n, start=1) if ni]
-        rows = np.array([(i, self.mult.n[i - 1], float(2**i)) for i in self._levels], float)
-        rows = rows.reshape(-1, 3)
-        self._n, self._base = rows[:, 1:2], rows[:, 2:3]
+        rows = np.array([(self.mult.n[i - 1], float(2**i)) for i in self._levels], float)
+        rows = rows.reshape(-1, 2)
+        self._n, self._base = rows[:, 0:1], rows[:, 1:2]
         self._half_n = self._n * 0.5
-        self._ln_4i = 2.0 * rows[:, 0:1] * LN2
-        self._last_offsets = (None, None)
+        self._inv_base = 1.0 / self._base  # 2^-i, exact
 
     # -- the even function f -------------------------------------------------
     def eval_log_abs_f(self, z: complex) -> float:
-        """sum_j n_j ln|1 - (z/2^j)^2|; -inf at an exact zero.
+        """ln|f(z)| = sum_j n_j ln|1 - (z/2^j)^2|: log_abs_f_offsets at t = 0."""
+        return float(self.log_abs_f_offsets(0.0, np.array([complex(z)]))[0])
 
-        Symmetric in z and -z, so f(-z) = f(z) exactly.  A factor whose
-        zero lies near z, |Re w| in (1/2, 3/2) and |Im w| < 1/2 with
-        w = z/2^j, is taken as ln(|1 - w| |1 + w|).  Where |q| =
-        |z/2^j|^2 passes 2^500, so that |q|^2 would overflow, the factor
-        is taken as -ln|v| + 0.5 log1p(|v|^2 - 2 Re v), v = 1/q.
+    def log_abs_f_offsets(self, t: float, offsets) -> np.ndarray:
+        """ln|f(t + x)| for an array of real or complex offsets x, t >= 0.
+
+        One code path serves both: a real x is the case Im x = 0, where
+        every form below reduces to real arithmetic, and moduli of complex
+        numbers are taken by hypot.  f is even, and at t = 0 the result is
+        exactly even in x.  Levels whose zero the window max|x| can approach
+        use the factored form |1 - (s/2^i)^2| = |(2^i - t) - x| |2^i + s|/4^i,
+        s = t + x, each distance scaled by 2^-i (exactly) before its log.
+        2^i - t is one rounding of the exact difference, exact by Sterbenz's
+        lemma where t lies within a factor 2 of 2^i, so there offsets far
+        below the float spacing of t still move the factor; -inf at an
+        exact zero.  Remote levels use the cancellation-free
+        0.5 log1p(|q|^2 - 2 Re q), q = (s/2^i)^2, which huge multiplicities
+        do not amplify.  Where |q| could pass 2^500, so that |q|^2 would
+        overflow, the remote form is taken as -2 ln r + 0.5 log1p(r^4 -
+        2 Re(1/q)), r = 2^i/|s|.  Both remote forms see s only through |s|
+        and cos(2 arg s).  All levels are evaluated at once, OFFSET_BLOCK
+        points at a time, and summed in level order.
         """
-        z = complex(z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError("argument must be finite")
-        size = abs(z)
-        # |w| = |z|/2^j lies in [1/2, 2) only at the levels j = e - 1, e,
-        # with |z| = m 2^e, m in [1/2, 1)
-        e = math.frexp(size)[1]
-        total = 0.0
-        for j, nj in enumerate(self.mult.n, start=1):
-            if nj == 0:
-                continue
-            if size > 2.0 ** (j + 250):
-                r = 2.0**j / z  # v = r^2, and ln|v| = 2 ln|r|
-                v = r * r
-                u = v.real * v.real + v.imag * v.imag - 2.0 * v.real
-                total += nj * 0.5 * (math.log1p(u) - 4.0 * math.log(abs(r)))
-                continue
-            w = z * 2.0**-j
-            if 0 <= e - j <= 1 and abs(w.imag) < 0.5 and 0.5 < abs(w.real) < 1.5:
-                # near the zero at w = +-1, where 1 + u below cancels:
-                # 1 -+ w is exact (Sterbenz), so |1 - q| = |1 - w||1 + w|
-                # keeps its relative accuracy
-                near = abs(1.0 - w) * abs(1.0 + w)
-                if near == 0.0:
-                    return NEG_INF
-                total += nj * math.log(near)
-                continue
-            q = w * w
-            # |1-q|^2 = 1 + u with u = -2 Re q + |q|^2; log1p keeps the
-            # tiny-u factors accurate under huge multiplicities.  Off the
-            # near branch w is at least 1/2 from +-1 or |w| is outside
-            # [1/2, 2), so |1 - q| >= 1/2 and u >= -3/4 never reaches -1
-            u = -2.0 * q.real + (q.real * q.real + q.imag * q.imag)
-            total += nj * 0.5 * math.log1p(u)
-        return total
-
-    def _level_offsets(self, t: float) -> np.ndarray:
-        """2^i - t per level (exact when t is an integer up to 2^62),
-        memoised for the last t, which a zoom_max search keeps."""
-        last_t, d = self._last_offsets
-        if d is None or last_t != t:
-            if float(t).is_integer() and t <= 2.0**62:
-                it = int(t)
-                d = np.array([float(2**i - it) for i in self._levels]).reshape(-1, 1)
-            else:
-                d = self._base - t
-            self._last_offsets = (t, d)
-        return d
-
-    def log_abs_f_offsets(self, t: float, offsets: np.ndarray) -> np.ndarray:
-        """ln|f(t + x)| for an array of real offsets x.
-
-        Levels whose zero the scan window can approach use the factored
-        form |1-(s/2^i)^2| = |(2^i - t) - x| (2^i + s)/4^i, with 2^i - t
-        carried exactly so offsets far below the float spacing of t still
-        move the factor.  Remote levels use the cancellation-free
-        0.5 log1p(-2q + q^2), q = s^2/4^i, which huge multiplicities do
-        not amplify.  Where q could pass 2^500, so that q^2 would overflow,
-        the remote form is taken as ln q + 0.5 log1p(1/q^2 - 2/q).  All
-        levels are evaluated at once, OFFSET_BLOCK points at a time, and
-        summed in level order.
-        """
-        d = self._level_offsets(t)
-        base = self._base
-        window = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
+        x = np.asarray(offsets)
+        window = float(np.max(np.abs(x))) if len(x) else 0.0
+        if not (math.isfinite(t) and math.isfinite(window)):
+            raise ValueError("ln|f| needs finite points")
+        base, inv = self._base, self._inv_base
+        d = base - t
         # the near levels are consecutive rows: 2^i in [(t - window)/1.5, 2(t + window)]
         near = np.flatnonzero(np.abs(d) <= 0.5 * base + window)
-        lo, hi = (near[0], near[-1] + 1) if len(near) else (0, 0)
-        # the levels whose q can pass 2^500 are the first rows: 2^i < s 2^-250
+        lo, hi = (near[0], near[-1] + 1) if len(near) else (len(d), len(d))
+        # the levels whose |q| can pass 2^500 are the first rows, 2^i < |s| 2^-250.
+        # Those below the near rows take the 1/q form: there t exceeds the
+        # window, so |s| > 1.5 2^i (elsewhere the near rows start at row 0)
         big = int(np.searchsorted(base[:, 0], (t + window) * 2.0**-250))
-        out = np.zeros_like(offsets)
+        huge = min(big, lo)
+        s = t + x
+        size = np.abs(s)
+        unit = s / np.maximum(size, np.finfo(float).tiny)
+        cos2x2 = 2.0 * np.real(unit * unit)  # 2 cos(2 arg s): 2 on the real axis
+        out = np.zeros(len(x))
         with np.errstate(divide="ignore"):
-            for k in range(0, len(offsets), OFFSET_BLOCK):
-                x = offsets[k : k + OFFSET_BLOCK]
-                s_pos = t + x
-                q = (s_pos / base[big:]) ** 2
+            for k in range(0, len(x), OFFSET_BLOCK):
+                block = slice(k, k + OFFSET_BLOCK)
                 # row 0 stays zero, so the sequential accumulate adds the
                 # levels to 0.0 one by one, exactly as a per-level loop would
-                terms = np.zeros((len(d) + 1, len(x)))
-                # log1p's argument (q-1)^2 - 1 never rounds below -1
-                terms[1 + big :] = self._half_n[big:] * np.log1p(q * q - 2.0 * q)
-                if big:
-                    r = base[:big] / s_pos  # 1/q = r^2, and ln q = -2 ln r
+                terms = np.zeros((len(d) + 1, len(size[block])))
+                # |q| = (|s|/2^i)^2 and Re q = |q| cos(2 arg s); log1p's
+                # argument |1 - q|^2 - 1 never rounds below -1
+                q = size[block] * inv[big:]
+                q *= q
+                terms[1 + big :] = self._half_n[big:] * np.log1p(q * q - q * cos2x2[block])
+                if huge:
+                    r = base[:huge] / size[block]
                     v = r * r
-                    terms[1 : 1 + big] = self._half_n[:big] * (
-                        np.log1p(v * v - 2.0 * v) - 4.0 * np.log(r)
+                    terms[1 : 1 + huge] = self._half_n[:huge] * (
+                        np.log1p(v * v - v * cos2x2[block]) - 4.0 * np.log(r)
                     )
-                lr = np.log(np.abs(d[lo:hi] - x)) + np.log(base[lo:hi] + s_pos)
-                terms[1 + lo : 1 + hi] = self._n[lo:hi] * (lr - self._ln_4i[lo:hi])
-                out[k : k + OFFSET_BLOCK] = np.add.accumulate(terms, axis=0)[-1]
+                left = np.log(np.abs(d[lo:hi] - x[block]) * inv[lo:hi])
+                right = np.log(np.abs(base[lo:hi] + s[block]) * inv[lo:hi])
+                terms[1 + lo : 1 + hi] = self._n[lo:hi] * (left + right)
+                out[block] = np.add.accumulate(terms, axis=0)[-1]
         return out
 
     def sup_at_ends(self, lo: float, hi: float) -> bool:
@@ -287,16 +255,19 @@ def domination_check(
     additionally uses that the dyadic zeros only coarsen the source zeros
     downward.  Slack: certified truncation error of the source evaluator
     plus 1e-9 relative float headroom.  A sample on a zero of f, where
-    ln|f| = -inf, satisfies both bounds; it is counted as on_zero.
+    ln|f| = -inf, satisfies both bounds; it is counted as on_zero.  ln|f|
+    takes all samples in one log_abs_f_offsets call, as offsets from 0.
     """
     rng = random.Random(rng_seed)
-    worst = math.inf
-    violations = on_zero = 0
+    zs = []
     for _ in range(samples):
         r = radius * math.sqrt(rng.random())
         theta = 2.0 * math.pi * rng.random()
-        z = complex(r * math.cos(theta), r * math.sin(theta))
-        lhs = model.eval_log_abs_f(z)
+        zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
+    lhs_all = model.log_abs_f_offsets(0.0, np.array(zs, complex)).tolist()
+    worst = math.inf
+    violations = on_zero = 0
+    for z, lhs in zip(zs, lhs_all):
         if lhs == NEG_INF:
             on_zero += 1
             continue
@@ -328,7 +299,8 @@ def schwarz_bound_check(
 
     Samples the circle of radius 2^j delta uniformly in angle plus random
     interior points of the disk.  A sample that rounds onto a zero of f,
-    where ln|f| = -inf, satisfies the bound; it is counted as on_zero.
+    where ln|f| = -inf, satisfies the bound; it is counted as on_zero.  ln|f|
+    takes all samples in one log_abs_f_offsets call, as offsets z - 2^j.
     """
     if not (1 <= j <= model.mult.j_max):
         raise ValueError("j outside the model range")
@@ -339,8 +311,7 @@ def schwarz_bound_check(
     nj = model.mult.n[j - 1]
     rhs = 2.0 * model.ln_w0_dyadic(j + 1) + nj * math.log(delta)
     slack = 1e-9 * (1.0 + abs(rhs))
-    worst = math.inf
-    violations = on_zero = 0
+    zs = []
     for k in range(samples):
         if k % 2 == 0:
             theta = 2.0 * math.pi * k / samples
@@ -348,15 +319,12 @@ def schwarz_bound_check(
         else:
             theta = 2.0 * math.pi * rng.random()
             rad = delta * math.sqrt(rng.random())
-        z = center * complex(1.0 + rad * math.cos(theta), rad * math.sin(theta))
-        lhs = model.eval_log_abs_f(z)
-        if lhs == NEG_INF:
-            on_zero += 1
-            continue
-        margin = rhs + slack - lhs
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+        zs.append(center * complex(1.0 + rad * math.cos(theta), rad * math.sin(theta)))
+    lhs = model.log_abs_f_offsets(center, np.array(zs, complex) - center)
+    on_zero = int(np.count_nonzero(lhs == NEG_INF))
+    margins = rhs + slack - lhs[lhs != NEG_INF]
+    worst = float(margins.min()) if len(margins) else math.inf
+    violations = int(np.count_nonzero(margins < 0))
     return CheckReport(
         name="schwarz-bound",
         passed=violations == 0,

@@ -9,7 +9,9 @@ Verdicts are three-valued and honest:
                         backs the verdict -- trend thresholds alone cannot
                         see triple-logarithmic divergence at any feasible
                         truncation, so certificates are first-class;
-  inconclusive          neither.
+  inconclusive          neither, or the series is known to converge but
+                        its tail bound is infinite (the certificate field
+                        says so): no trend overrules that knowledge.
 
 Partial-sum arrays accumulate nonnegative terms only (clamped via the
 documented onset rules), so they are nondecreasing.
@@ -218,6 +220,11 @@ def _finish(
     if tail is not None and math.isfinite(tail):
         verdict = VERDICT_CONV
         cert = None
+    elif tail is not None:
+        # a tail certificate exists only where the series is known to
+        # converge; a trend must not overrule that
+        verdict = VERDICT_INC
+        cert = "converges analytically, but no finite tail bound closes it at this truncation"
     elif div is not None and len(arr) and arr[-1] > 0.0:
         verdict = VERDICT_DIV
         thr = 0.0

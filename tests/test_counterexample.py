@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -85,6 +86,8 @@ class TestEvalF:
     def test_even(self, z):
         m = single_factor_model()
         assert m.eval_log_abs_f(z) == m.eval_log_abs_f(-z)
+        m = _powlog_model(60)
+        assert m.eval_log_abs_f(z * 2.0**30) == m.eval_log_abs_f(-z * 2.0**30)
 
     def test_imaginary_axis_saturates_weight_bound(self):
         seq = parse_sequence_spec("powlog:a=1,b=2")
@@ -95,13 +98,15 @@ class TestEvalF:
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_offsets_match_direct_eval(self):
+        # both forms, offsets from t and the point t + x, against mpmath
         seq = parse_sequence_spec("powlog:a=1,b=2")
         m = CounterexampleModel(dyadic_multiplicities(seq, 25))
         t = 2.0**7
-        xs = np.array([-3.0, -0.5, 0.25, 2.0])
-        vals = m.log_abs_f_offsets(t, xs)
-        for x, v in zip(xs, vals):
-            assert v == pytest.approx(m.eval_log_abs_f(t + x), rel=1e-10)
+        xs = np.array([-3.0, -0.5, 0.25, 2.0, 1.5j, -0.5 + 2j])
+        for x, v in zip(xs, m.log_abs_f_offsets(t, xs)):
+            exact = float(_mp_log_abs_f(m, t, x))
+            assert v == pytest.approx(exact, rel=1e-13)
+            assert m.eval_log_abs_f(t + x) == pytest.approx(exact, rel=1e-13)
 
     def test_past_q_2_500_matches_mpmath(self):
         # at |z| = 2^280 the low levels have |q| = |z/2^j|^2 above 2^500,
@@ -124,47 +129,128 @@ class TestEvalF:
 
 
 def _offsets_by_level(model, t, offsets):
-    """ln|f(t + x)| by a Python loop over the levels: the formula
-    log_abs_f_offsets must reproduce bit for bit."""
-    s_pos = t + offsets
+    """ln|f(t + x)| for real or complex offsets x by a Python loop over the
+    levels: the formula log_abs_f_offsets must reproduce bit for bit."""
+    s = t + offsets
+    size = np.abs(s)
+    unit = s / np.maximum(size, np.finfo(float).tiny)
+    cos2x2 = 2.0 * np.real(unit * unit)
     window = float(np.max(np.abs(offsets))) if len(offsets) else 0.0
-    out = np.zeros_like(offsets)
+    out = np.zeros(len(offsets))
     with np.errstate(divide="ignore"):
         for i, ni in enumerate(model.mult.n, start=1):
             if ni == 0:
                 continue
             base = float(2**i)
-            if float(t).is_integer() and t <= 2.0**62:
-                d = float(2**i - int(t))
-            else:
-                d = base - t
+            d = base - t
             if abs(d) <= 0.5 * base + window:
-                left = np.log(np.abs(d - offsets))
-                right = np.log(base + s_pos)
-                out += ni * (left + right - 2.0 * i * math.log(2.0))
+                left = np.log(np.abs(d - offsets) / base)
+                right = np.log(np.abs(base + s) / base)
+                out += ni * (left + right)
+            elif base < (t + window) * 2.0**-250:
+                r = base / size
+                v = r * r
+                out += ni * 0.5 * (np.log1p(v * v - v * cos2x2) - 4.0 * np.log(r))
             else:
-                q = (s_pos / base) ** 2
-                out += ni * 0.5 * np.log1p(q * q - 2.0 * q)
+                q = (size / base) ** 2
+                out += ni * 0.5 * np.log1p(q * q - q * cos2x2)
     return out
 
 
+def _mp_log_abs_f(model, t, x):
+    """sum_i n_i ln|1 - (s/2^i)^2| at s = t + x exactly, with 320-bit mpmath."""
+    from mpmath import mp, mpc, mpf
+
+    with mp.workprec(320):
+        s = mpf(t) + mpc(complex(x).real, complex(x).imag)
+        return mp.fsum(ni * mp.log(abs(1 - (s / mpf(2) ** i) ** 2))
+                       for i, ni in enumerate(model.mult.n, start=1) if ni)
+
+
+@functools.lru_cache(maxsize=None)
+def _powlog_model(j_max):
+    return CounterexampleModel(dyadic_multiplicities(parse_sequence_spec("powlog:a=1,b=2"), j_max))
+
+
+# a direction in the complex plane: the real axis both ways, the imaginary
+# axis, or any angle
+DIRECTION = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j]),
+    st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(math.cos(a), math.sin(a))),
+)
+
+
+class TestAgainstMpmath:
+    """|got - exact| <= 1e-13 (1 + |exact|) against a 320-bit product.
+
+    The near-level distances are scaled by 2^-i before their logs; logs of
+    the unscaled distances minus i ln 4 reach 9e-13 on these examples."""
+
+    @staticmethod
+    def _check(model, t, xs, got):
+        for x, g in zip(xs, got):
+            exact = _mp_log_abs_f(model, t, x)
+            if exact == -math.inf:  # z = t + x rounded onto the zero
+                assert g == NEG_INF, (t, x, g)
+                continue
+            assert abs(g - exact) <= 1e-13 * (1 + abs(exact)), (t, x, g, float(exact))
+
+    @given(j_max=st.sampled_from([30, 60, 300]), level=st.integers(0, 299),
+           rel=st.floats(-16.0, -10.0).map(lambda e: 10.0**e), direction=DIRECTION)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_next_to_a_zero(self, j_max, level, rel, direction):
+        # s = 2^j (1 + rel direction): offsets from t = 2^j carry it exactly,
+        # and z = s rounded is nearly the same point at t = 0
+        model = _powlog_model(j_max)
+        t = 2.0 ** (1 + level % j_max)
+        xs = np.array([t * rel * direction, -t * rel * direction])
+        self._check(model, t, xs, model.log_abs_f_offsets(t, xs))
+        zs = t + xs
+        self._check(model, 0.0, zs, [model.eval_log_abs_f(z) for z in zs])
+
+    @given(j_max=st.sampled_from([30, 60, 300]), log2_size=st.floats(-4.0, 280.0),
+           direction=DIRECTION, n=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_anywhere(self, j_max, log2_size, direction, n):
+        # |z| up to 2^280, where the low levels take the |q| > 2^500 form
+        model = _powlog_model(j_max)
+        zs = [2.0**log2_size * direction * (1.0 + 0.3 * k) for k in range(n)]
+        self._check(model, 0.0, zs, [model.eval_log_abs_f(z) for z in zs])
+        # the same points as complex offsets from a real t
+        t = 2.0 ** math.floor(log2_size)
+        xs = np.array(zs) - t
+        self._check(model, t, xs, model.log_abs_f_offsets(t, xs))
+
+
 class TestOffsetsMatchLevelLoop:
-    # integer t up to 2^62 (exact offsets), past 2^62, and non-integer t
+    # integer t up to 2^62, past 2^62, and non-integer t
     TS = (2.0**40, 3.0, 2.0**62, 2.0**63, 2.0**70, 2.0**40 + 0.5, 1234.567)
 
     @pytest.mark.parametrize("npts", [1024, 1000, 1, 0])
     def test_bit_identical(self, model60, npts):
         rng = np.random.default_rng(npts)
-        # t changes between calls, so a stale memoised t would show
-        for t in self.TS + self.TS[::-1]:
+        for t in self.TS:
             for radius in (1e-3, 0.25 * t):
                 xs = np.sort(rng.uniform(-radius, radius, npts))
                 if npts:
                     xs[npts // 2] = 0.0  # the zero itself when t = 2^j: -inf
-                got = model60.log_abs_f_offsets(t, xs)
-                want = _offsets_by_level(model60, t, xs)
-                assert got.shape == want.shape
-                assert (got == want).all(), (t, radius, npts)
+                for offsets in (xs, xs + 1j * rng.uniform(-radius, radius, npts)):
+                    got = model60.log_abs_f_offsets(t, offsets)
+                    want = _offsets_by_level(model60, t, offsets)
+                    assert got.shape == want.shape
+                    assert (got == want).all(), (t, radius, npts)
+
+    @pytest.mark.parametrize("t", [0.0, 2.0**30, 2.0**280])
+    def test_bit_identical_past_q_2_500(self, t):
+        # the 300-level model: at |s| = 2^280 the low levels take the
+        # |q| > 2^500 form unless they are near rows
+        model = _powlog_model(300)
+        rng = np.random.default_rng(7)
+        for radius in (1e-3, 2.0**270, 2.0**281):
+            xs = rng.uniform(-radius, radius, 70) + 1j * rng.uniform(-radius, radius, 70)
+            for offsets in (xs.real, xs, 1j * xs.imag):
+                got = model.log_abs_f_offsets(t, offsets)
+                assert (got == _offsets_by_level(model, t, offsets)).all(), (t, radius)
 
     def test_blocks_bound_the_temporaries(self, model60):
         import tracemalloc
@@ -312,7 +398,7 @@ class TestMinmodSup:
         t, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
         assert not model.sup_at_ends(t - r, t + r)
         ends = max(model.log_abs_f_offsets(t, np.array([-r, r])))
-        dense = max(model.eval_log_abs_f(s) for s in np.linspace(t - r, t + r, 2001))
+        dense = max(_offsets_by_level(model, 0.0, np.linspace(t - r, t + r, 2001)))
         assert dense > ends + 0.01
         got = minmod_sup(model, t, r, scan_density=256)
         assert got >= dense - 1e-12
@@ -349,7 +435,7 @@ class TestMinmodSup:
         r = z * 0.5 * (above + 0.5 * below)
         assume(model.sup_at_ends(t - r, t + r))
         got = minmod_sup(model, t, r, scan_density=64)
-        ref = max(model.eval_log_abs_f(s) for s in np.linspace(t - r, t + r, 1001))
+        ref = max(_offsets_by_level(model, 0.0, np.linspace(t - r, t + r, 1001)))
         scale = sum(mult) * (1.0 + math.log(1.0 + t + r))
         assert got >= ref - 1e-12 * scale, (got, ref)
 
@@ -395,7 +481,7 @@ class TestDomination:
         w = WeightEvaluator(parse_sequence_spec("geometric:r=2"))
         rep = domination_check(m, w, samples=20, rng_seed=1, radius=4.0)
         assert rep.details["on_zero"] == 0
-        m.eval_log_abs_f = lambda z: NEG_INF
+        m.log_abs_f_offsets = lambda t, xs: np.full(len(xs), NEG_INF)
         rep = domination_check(m, w, samples=20, rng_seed=1, radius=4.0)
         assert rep.details["on_zero"] == 20 and rep.details["violations"] == 0
 

@@ -185,6 +185,17 @@ class TestCriteria2:
         rep = criteria2_report(parse_sequence_spec("powlog:a=1,b=2"), 20_000)
         assert rep["diagnostics"]["loglog_j"].verdict == VERDICT_DIV
 
+    def test_known_convergence_is_not_overruled_by_a_trend(self):
+        # sum lnln(j)/r^j converges for every r > 1, but at r = 1 + 1e-7 the
+        # terms barely decay over j <= 20,000, so the partial sums pass the
+        # trend threshold while no finite tail bound can be formed
+        rep = criteria2_report(parse_sequence_spec("geometric:r=1.0000001"), 20_000)
+        for d in rep["diagnostics"].values():
+            assert d.verdict == VERDICT_INC
+            assert d.certificate.startswith("converges analytically")
+        loglog = rep["diagnostics"]["loglog_j"]
+        assert loglog.partial_sums[-1] > loglog.threshold_used > 0.0
+
     def test_explicit_three_zeros_finite(self):
         rep = criteria2_report(parse_sequence_spec("explicit:[0.9,2,4]"), 10)
         assert all(d.verdict == VERDICT_CONV for d in rep["diagnostics"].values())
