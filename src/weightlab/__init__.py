@@ -20,7 +20,6 @@ from .sequences import (
 from .weights import (
     WeightEvaluator,
     big_N,
-    distribution_n,
     modulus_bound_check,
     scaling_inequality_check,
     strong_nqa_tail_check,
@@ -39,12 +38,9 @@ from .criteria import (
     SeriesDiagnostic,
     criteria2_report,
     integral_cross_check,
-    loglog_series,
     msnq_omega_conditions,
     msnq_series,
     nqa_series,
-    permanence_checks,
-    positive_part_diff,
     profile_big_n,
     profile_log_omega,
     profile_n,
@@ -57,7 +53,6 @@ from .majorants import (
     RationalSeq,
     c_k_value,
     lambda_search,
-    necessary_limits_probe,
     s_k_nonneg_sweep,
     s_k_value,
     step_counterexample,

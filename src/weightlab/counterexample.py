@@ -70,7 +70,7 @@ def dyadic_multiplicities(seq: ZeroSequence, j_max: int) -> MultiplicityProfile:
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     if j_max > 1023:
-        raise ValueError(f"j_max {j_max} > 1023: the dyadic point 2^j overflows float64")
+        raise ValueError(f"--j-max {j_max} > 1023: the dyadic point 2^j overflows float64")
     counts = [seq.count_leq(2.0**j) for j in range(1, j_max + 1)]
     n = [counts[0]] + [counts[j] - counts[j - 1] for j in range(1, j_max)]
     return MultiplicityProfile(j_max=j_max, n=n, source_spec=seq.spec_string())
@@ -83,7 +83,7 @@ class CounterexampleModel:
     def __post_init__(self):
         if self.mult.j_max > MAX_MODEL_LEVEL:
             raise ValueError(
-                f"j_max {self.mult.j_max} > {MAX_MODEL_LEVEL}: the model's weight at "
+                f"--j-max {self.mult.j_max} > {MAX_MODEL_LEVEL}: the model's weight at "
                 f"2^(j_max+1) squares it, and 4^(j_max+1) overflows float64"
             )
         # one row per level with n_i > 0, in index order

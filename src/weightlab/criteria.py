@@ -29,8 +29,6 @@ from .sampling import SampledFunction
 from .sequences import DivergenceCertificate, ZeroSequence
 from .weights import WeightEvaluator, big_N
 
-LN2 = math.log(2.0)
-
 VERDICT_CONV = "convergent-certified"
 VERDICT_DIV = "divergent-trend"
 VERDICT_INC = "inconclusive"
@@ -47,13 +45,7 @@ class SeriesCertificates:
 
     nqa_tail: Optional[Callable[[int], float]] = None
     msnq_tail: Optional[Callable[[int], float]] = None
-    loglog_tail: Optional[Callable[[int], float]] = None
-    nqa_div: Optional[DivergenceCertificate] = None
     msnq_div: Optional[DivergenceCertificate] = None
-    loglog_div: Optional[DivergenceCertificate] = None
-
-    def get_tail(self, kind: str):
-        return getattr(self, f"{kind}_tail")
 
 
 @dataclass
@@ -82,88 +74,6 @@ class DyadicProfile:
     def index_range(self):
         return range(self.j_min, self.j_max + 1)
 
-    def scaled(self, c: float) -> "DyadicProfile":
-        """c * alpha; tails transform per term-wise comparison.
-
-        msnq terms pick up c ln(1/c) (a_j/2^j) when c < 1, bounded by the
-        nqa tail; for c >= 1 they scale by at most c.
-        """
-        if c <= 0:
-            raise ValueError("scale must be positive")
-        certs = SeriesCertificates(
-            nqa_div=self.certs.nqa_div,
-            msnq_div=self.certs.msnq_div,
-            loglog_div=self.certs.loglog_div,
-        )
-        old = self.certs
-        if old.nqa_tail:
-            certs.nqa_tail = lambda J, f=old.nqa_tail: c * f(J)
-        if old.loglog_tail:
-            certs.loglog_tail = lambda J, f=old.loglog_tail: c * f(J)
-        if old.msnq_tail:
-            extra = max(0.0, c * math.log(1.0 / c))
-            if extra == 0.0:
-                certs.msnq_tail = lambda J, f=old.msnq_tail: c * f(J)
-            elif old.nqa_tail:
-                certs.msnq_tail = (
-                    lambda J, f=old.msnq_tail, g=old.nqa_tail: c * f(J) + extra * g(J)
-                )
-        return DyadicProfile(
-            j_min=self.j_min,
-            values=c * self.values,
-            source=f"{c:g}*({self.source})",
-            from_increasing=self.from_increasing,
-            certs=certs,
-        )
-
-    def shifted(self, m: int) -> "DyadicProfile":
-        """alpha(2^m * .): values a_{j+m}; tails scale by 2^m at J+m."""
-        if m < 0:
-            raise ValueError("shift must be >= 0")
-        if m >= len(self.values):
-            raise ValueError("shift exceeds profile length")
-        certs = SeriesCertificates(
-            nqa_div=self.certs.nqa_div,
-            msnq_div=self.certs.msnq_div,
-            loglog_div=self.certs.loglog_div,
-        )
-        old = self.certs
-        for kind in ("nqa", "msnq", "loglog"):
-            f = old.get_tail(kind)
-            if f:
-                setattr(certs, f"{kind}_tail", lambda J, f=f: 2.0**m * f(J + m))
-        return DyadicProfile(
-            j_min=self.j_min,
-            values=self.values[m:],
-            source=f"shift{m}({self.source})",
-            from_increasing=self.from_increasing,
-            certs=certs,
-        )
-
-    def plus(self, other: "DyadicProfile") -> "DyadicProfile":
-        """alpha + beta on the overlapping range; tails add.
-
-        For the msnq series this uses (x+y) ln(T/(x+y)) <= x ln(T/x) +
-        y ln(T/y) for positive x, y with x + y <= T, with the clamped-at-0
-        reading on both sides.
-        """
-        if self.j_min != other.j_min:
-            raise ValueError("profiles must share j_min")
-        ln = min(len(self.values), len(other.values))
-        certs = SeriesCertificates()
-        for kind in ("nqa", "msnq", "loglog"):
-            f = self.certs.get_tail(kind)
-            g = other.certs.get_tail(kind)
-            if f and g:
-                setattr(certs, f"{kind}_tail", lambda J, f=f, g=g: f(J) + g(J))
-        return DyadicProfile(
-            j_min=self.j_min,
-            values=self.values[:ln] + other.values[:ln],
-            source=f"({self.source})+({other.source})",
-            from_increasing=self.from_increasing and other.from_increasing,
-            certs=certs,
-        )
-
 
 @dataclass
 class SeriesDiagnostic:
@@ -175,12 +85,6 @@ class SeriesDiagnostic:
     onset_index: int
     certificate: Optional[str] = None
     skipped_terms: int = 0
-
-    @property
-    def total_upper(self) -> Optional[float]:
-        if self.tail_bound is None or not len(self.partial_sums):
-            return None
-        return float(self.partial_sums[-1]) + self.tail_bound
 
     def to_dict(self) -> dict:
         """The JSON form, with the partial sums decimated to 64 points."""
@@ -256,7 +160,7 @@ def nqa_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnost
         partial.append(acc)
     if tail is None and p.certs.nqa_tail is not None:
         tail = p.certs.nqa_tail(p.j_max)
-    return _finish("nqa", partial, p.j_min, tail, p.certs.nqa_div)
+    return _finish("nqa", partial, p.j_min, tail, None)
 
 
 def msnq_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
@@ -299,46 +203,11 @@ def msnq_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnos
     return _finish("msnq", partial, onset, tail, p.certs.msnq_div, skipped)
 
 
-def loglog_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
-    """Partial sums of sum (a_j/2^j) ln j (terms from j = 2)."""
-    acc = 0.0
-    partial = []
-    if len(p.values) == 0:
-        return _finish("loglog", [], p.j_min, None, None)
-    for j, a in zip(p.index_range(), p.values):
-        if j >= 2:
-            acc += (a / 2.0**j) * math.log(j)
-        partial.append(acc)
-    if tail is None and p.certs.loglog_tail is not None:
-        tail = p.certs.loglog_tail(p.j_max)
-    return _finish("loglog", partial, max(p.j_min, 2), tail, p.certs.loglog_div)
-
-
-def positive_part_diff(p: DyadicProfile) -> DyadicProfile:
-    """Profile of (a_{j+1} - a_j)^+; satisfies sum b_j/2^j <= 2 sum a_j/2^j."""
-    if len(p.values) < 2:
-        raise ValueError("need at least two profile values")
-    b = np.maximum(np.diff(p.values), 0.0)
-    certs = SeriesCertificates(nqa_div=None)
-    if p.certs.nqa_tail is not None:
-        f = p.certs.nqa_tail
-        # (a_{j+1}-a_j)^+/2^j <= 2 a_{j+1}/2^(j+1) <= 2 * nqa-tail terms
-        certs.nqa_tail = lambda J, f=f: 2.0 * f(J)
-    return DyadicProfile(
-        j_min=p.j_min,
-        values=b,
-        source=f"posdiff({p.source})",
-        from_increasing=False,
-        certs=certs,
-    )
-
-
 # ---------------------------------------------------------------------------
 # profile constructors with family certificates
 
 def _family_certs(seq: ZeroSequence, profile: str) -> SeriesCertificates:
     fam = seq.family
-    certs = SeriesCertificates()
 
     def nqa_tail(J: int) -> float:
         # sum_{j>J} P(2^j)/2^j <= 2 int_T^inf P(t)/t^2 dt at T = 2^(J+1);
@@ -353,16 +222,13 @@ def _family_certs(seq: ZeroSequence, profile: str) -> SeriesCertificates:
         g = fam._log_weight_majorant(J + 1)
         return 2.0 * (g / T + nT / T + 0.5 * math.pi * fam.inv_tail(nT))
 
-    certs.nqa_tail = nqa_tail
-    msnq_t = lambda J: fam.dyadic_weighted_tail(profile, "msnq", J)
-    loglog_t = lambda J: fam.dyadic_weighted_tail(profile, "logj", J)
-    if fam.dyadic_weighted_tail(profile, "msnq", 40) is not None:
-        certs.msnq_tail = msnq_t
-    if fam.dyadic_weighted_tail(profile, "logj", 40) is not None:
-        certs.loglog_tail = loglog_t
-    certs.msnq_div = fam.dyadic_divergence(profile, "msnq")
-    certs.loglog_div = fam.dyadic_divergence(profile, "logj")
-    return certs
+    # a family without a msnq certificate returns None at every J, which
+    # msnq_series reads as no tail
+    return SeriesCertificates(
+        nqa_tail=nqa_tail,
+        msnq_tail=lambda J: fam.dyadic_weighted_tail(profile, J),
+        msnq_div=fam.dyadic_divergence(profile),
+    )
 
 
 def profile_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
@@ -573,55 +439,4 @@ def integral_cross_check(f: SampledFunction, kind: str, tail: Optional[float] = 
         "tail_bound": tail,
         "onset_t": onset_t,
         "j_range": [max(1, j_lo), j_hi],
-    }
-
-
-def permanence_checks(p: DyadicProfile, c: float, L: float, q: DyadicProfile) -> dict:
-    """Stability of the msnq verdict under scaling, dilation, sums and
-    pointwise domination."""
-    base = msnq_series(p)
-    scaled = msnq_series(p.scaled(c))
-    m = max(0, math.ceil(math.log2(L))) if L > 1 else 0
-    shifted = msnq_series(p.shifted(m)) if m < len(p.values) else None
-    summed = msnq_series(p.plus(q))
-
-    ln_q = min(len(p.values), len(q.values))
-    dominated = bool(np.all(q.values[:ln_q] <= p.values[:ln_q]))
-    q_diag = None
-    if dominated:
-        q_certs = SeriesCertificates()
-        if p.certs.msnq_tail and p.certs.nqa_tail:
-            # sum (b_j/2^j) ln(2^j/b_{j+1}) <= sum (b_j/2^j) ln(2^j/b_j)
-            #   <= sum (a_j/2^j) ln(2^j/a_j)            (x ln(T/x) monotone)
-            #   <= msnq-tail + sum (a_j/2^j) ln(a_{j+1}/a_j)
-            # and ln(a_{j+1}/a_j) <= (a_{j+1}-a_j)/a_j gives the 2x nqa tail.
-            f, g = p.certs.msnq_tail, p.certs.nqa_tail
-            q_certs.msnq_tail = lambda J, f=f, g=g: f(J) + 2.0 * g(J)
-        q_dom = DyadicProfile(
-            j_min=q.j_min,
-            values=q.values[:ln_q],
-            source=f"dominated({q.source})",
-            from_increasing=q.from_increasing,
-            certs=q_certs,
-        )
-        q_diag = msnq_series(q_dom)
-
-    checks = {
-        "scaled_keeps_verdict": scaled.verdict == base.verdict,
-        "shifted_keeps_verdict": shifted.verdict == base.verdict if shifted else None,
-        "sum_convergent": summed.verdict == VERDICT_CONV
-        if base.verdict == VERDICT_CONV and msnq_series(q).verdict == VERDICT_CONV
-        else None,
-        "dominated_inherits": (q_diag.verdict == VERDICT_CONV)
-        if (dominated and base.verdict == VERDICT_CONV and q_diag is not None)
-        else None,
-    }
-    return {
-        "base": base,
-        "scaled": scaled,
-        "shifted": shifted,
-        "summed": summed,
-        "dominated": q_diag,
-        "checks": checks,
-        "passed": all(v is not False for v in checks.values()),
     }

@@ -63,14 +63,6 @@ class RationalSeq:
     def __len__(self) -> int:
         return len(self.c)
 
-    @classmethod
-    def from_zero_sequence(cls, seq: ZeroSequence, m: int) -> "RationalSeq":
-        """c_k = k/t_k (nonincreasing exactly when t_k/k is nondecreasing)."""
-        if not seq.omega0_flag:
-            raise ValueError("needs a sequence with t_j/j nondecreasing")
-        vals = [Fraction(k) / Fraction(seq.term(k)) for k in range(1, m + 1)]
-        return cls(tuple(vals))
-
 
 def _integer_form(c: RationalSeq, k: int) -> tuple[int, list, list]:
     """(d, n, N) for c_1..c_{k+2}: d the lcm of their denominators,
@@ -456,43 +448,6 @@ def step_dyadic_tail(step: StepFunction, j_from: int) -> float:
             continue
         total += 2.0 / lth
     return total
-
-
-def necessary_limits_probe(
-    trace: SampledFunction, eps: float = 1e-3, dyadic: bool = True
-) -> dict:
-    """Sampled f(t)/t and f(t) ln t / t, with eventual-decay flags.
-
-    Either ratio staying away from 0 rules out domination by any
-    increasing (resp. subadditive) function with a convergent integral
-    against 1/t^2.
-    """
-    grid = trace.grid
-    vals = trace.values
-    if np.any(vals < 0):
-        raise ValueError("probe needs nonnegative trace")
-    if dyadic:
-        keep = [0]
-        for i in range(1, len(grid)):
-            if grid[i] >= 2.0 * grid[keep[-1]]:
-                keep.append(i)
-        grid, vals = grid[keep], vals[keep]
-    ratio1 = vals / grid
-    with np.errstate(invalid="ignore"):
-        ratio2 = vals * np.log(grid) / grid
-
-    def eventually_below(r):
-        # below eps on the whole final decade of the grid
-        k0 = max(0, int(0.9 * len(r)))
-        return bool(len(r) > k0) and bool(np.all(r[k0:] < eps))
-    return {
-        "t": grid.tolist(),
-        "f_over_t": ratio1.tolist(),
-        "f_logt_over_t": ratio2.tolist(),
-        "f_over_t_decays": eventually_below(ratio1),
-        "f_logt_over_t_decays": eventually_below(ratio2),
-        "eps": eps,
-    }
 
 
 def step_threshold_probe(step: StepFunction) -> dict:

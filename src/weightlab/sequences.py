@@ -17,6 +17,7 @@ diagnostics need.  Every tail-bound method documents the inequality it uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from math import lgamma
 from typing import Optional
@@ -31,10 +32,6 @@ from .tails import (
 )
 
 LN2 = math.log(2.0)
-
-# Index-series condition names: "i" sums ln^+(t_j/j)/t_j, "v" sums
-# ln^+ln(j)/t_j, "vi" sums ln^+ln(t_j)/t_j.
-INDEX_CONDITIONS = ("i", "v", "vi")
 
 
 class SequenceSpecError(ValueError):
@@ -53,16 +50,23 @@ class DivergenceCertificate:
     reason: str
 
 
+# term() takes an index as a float, and 2^1024 no longer converts to one
+MAX_INDEX = 2 ** (sys.float_info.max_exp - 1)
+
+
 def _bisect_count(term, t: float) -> int:
     """#{j >= 1 : term(j) <= t} for a nondecreasing term function."""
     if term(1) > t:
         return 0
     lo, hi = 1, 2
     while term(hi) <= t:
+        if hi == MAX_INDEX:
+            raise ValueError(
+                f"zero count n({t:g}) reaches 2^1023, and the next index bracket "
+                "2^1024 no longer converts to a float"
+            )
         lo = hi
         hi *= 2
-        if hi > 2**400:
-            raise ValueError("zero count exceeds 2^400")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if term(mid) <= t:
@@ -122,16 +126,15 @@ class Family:
     def index_series_divergence(self, cond: str) -> Optional[DivergenceCertificate]:
         return None
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> Optional[float]:
-        """Certified tail of sum_{j > j_from} (P(2^j)/2^j) * w(j).
+    def dyadic_weighted_tail(self, profile: str, j_from: int) -> Optional[float]:
+        """Certified tail of the msnq series sum_{j > j_from} (P(2^j)/2^j) w(j).
 
-        profile in {"n", "N", "lnw"}; weight in {"msnq", "logj"} where
-        "msnq" means w(j) = ln(2^j / P(2^(j+1))) clamped at 0 and "logj"
-        means w(j) = ln j.  Returns None when no certificate is available.
+        profile in {"n", "N", "lnw"}, and w(j) = ln(2^j / P(2^(j+1)))
+        clamped at 0.  Returns None when no certificate is available.
         """
         return None
 
-    def dyadic_divergence(self, profile: str, weight: str) -> Optional[DivergenceCertificate]:
+    def dyadic_divergence(self, profile: str) -> Optional[DivergenceCertificate]:
         return None
 
     def spec_string(self) -> str:
@@ -168,18 +171,14 @@ class Family:
             return j * LN2
         return max(0.0, j * LN2 - math.log(0.5 * LN2 * n_low))
 
-    def _dyadic_term_upper(self, profile: str, weight: str, j: int) -> float:
-        """Upper bound for one dyadic-series term, via exact counting."""
+    def _dyadic_term_upper(self, profile: str, j: int) -> float:
+        """Upper bound for one msnq-series term, via exact counting."""
         t = 2.0**j
         if profile == "n":
             p_up = float(self.count_leq(t))
         else:
             p_up = self._log_weight_majorant(j)
-        if weight == "msnq":
-            w = self._msnq_weight_bound(j)
-        else:
-            w = math.log(max(j, 2))
-        return p_up / t * w
+        return p_up / t * self._msnq_weight_bound(j)
 
 
 class GeometricFamily(Family):
@@ -250,23 +249,16 @@ class GeometricFamily(Family):
         c_sq = self.r**2 / (2.0 * (self.r**2 - 1.0))
         return a, 1.0, c_sq
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> float:
+    def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         j0 = max(j_from + 1, 3)
-        head = sum(
-            self._dyadic_term_upper(profile, weight, j) for j in range(j_from + 1, j0)
-        )
+        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
         a, b, c_sq = self._profile_majorant_coeffs()
         if profile == "n":
-            # terms <= (a j + b)/2^j * w(j)
-            if weight == "msnq":
-                # w <= j ln 2
-                return head + poly_geom_tail((a + b / j0) * LN2, 2, 0, 0.5, j0)
-            return head + poly_geom_tail(a + b / j0, 1, 1, 0.5, j0)
+            # terms <= (a j + b)/2^j * w(j), and w <= j ln 2
+            return head + poly_geom_tail((a + b / j0) * LN2, 2, 0, 0.5, j0)
         # N <= ln|w|; quadratic majorant q(j) = (a j + b)(j+0.5) ln2 + c_sq
         q_coeff = (a + b / j0) * (1.0 + 0.5 / j0) * LN2 + c_sq / j0**2
-        if weight == "msnq":
-            return head + poly_geom_tail(q_coeff * LN2, 3, 0, 0.5, j0)
-        return head + poly_geom_tail(q_coeff, 2, 1, 0.5, j0)
+        return head + poly_geom_tail(q_coeff * LN2, 3, 0, 0.5, j0)
 
     def spec_string(self) -> str:
         return f"geometric:r={self.r:g}"
@@ -330,23 +322,17 @@ class PowerFamily(Family):
             return log_pow_over_pow_tail(abs(math.log(self.a)) + 1.0, 1, self.a, k0)
         raise ValueError(f"unknown condition {cond!r}")
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> float:
+    def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         j0 = max(j_from + 1, 3, math.ceil(2.0 * self.a))
-        head = sum(
-            self._dyadic_term_upper(profile, weight, j) for j in range(j_from + 1, j0)
-        )
+        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
         x = 2.0 ** (1.0 / self.a - 1.0)  # n(2^j)/2^j <= x^j
         if profile == "n":
-            if weight == "msnq":
-                return head + poly_geom_tail(LN2, 1, 0, x, j0)
-            return head + poly_geom_tail(1.0, 0, 1, x, j0)
+            return head + poly_geom_tail(LN2, 1, 0, x, j0)
         # ln|w(2^j)| <= 2^(j/a)(j ln2 + ln2/2) + C 2^(j/a) where the leftover
         # square tail uses n(2^j) >= 2^(j/a) - 1 >= 2^(j/a)/2 for j >= 2a:
         # (1/2) 4^j inv_sq_tail(n) <= 2^(2a-2)/(2a-1) * 2^(j/a).
         c = LN2 + (0.5 * LN2 + 2.0 ** (2.0 * self.a - 2.0) / (2.0 * self.a - 1.0)) / j0
-        if weight == "msnq":
-            return head + poly_geom_tail(c * LN2, 2, 0, x, j0)
-        return head + poly_geom_tail(c, 1, 1, x, j0)
+        return head + poly_geom_tail(c * LN2, 2, 0, x, j0)
 
     def spec_string(self) -> str:
         return f"power:a={self.a:g}"
@@ -506,7 +492,7 @@ class PowLogFamily(Family):
             ),
         )
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> Optional[float]:
+    def dyadic_weighted_tail(self, profile: str, j_from: int) -> Optional[float]:
         """Certified tail for sum_{j>J} (P(2^j)/2^j) w(j), msnq-convergent case.
 
         Analytic part past j2: with u = j ln 2,
@@ -520,6 +506,12 @@ class PowLogFamily(Family):
         """
         if not self.msnq_convergent:
             return None
+        # powers of ln u in the term bound: one from the msnq weight, one
+        # more from an N or ln|w| profile
+        q = 2 if profile in ("N", "lnw") else 1
+        if self.a == 1.0 and self.b - q <= 1.0:
+            # a = 1: terms <= coeff/(u (ln u)^(b-q)) need b - q > 1
+            return None
         j2 = max(j_from, 64)
         # kappa1: ln(n_lower(2^j)) >= kappa1 * u with u = j ln2, for j > j2;
         # the correction (a ln u + b lnln u + 2)/u decreases in u, so the
@@ -532,7 +524,7 @@ class PowLogFamily(Family):
             j2 *= 2
         total = 0.0
         for j in range(j_from + 1, j2 + 1):
-            total += self._dyadic_term_upper(profile, weight, j)
+            total += self._dyadic_term_upper(profile, j)
         kappa1 = 1.0 - corr
         # P(2^j)/2^j for P = n: n_up(2^j)/2^j <= 1/((ln M)^a (lnln M)^b)
         # with M = n_lower(2^j), ln M >= kappa1 u and lnln M >= kap_log ln u
@@ -546,20 +538,12 @@ class PowLogFamily(Family):
         # msnq weight <= a ln u + b lnln u + 5 <= w_c * ln u (frozen at u2)
         w_c = (self.a * lu2 + self.b * llu2 + 5.0) / lu2
         coeff = base_c
-        q = 0
         if profile in ("N", "lnw"):
             coeff *= prof_c
-            q += 1
-        if weight == "msnq":
-            coeff *= w_c
-            q += 1
-        else:
-            # ln j <= ln u / ln2-correction: ln j = ln(u/ln2) <= ln u * (1 + |lnln2|/ln u2)
-            coeff *= 1.0 + abs(math.log(LN2)) / math.log(u2)
-            q += 1
+        coeff *= w_c
         # remaining power of (ln u): q - b could be negative; fold negative
         # powers into the constant at u2 ((ln u)^-s decreasing)
-        s = self.b - 0.0
+        s = self.b
         q_eff = q - s
         if q_eff <= 0:
             coeff *= math.log(u2) ** q_eff
@@ -574,26 +558,23 @@ class PowLogFamily(Family):
             from .tails import log_pow_over_pow_tail
 
             return total + log_pow_over_pow_tail(c2, q_int, self.a, j2)
-        # a = 1, b > 2: terms <= coeff / (u (ln u)^(s-q)) with s-q > 1 needed
+        # a = 1, b > 2: terms <= coeff / (u (ln u)^(s-q)), s - q > 1 (above)
         s_eff = s - q
-        if s_eff <= 1.0:
-            return None
         kap = 1.0 + math.log(LN2) / math.log(j2)  # ln(j ln2) >= kap ln j
         c2 = coeff / LN2 * kap ** (-s_eff)
         return total + inv_log_pow_tail(c2, s_eff, j2)
 
-    def dyadic_divergence(self, profile: str, weight: str) -> Optional[DivergenceCertificate]:
+    def dyadic_divergence(self, profile: str) -> Optional[DivergenceCertificate]:
         if self.msnq_convergent:
             return None
-        kind = "ln(2^j/P(2^(j+1)))" if weight == "msnq" else "ln j"
         return DivergenceCertificate(
-            series=f"dyadic-{profile}-{weight}",
+            series=f"dyadic-{profile}-msnq",
             reason=(
                 "sum ln(t_j/j)/t_j diverges for this family (integral "
                 "comparison; see the index-series certificate), and the "
                 "distribution, max-term and log-weight profiles inherit "
-                f"divergence of the dyadic sums weighted by {kind} through "
-                "the standard two-sided dyadic/integral comparisons"
+                "divergence of the dyadic sums weighted by ln(2^j/P(2^(j+1))) "
+                "through the standard two-sided dyadic/integral comparisons"
             ),
         )
 
@@ -662,20 +643,16 @@ class ExplicitFamily(Family):
                 total += max(0.0, math.log(math.log(tk))) / tk if tk > 1.0 else 0.0
         return total
 
-    def dyadic_weighted_tail(self, profile: str, weight: str, j_from: int) -> float:
-        # P(2^j) <= m (j ln2 + ln sqrt2 + max(0, -ln t_1)), m = len(values)
+    def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
+        # P(2^j) <= m (j ln2 + ln sqrt2 + max(0, -ln t_1)), m = len(values),
+        # and the msnq weight is at most j ln 2
         m = len(self.values)
         c = 0.5 * LN2 + max(0.0, -math.log(self.values[0]))
         j0 = max(j_from + 1, 3)
-        head = sum(
-            self._dyadic_term_upper(profile, weight, j) for j in range(j_from + 1, j0)
-        )
-        amp = float(m) if profile == "n" else m * (LN2 + c / j0)
-        w_pow = 1 if weight == "msnq" else 0
-        w_logpow = 0 if weight == "msnq" else 1
-        p = (0 if profile == "n" else 1) + w_pow
-        coeff = amp * (LN2 if weight == "msnq" else 1.0)
-        return head + poly_geom_tail(coeff, p, w_logpow, 0.5, j0)
+        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
+        if profile == "n":
+            return head + poly_geom_tail(m * LN2, 1, 0, 0.5, j0)
+        return head + poly_geom_tail(m * (LN2 + c / j0) * LN2, 2, 0, 0.5, j0)
 
     def spec_string(self) -> str:
         inner = ",".join(f"{v:g}" for v in self.values)

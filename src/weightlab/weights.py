@@ -175,14 +175,6 @@ class WeightEvaluator:
         return self.eval_log_abs_omega_complex(complex(0.0, -r))
 
 
-def distribution_n(seq: ZeroSequence, t: float) -> int:
-    """n(t) = #{j : t_j <= t}, exact (bisection on the closed form)."""
-    t = _check_finite_real(t)
-    if t <= 0:
-        raise ValueError("argument must be positive")
-    return seq.count_leq(t)
-
-
 def big_N(seq: ZeroSequence, t: float) -> tuple[float, int]:
     """(N(t), argmax) with N(t) = ln max(1, sup_k t^k/(t_1...t_k)).
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from weightlab import parse_sequence_spec
 from weightlab.cli import main
 
 
@@ -54,11 +55,21 @@ class TestBasics:
         assert code == 2 and not out
         assert "overflows float64" in err
 
-    def test_zero_count_past_2_400_exits_2(self):
-        code, out, err = run_cli(["cx", "contradict", "--seq", "powlog:a=1,b=2",
-                                  "--j-max", "600"])
+    def test_powlog_models_build_past_level_400(self):
+        # n(2^j) passes 2^400 near j = 414; every level up to the bounds
+        # 510 (a model) and 1023 (cx build) still counts
+        code, out, _ = run_cli(["cx", "contradict", "--seq", "powlog:a=1,b=2",
+                                "--j-max", "510", "--scan-density", "8"])
+        assert code == 0
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        for j_max in (510, 1023):
+            code, out, _ = run_cli(["cx", "build", "--seq", "powlog:a=1,b=2",
+                                    "--j-max", str(j_max)])
+            assert code == 0
+            assert json.loads(out)["total"] == seq.count_leq(2.0**j_max)
+        code, out, err = run_cli(["cx", "build", "--seq", "powlog:a=1,b=2", "--j-max", "1024"])
         assert code == 2 and not out
-        assert "zero count exceeds 2^400" in err
+        assert "--j-max 1024 > 1023" in err
 
     @pytest.mark.parametrize("argv", [
         ["majorant", "alpha", "--seq", "geometric:r=1.0000001", "--grid", "1:1e6:5"],

@@ -14,7 +14,6 @@ from weightlab import (
     minmod_radius_scan,
     classic_beta_family,
     contradiction_experiment,
-    distribution_n,
     domination_check,
     dyadic_multiplicities,
     minmod_sup,
@@ -46,7 +45,7 @@ class TestMultiplicities:
         acc = 0
         for j, nj in enumerate(mult.n, start=1):
             acc += nj
-            assert acc == distribution_n(seq, 2.0**j)
+            assert acc == seq.count_leq(2.0**j)
 
     def test_far_zeros_give_empty_profile(self):
         seq = ZeroSequence(ExplicitFamily([2.0**30]), j_cut=10)
@@ -60,7 +59,7 @@ class TestMultiplicities:
         values = sorted(values)
         seq = ZeroSequence(ExplicitFamily(values), j_cut=100)
         mult = dyadic_multiplicities(seq, 21)
-        assert mult.total == distribution_n(seq, 2.0**21)
+        assert mult.total == seq.count_leq(2.0**21)
 
 
 class TestEvalF:

@@ -10,13 +10,10 @@ from weightlab import (
     criteria2_report,
     integral_cross_check,
     log_grid,
-    loglog_series,
     msnq_omega_conditions,
     msnq_series,
     nqa_series,
     parse_sequence_spec,
-    permanence_checks,
-    positive_part_diff,
     profile_log_omega,
     profile_n,
     WeightEvaluator,
@@ -33,10 +30,8 @@ def profile_from_callable(fn, j_min, j_max, from_increasing=True):
     )
 
 
-def plain_profile(values, j_min=1, increasing=True):
-    return DyadicProfile(
-        j_min=j_min, values=np.array(values, float), from_increasing=increasing
-    )
+def plain_profile(values):
+    return DyadicProfile(j_min=1, values=np.array(values, float), from_increasing=True)
 
 
 class TestNqaSeries:
@@ -46,7 +41,7 @@ class TestNqaSeries:
         p = profile_n(geo, 40)
         d = nqa_series(p)
         assert d.verdict == VERDICT_CONV
-        assert d.partial_sums[-1] <= 2.0 <= d.total_upper
+        assert d.partial_sums[-1] <= 2.0 <= d.partial_sums[-1] + d.tail_bound
         assert d.partial_sums[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_terms_divergent_trend(self):
@@ -64,7 +59,7 @@ class TestNqaSeries:
 
     def test_partial_sums_nondecreasing(self):
         p = profile_n(parse_sequence_spec("powlog:a=1,b=2"), 30)
-        for series in (nqa_series(p), msnq_series(p), loglog_series(p)):
+        for series in (nqa_series(p), msnq_series(p)):
             assert np.all(np.diff(series.partial_sums) >= -1e-15)
 
 
@@ -100,61 +95,16 @@ class TestMsnqSeries:
             msnq_series(p)
 
 
-class TestLogLogSeries:
-    def test_linear_profile_certified(self):
-        geo = parse_sequence_spec("geometric:r=2")
-        d = loglog_series(profile_n(geo, 40))
-        assert d.verdict == VERDICT_CONV
-        oracle = sum(j * math.log(j) / 2.0**j for j in range(2, 41))
-        assert d.partial_sums[-1] == pytest.approx(oracle, rel=1e-12)
-
-    def test_constant_terms_divergent(self):
-        # a_j = 2^j/ln j: terms (1/ln j) ln j = 1
-        p = profile_from_callable(
-            lambda t: t / math.log(math.log2(t) + 1e-9) if t >= 4 else 0.0,
-            2, 44, from_increasing=True,
-        )
-        d = loglog_series(p)
-        assert d.verdict == VERDICT_DIV
-
-    def test_empty_profile_inconclusive(self):
-        d = loglog_series(DyadicProfile(j_min=1, values=np.array([])))
-        assert d.verdict == VERDICT_INC
-
-
 class TestPositivePartDiff:
-    def test_increasing(self):
-        p = plain_profile([1, 2, 3, 4])
-        b = positive_part_diff(p)
-        assert list(b.values) == [1.0, 1.0, 1.0]
-
-    def test_decreasing_input(self):
-        p = plain_profile([5, 1, 1], increasing=False)
-        assert list(positive_part_diff(p).values) == [0.0, 0.0]
-
-    def test_sum_comparison_bound(self):
-        # sum (a_{j+1}-a_j)^+/2^j <= 2 sum a_j/2^j
-        rng = np.random.default_rng(3)
-        vals = np.cumsum(rng.uniform(0, 5, size=30))
-        p = plain_profile(vals)
-        b = positive_part_diff(p)
-        lhs = sum(v / 2.0**j for j, v in zip(b.index_range(), b.values))
-        rhs = sum(v / 2.0**j for j, v in zip(p.index_range(), p.values))
-        assert lhs <= 2.0 * rhs + 1e-12
-
-    def test_short_profile_errors(self):
-        with pytest.raises(ValueError):
-            positive_part_diff(plain_profile([1.0]))
-
     def test_matches_dyadic_multiplicities(self):
         from weightlab import dyadic_multiplicities
 
         seq = parse_sequence_spec("powlog:a=1,b=2")
         p = profile_n(seq, 30)
-        b = positive_part_diff(p)
+        b = np.maximum(np.diff(p.values), 0.0)
         mult = dyadic_multiplicities(seq, 30)
-        # b_j = n(2^{j+1}) - n(2^j) = multiplicity at level j+1
-        assert list(b.values) == [float(v) for v in mult.n[1:30]]
+        # (n(2^{j+1}) - n(2^j))^+ = multiplicity at level j+1
+        assert list(b) == [float(v) for v in mult.n[1:30]]
 
 
 class TestOmegaSix:
@@ -248,24 +198,6 @@ class TestIntegralCrossCheck:
 
 
 class TestPermanence:
-    def test_certified_family_stability(self):
-        seq = parse_sequence_spec("geometric:r=2")
-        p = profile_n(seq, 40)
-        q = profile_n(seq, 40).scaled(0.5)
-        rep = permanence_checks(p, c=2.0, L=2.0, q=q)
-        assert rep["passed"], rep["checks"]
-        assert rep["base"].verdict == VERDICT_CONV
-        assert rep["scaled"].verdict == VERDICT_CONV
-        assert rep["summed"].verdict == VERDICT_CONV
-        assert rep["dominated"].verdict == VERDICT_CONV
-
-    def test_divergent_preserved_under_halving(self):
-        seq = parse_sequence_spec("powlog:a=1,b=2")
-        p = profile_n(seq, 50)
-        rep = permanence_checks(p, c=0.5, L=2.0, q=p.scaled(0.25))
-        assert rep["base"].verdict == VERDICT_DIV
-        assert rep["scaled"].verdict == VERDICT_DIV
-
     def test_verdict_monotone_in_length(self):
         # enlarging J never downgrades convergent-certified
         seq = parse_sequence_spec("geometric:r=2")

@@ -19,7 +19,6 @@ from weightlab import (
     c_k_value,
     lambda_search,
     log_grid,
-    necessary_limits_probe,
     parse_sequence_spec,
     s_k_nonneg_sweep,
     s_k_value,
@@ -139,13 +138,6 @@ class TestRationalSeq:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             RationalSeq((1, 0))
-
-    def test_from_zero_sequence_uses_index_over_zero(self):
-        geo = parse_sequence_spec("geometric:r=2")
-        c = RationalSeq.from_zero_sequence(geo, 4)
-        assert c.c[0] == Fraction(1, 2)  # 1/t_1
-        assert c.c[1] == Fraction(2, 4)
-        assert c.c[2] == Fraction(3, 8)
 
 
 class TestCombinatorialCore:
@@ -385,27 +377,3 @@ class TestStepCounterexample:
             bound = step_dyadic_tail(st_fn, J)
             brute = sum(st_fn.value(2.0**j) / 2.0**j for j in range(J + 1, 90))
             assert bound >= brute
-
-    def test_necessary_limits_probe(self):
-        st_fn = step_counterexample(5)
-        rep = necessary_limits_probe(st_fn.trace(40))
-        # f(t)/t decays but f(t) ln t / t returns to 1 at each threshold
-        assert not rep["f_logt_over_t_decays"]
-
-    def test_constant_trace_decays(self):
-        from weightlab import SampledFunction
-
-        grid = log_grid(1.0, 2.0**40, 200)
-        rep = necessary_limits_probe(SampledFunction(grid, np.full_like(grid, 5.0)))
-        assert rep["f_over_t_decays"]
-        assert rep["f_logt_over_t_decays"]
-
-    def test_log_weight_probe_decays(self):
-        seq = parse_sequence_spec("geometric:r=2")
-        w = WeightEvaluator(seq)
-        grid = log_grid(1.0, 2.0**30, 120)
-        vals = np.array([w.eval_log_abs_omega(float(t))[0] for t in grid])
-        from weightlab import SampledFunction
-
-        rep = necessary_limits_probe(SampledFunction(grid, vals), eps=1e-3)
-        assert rep["f_over_t_decays"] and rep["f_logt_over_t_decays"]

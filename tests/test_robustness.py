@@ -3,7 +3,7 @@
 
 Specs and numeric options are drawn at the edges the library documents:
 near-degenerate families (r, a -> 1+, powlog b -> 1+), model levels up to
-MAX_MODEL_LEVEL, radii and grid points from 1e-300 to 1e300, Schwarz
+MAX_MODEL_LEVEL (1023 for cx build), radii and grid points from 1e-300 to 1e300, Schwarz
 deltas down to 1e-17 and tiny enumeration caps.  Examples are derandomized,
 so every run sees the same ones.
 """
@@ -74,6 +74,12 @@ def test_cx_schwarz(seq, j_max, js, deltas, samples, seed):
 def test_cx_dominate(seq, j_max, radius, samples, seed):
     _run(["cx", "dominate", *seq, "--j-max", str(j_max), "--radius", repr(radius),
           "--samples", str(samples), "--seed", str(seed)])
+
+
+@given(seq=SEQ, j_max=st.integers(1, 1023))
+@_settings(15)
+def test_cx_build(seq, j_max):
+    _run(["cx", "build", *seq, "--j-max", str(j_max)])
 
 
 @given(seq=SEQ, j_max=st.integers(1, 120),

@@ -90,6 +90,16 @@ class TestCounting:
         n = fam.count_leq(2.0**60)
         assert fam.term(n) <= 2.0**60 < fam.term(n + 1)
 
+    @pytest.mark.parametrize("fam", [PowLogFamily(1.0, 2.0), PowerFamily(1.0000001)])
+    def test_count_at_the_largest_dyadic_point(self, fam):
+        # counts past 2^400 (the 2^1023 level needs about 2^1009 and 2^1023
+        # zeros) still bracket t, and a count whose next bracket would not
+        # convert to a float raises instead of overflowing in term()
+        n = fam.count_leq(2.0**1023)
+        assert fam.term(n) <= 2.0**1023 < fam.term(n + 1)
+        with pytest.raises(ValueError, match="2\\^1024 no longer converts to a float"):
+            PowerFamily(1.0000001).count_leq(1.7e308)
+
     def test_explicit_infinite_tail(self):
         fam = ExplicitFamily([1.0, 2.0, 3.0])
         assert fam.count_leq(10.0) == 3
@@ -140,17 +150,25 @@ class TestTailBounds:
             assert fam.index_series_tail(cond, 100) is None
             assert fam.index_series_divergence(cond) is not None
 
+    def test_powlog_msnq_tail_needs_b_above_powers(self):
+        # a = 1: the term bound falls as 1/(u (ln u)^(b-q)), q = 1 for the
+        # n profile and 2 for ln|w|, so b = 2.5 certifies only the n profile
+        fam = PowLogFamily(1.0, 2.5)
+        assert math.isfinite(fam.dyadic_weighted_tail("n", 30))
+        for J in (30, 40, 1000):
+            assert fam.dyadic_weighted_tail("lnw", J) is None
+        assert PowLogFamily(1.0, 2.0).dyadic_weighted_tail("n", 30) is None
+
     @pytest.mark.parametrize("spec", ["geometric:r=2", "power:a=2", "powlog:a=3,b=0"])
-    @pytest.mark.parametrize("profile", ["n", "lnw"])
-    @pytest.mark.parametrize("weight", ["msnq", "logj"])
-    def test_dyadic_weighted_tails_dominate(self, spec, profile, weight):
+    @pytest.mark.parametrize("profile", ["n", "lnw"], ids=lambda p: f"msnq-{p}")
+    def test_dyadic_weighted_tails_dominate(self, spec, profile):
         fam = parse_sequence_spec(spec).family
         J = 16
-        bound = fam.dyadic_weighted_tail(profile, weight, J)
+        bound = fam.dyadic_weighted_tail(profile, J)
         assert bound is not None
         brute = 0.0
         for j in range(J + 1, 120):
-            brute += fam._dyadic_term_upper(profile, weight, j)
+            brute += fam._dyadic_term_upper(profile, j)
         # _dyadic_term_upper itself over-estimates the true terms, so this
         # is a strictly harder comparison than against the true series
         assert bound >= 0.999 * brute

@@ -12,7 +12,6 @@ from weightlab import (
     ZeroSequence,
     ExplicitFamily,
     big_N,
-    distribution_n,
     modulus_bound_check,
     parse_sequence_spec,
     scaling_inequality_check,
@@ -221,18 +220,13 @@ class TestTermPrefix:
 class TestDistribution:
     def test_geometric_counts(self):
         seq = parse_sequence_spec("geometric:r=2")
-        assert distribution_n(seq, 5.0) == 2
-        assert distribution_n(seq, 1.0) == 0
+        assert seq.count_leq(5.0) == 2
+        assert seq.count_leq(1.0) == 0
 
     def test_powlog_enumeration_oracle(self):
         seq = parse_sequence_spec("powlog:a=1,b=2")
         count = sum(1 for j in range(1, 10_000) if seq.term(j) <= 100.0)
-        assert distribution_n(seq, 100.0) == count
-
-    def test_domain(self):
-        seq = parse_sequence_spec("geometric:r=2")
-        with pytest.raises(ValueError):
-            distribution_n(seq, 0.0)
+        assert seq.count_leq(100.0) == count
 
 
 class TestBigN:
