@@ -54,8 +54,15 @@ class DivergenceCertificate:
 MAX_INDEX = 2 ** (sys.float_info.max_exp - 1)
 
 
+def _check_count_arg(t: float) -> None:
+    """n(nan) has no value: every comparison with nan is false."""
+    if math.isnan(t):
+        raise ValueError("zero count n(t) needs a number, got nan")
+
+
 def _bisect_count(term, t: float) -> int:
     """#{j >= 1 : term(j) <= t} for a nondecreasing term function."""
+    _check_count_arg(t)
     if term(1) > t:
         return 0
     lo, hi = 1, 2
@@ -607,6 +614,7 @@ class ExplicitFamily(Family):
     def count_leq(self, t: float) -> int:
         import bisect
 
+        _check_count_arg(t)
         return bisect.bisect_right(self.values, t)
 
     def inv_tail(self, k_from: int) -> float:

@@ -1,13 +1,26 @@
 """Evaluation of ln|w| for canonical products w(z) = prod (1 + iz/t_j).
 
-All real-argument sums are one-sided truncations: omitted terms are
-nonnegative, so eval_log_abs_omega returns (value, err) with the true
-ln|w(t)| inside [value, value + err].  Complex-argument sums can omit terms
-of either sign; there |true - value| <= err.
+A point z (real t is z = t + 0i) sums the zeros t_1..t_J, where the
+family's tail bound sets J (capped by j_cut), in two ways:
 
-Accumulation is in fixed ascending-j order: one float64 sum per 2^18-term
-chunk, Neumaier-compensated across chunks (bit-deterministic, thread-count
-independent).  An evaluator enumerates each t_j once, into a kept prefix.
+- its head, every t_j <= |z|/_EPS rounded up to a _SERIES_BLOCK boundary,
+  and the last incomplete block, by the log of each factor;
+- the complete blocks past the head by the power series
+  ln|1 + iz/t_j| = Re sum_k (-1)^(k+1) (iz/t_j)^k / k, cut after
+  k = _ORDER, from sums of t_j^-k that the evaluator computes once per
+  block.  What the cut omits is at most
+  |z|^(K+1) sum_j t_j^-(K+1) / ((K+1)(1 - _EPS)), K = _ORDER.
+
+err is the bound on the zeros past J plus that remainder.  At a real
+point every omitted term is nonnegative and the cut series ends on a
+negative term, so eval_log_abs_omega returns (value, err) with the true
+ln|w(t)| inside [value, value + err].  Complex-argument sums can err
+either way; there |true - value| <= err.
+
+Accumulation is in fixed order, bit-deterministic and thread-count
+independent: one float64 sum per 2^18-term chunk of logs, one correctly
+rounded sum over the far blocks, Neumaier-compensated across the parts.
+An evaluator enumerates each t_j once, into a kept prefix.
 """
 
 from __future__ import annotations
@@ -23,6 +36,14 @@ from .sequences import ExplicitFamily, ZeroSequence
 NEG_INF = float("-inf")
 _CHUNK = 1 << 18
 _BLOCK = 1 << 15  # prefix entries filled per terms() call
+# the far-zero series: a zero is far from z once |z|/t_j <= _EPS; the
+# series keeps _ORDER terms (even, so a real point's cut series lies below
+# its sum), and power sums are kept per _SERIES_BLOCK zeros
+_EPS = 2.0**-6
+_ORDER = 8
+_SERIES_BLOCK = 1 << 12
+_SUM_GROUP = 4  # blocks per numpy call when the power sums are filled
+_SERIES_COEF = np.array([(-1.0) ** (k + 1) / k for k in range(1, _ORDER + 1)])
 
 
 def _check_finite_real(t: float) -> float:
@@ -42,14 +63,26 @@ def _finite_result(x, value: float, err: float) -> tuple[float, float]:
     return value, err
 
 
+def _compensated_sum(parts) -> float:
+    """Neumaier-compensated sum of the floats in parts, in their order."""
+    total = comp = 0.0
+    for part in parts:
+        s = total + part
+        comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
+        total = s
+    return total + comp
+
+
 @dataclass
 class WeightEvaluator:
     """Truncated evaluator of ln|w| with a certified tail bound.
 
     The enumeration length at argument t is the smallest J with
     (t^2/2) * sum_{j>J} 1/t_j^2 <= tol (capped by sequence.j_cut); the
-    actual certified bound at the chosen J is reported as err.  t_1..t_J
-    of the largest J so far stay in a prefix; sums run in scratch rows.
+    actual certified bound at the chosen J, plus the far-zero series'
+    remainder, is reported as err.  t_1..t_J of the largest J so far stay
+    in a prefix, with power sums for each of its complete blocks; sums of
+    logs run in scratch rows.
     """
 
     sequence: ZeroSequence
@@ -59,6 +92,10 @@ class WeightEvaluator:
         self._prefix = np.empty(0)
         self._n_finite = 0  # entries of the prefix before its first inf
         self._scratch = np.empty((2, _CHUNK))  # pages are touched on use
+        # per complete block b of the prefix: s_b = 2^e <= its first zero,
+        # and in column b the sums of (s_b/t_j)^k for k = 1.._ORDER+1
+        self._scale = np.empty(0)
+        self._powsums = np.empty((_ORDER + 1, 0))
 
     def _finite_terms(self, j_max: int) -> np.ndarray:
         """The finite t_1..t_{j_max}, first as t_j is nondecreasing: a view of
@@ -83,12 +120,21 @@ class WeightEvaluator:
                 start = stop
         return t[: min(j_max, self._n_finite)]
 
+    def _cutoff(self, point, x: float, bound) -> tuple[int, float]:
+        """J and bound(J), bound(J) bounding what the zeros past J add: from
+        past the last zero <= x, at least 16, doubled until bound(J) <= tol.
+        x is about 8|point|, and a closed-form family cannot count up to x = inf,
+        where ln|w(point)| overflows float64."""
+        seq = self.sequence
+        if x == math.inf and not isinstance(seq.family, ExplicitFamily):
+            raise ValueError(f"ln|w| at {point!r} overflows float64 (8|z| = inf)")
+        return seq.cutoff(bound, self.tol, max(16, seq.count_leq(x)), seq.j_cut)
+
     def _choose_cutoff(self, t: float) -> tuple[int, float]:
         """J and tail bound for the real log-sum: from past the last zero
         <= 8t, doubled until (t^2/2) sum_{j>J} 1/t_j^2 <= tol."""
         fam = self.sequence.family
-        return self.sequence.cutoff(lambda j: 0.5 * t * t * fam.inv_sq_tail(j), self.tol,
-                                    max(16, fam.count_leq(8.0 * t)), self.sequence.j_cut)
+        return self._cutoff(t, 8.0 * t, lambda j: 0.5 * t * t * fam.inv_sq_tail(j))
 
     def eval_log_abs_omega(self, t: float) -> tuple[float, float]:
         """(value, err): value <= ln|w(t)| <= value + err.
@@ -108,25 +154,75 @@ class WeightEvaluator:
             r = np.divide(t, tj, out=rows[0])
             return np.log1p(np.multiply(r, r, out=r), out=r)
 
-        return _finite_result(t, self._half_log_sum(j_max, log_chunk), err)
+        value, rem = self._log_sum(complex(t, 0.0), t, j_max, log_chunk)
+        return _finite_result(t, value, err + rem)
 
-    def _half_log_sum(self, j_max: int, log_chunk) -> float:
-        """(1/2) sum of log_chunk(tj, scratch rows) over _CHUNK-term chunks
-        of the finite t_1..t_{j_max}, compensated; -inf on None."""
+    def _log_sum(self, z: complex, r: float, j_max: int, log_chunk) -> tuple[float, float]:
+        """(value, series remainder bound) of ln|w(z)| over the finite
+        t_1..t_{j_max}, r = |z|: (1/2) the sum of log_chunk(tj, scratch
+        rows) over _CHUNK-term chunks of the head and of the last incomplete
+        block, plus the series over the complete blocks between them; value
+        -inf when log_chunk returns None (an exact zero)."""
         terms = self._finite_terms(j_max)
-        total = comp = 0.0
-        for start in range(0, len(terms), _CHUNK):
-            tj = terms[start : start + _CHUNK]
-            # an overflow reaches the result as inf or nan, which callers reject
-            with np.errstate(over="ignore"):
-                logs = log_chunk(tj, self._scratch[:, : len(tj)])
-            if logs is None:
-                return NEG_INF
-            part = 0.5 * float(np.sum(logs))
-            s = total + part
-            comp += (total - s) + part if abs(total) >= abs(part) else (part - s) + total
-            total = s
-        return total + comp
+        b = _SERIES_BLOCK
+        n = len(terms) // b  # complete blocks
+        h = -(-int(terms.searchsorted(r / _EPS, "right")) // b) if n else 0  # head blocks
+        runs = (terms,) if h >= n else (terms[: h * b], terms[n * b :])
+        parts = []
+        for run in runs:
+            for start in range(0, len(run), _CHUNK):
+                tj = run[start : start + _CHUNK]
+                # an overflow reaches the result as inf or nan, which callers reject
+                with np.errstate(over="ignore"):
+                    logs = log_chunk(tj, self._scratch[:, : len(tj)])
+                if logs is None:
+                    return NEG_INF, 0.0
+                parts.append(0.5 * float(np.sum(logs)))
+        if h >= n:
+            return _compensated_sum(parts), 0.0
+        far, rem = self._series(z, r, terms, h, n)
+        return _compensated_sum(parts + [far]), rem
+
+    def _series(self, z: complex, r: float, terms: np.ndarray, lo: int, hi: int
+                ) -> tuple[float, float]:
+        """Re sum_{k <= _ORDER} (-1)^(k+1) (iz)^k P_k / k, P_k the sum of
+        t_j^-k over the complete blocks lo..hi-1 of terms, and the bound
+        r^(K+1) P_(K+1) / ((K+1)(1 - _EPS)) on what the cut omits.  Block b
+        enters as (iz/s_b)^k times its scaled sums, |iz/s_b| < 2 _EPS, so
+        nothing overflows; the blocks' values are summed correctly rounded."""
+        self._fill_power_sums(terms, hi)
+        w = (1j * z) / self._scale[lo:hi]
+        pw = np.cumprod(np.broadcast_to(w, (_ORDER + 1, hi - lo)), axis=0)  # w^1..w^(K+1)
+        sums = self._powsums[:, lo:hi]
+        value = math.fsum(np.sum(_SERIES_COEF[:, None] * pw[:_ORDER].real * sums[:_ORDER], axis=0))
+        rem = math.fsum(np.abs(pw[_ORDER]) * sums[_ORDER]) / ((_ORDER + 1) * (1.0 - _EPS))
+        return value, rem
+
+    def _fill_power_sums(self, terms: np.ndarray, n_blocks: int) -> None:
+        """Extend the kept scales and power sums to the first n_blocks
+        complete blocks of terms, _SUM_GROUP blocks per numpy call.  Each
+        block's sums are row reductions over its own zeros, so they do not
+        depend on the grouping: a warm evaluator equals a fresh one bit for
+        bit."""
+        have = len(self._scale)
+        if have >= n_blocks:
+            return
+        b = _SERIES_BLOCK
+        tb = terms[have * b : n_blocks * b].reshape(-1, b)
+        scale = np.ldexp(1.0, np.frexp(tb[:, 0])[1] - 1)  # 2^e <= each block's first zero
+        sums = np.empty((_ORDER + 1, len(tb)))
+        x, p = np.empty((_SUM_GROUP, b)), np.empty((_SUM_GROUP, b))
+        for i in range(0, len(tb), _SUM_GROUP):
+            group = tb[i : i + _SUM_GROUP]
+            m = len(group)
+            xg = np.divide(scale[i : i + m, None], group, out=x[:m])
+            pg = p[:m]
+            np.copyto(pg, xg)
+            np.add.reduce(pg, axis=1, out=sums[0, i : i + m])
+            for k in range(1, _ORDER + 1):
+                np.add.reduce(np.multiply(pg, xg, out=pg), axis=1, out=sums[k, i : i + m])
+        self._scale = np.concatenate((self._scale, scale))
+        self._powsums = np.concatenate((self._powsums, sums), axis=1)
 
     def _complex_cutoff(self, z: complex) -> tuple[int, float]:
         """J and two-sided tail bound for the complex log-sum.
@@ -137,11 +233,10 @@ class WeightEvaluator:
         so the tail is bounded by |z|^2 S2(J) + 2|Im z| S1(J).
         """
         fam = self.sequence.family
-        r = abs(z)
+        r = math.hypot(z.real, z.imag)
         b = abs(z.imag)
-        return self.sequence.cutoff(
-            lambda j: r * r * fam.inv_sq_tail(j) + 2.0 * b * fam.inv_tail(j), self.tol,
-            max(16, fam.count_leq(max(8.0 * r, 2.0))), self.sequence.j_cut)
+        return self._cutoff(z, max(8.0 * r, 2.0),
+                            lambda j: r * r * fam.inv_sq_tail(j) + 2.0 * b * fam.inv_tail(j))
 
     def eval_log_abs_omega_complex(self, z: complex) -> tuple[float, float]:
         """(value, err) with |ln|w(z)| - value| <= err; -inf at an exact zero.
@@ -164,8 +259,8 @@ class WeightEvaluator:
             np.add(np.multiply(sq, sq, out=sq), np.multiply(sq_a, sq_a, out=sq_a), out=sq)
             return None if np.any(sq == 0.0) else np.log(sq, out=sq)
 
-        value = self._half_log_sum(j_max, log_chunk)
-        return (NEG_INF, 0.0) if value == NEG_INF else _finite_result(z, value, err)
+        value, rem = self._log_sum(z, math.hypot(a, b), j_max, log_chunk)
+        return (NEG_INF, 0.0) if value == NEG_INF else _finite_result(z, value, err + rem)
 
     def eval_log_omega_neg_imag(self, r: float) -> tuple[float, float]:
         """ln w(-i r) = sum ln(1 + r/t_j), the modulus-bound comparator."""

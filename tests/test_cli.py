@@ -55,6 +55,14 @@ class TestBasics:
         assert code == 2 and not out
         assert "overflows float64" in err
 
+    @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2"])
+    def test_eval_at_the_top_of_the_float_range_exits_2(self, spec):
+        # 8t overflows to inf: the evaluator refuses the point before its
+        # cutoff would count the zeros up to inf
+        code, out, err = run_cli(["weight", "eval", "--seq", spec, "--t", "1.7e308"])
+        assert code == 2 and not out
+        assert "overflows float64" in err and "2^1023" not in err
+
     def test_powlog_models_build_past_level_400(self):
         # n(2^j) passes 2^400 near j = 414; every level up to the bounds
         # 510 (a model) and 1023 (cx build) still counts

@@ -100,6 +100,13 @@ class TestCounting:
         with pytest.raises(ValueError, match="2\\^1024 no longer converts to a float"):
             PowerFamily(1.0000001).count_leq(1.7e308)
 
+    @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2", "explicit:[1,2,3]"])
+    def test_nan_has_no_count(self, spec):
+        # every comparison with nan is false, so a bisection would return
+        # its first bracket (1, or the list's length) instead of failing
+        with pytest.raises(ValueError, match="nan"):
+            parse_sequence_spec(spec).count_leq(math.nan)
+
     def test_explicit_infinite_tail(self):
         fam = ExplicitFamily([1.0, 2.0, 3.0])
         assert fam.count_leq(10.0) == 3

@@ -17,8 +17,10 @@ from weightlab import (
     scaling_inequality_check,
     strong_nqa_tail_check,
 )
+from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK
 
 NEG_INF = float("-inf")
+_U = 2.0**-53  # unit roundoff of float64
 
 
 def single_zero(t1=1.0):
@@ -130,6 +132,32 @@ def _reference(seq, x):
     return total + comp, err
 
 
+def _allowance(seq, x):
+    """How far the evaluator may lie from _reference at x: the far-zero
+    series' remainder, bounded over every zero past |x|/_EPS (a superset of
+    the far blocks), plus gamma_{J+32} times the sum of |terms|."""
+    w = WeightEvaluator(seq)
+    j_max, _ = w._choose_cutoff(x) if isinstance(x, float) else w._complex_cutoff(x)
+    tj = seq.terms(1, j_max)
+    tj = tj[np.isfinite(tj)]
+    r = abs(x)
+    far = tj[tj > r / _EPS]
+    rem = float(np.sum((r / far) ** (_ORDER + 1))) / ((_ORDER + 1) * (1.0 - _EPS))
+    mag = 0.5 * float(np.sum(np.abs(np.log(np.abs(1.0 + 1j * x / tj) ** 2))))
+    n = j_max + 32
+    return rem * (1.0 + 1e-12) + n * _U / (1.0 - n * _U) * mag
+
+
+def _assert_near_reference(w, seq, x):
+    """w's value lies within _allowance of the all-log reference, and its
+    err is the reference's tail bound plus at most that allowance."""
+    v, err = w.eval_log_abs_omega(x) if isinstance(x, float) else w.eval_log_abs_omega_complex(x)
+    v_ref, err_ref = _reference(seq, x)
+    bound = _allowance(seq, x)
+    assert abs(v - v_ref) <= bound, (x, v, v_ref, bound)
+    assert err_ref <= err <= err_ref + bound, (x, err, err_ref)
+
+
 def _warm_matches_fresh(seq, ts, zs):
     """A warm evaluator agrees exactly with a fresh one per point, whether
     its prefix grows along an ascending grid or all at once."""
@@ -159,11 +187,29 @@ class TestTermPrefix:
         seq = parse_sequence_spec(spec, j_cut=(1 << 18) + 5)
         ts = [2.0, 5e3, 1e7]
         _warm_matches_fresh(seq, ts, self.ZS[1:3])
+        # the far zeros are summed by the series, not by logs: the values
+        # lie within its remainder and the summation's rounding of the
+        # all-log reference, and err adds the remainder to the tail bound
         warm = WeightEvaluator(seq)
-        for t in ts:
-            assert warm.eval_log_abs_omega(t) == _reference(seq, t)
-        for z in self.ZS[1:3]:
-            assert warm.eval_log_abs_omega_complex(z) == _reference(seq, z)
+        for x in ts + self.ZS[1:3]:
+            _assert_near_reference(warm, seq, x)
+        assert warm._powsums.shape[1] > 0  # some point had far blocks
+
+    @given(spec=st.sampled_from(["powlog:a=1,b=2", "power:a=2", "geometric:r=1.001", "explicit"]),
+           kind=st.sampled_from(["real", "complex", "neg-imag"]),
+           log_r=st.floats(-3.0, 150.0), theta=st.floats(0.0, 2.0 * math.pi))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_series_within_its_bound(self, spec, kind, log_r, theta):
+        # 3 complete blocks and a partial one: a point's head, far blocks
+        # and last incomplete block all occur, at |x| up to 1e150
+        j_cut = 3 * _SERIES_BLOCK + 17
+        if spec == "explicit":
+            seq = ZeroSequence(ExplicitFamily([j**1.5 for j in range(1, j_cut + 1)]), j_cut=j_cut)
+        else:
+            seq = parse_sequence_spec(spec, j_cut=j_cut)
+        r = 10.0**log_r
+        x = {"real": r, "complex": cmath.rect(r, theta), "neg-imag": complex(0.0, -r)}[kind]
+        _assert_near_reference(WeightEvaluator(seq), seq, x)
 
     def test_prefix_ending_in_inf(self):
         # 2^j overflows float64 from j = 1024 on; past t = 1e154, t^2
@@ -173,7 +219,8 @@ class TestTermPrefix:
         for t in (3e299, 1e300):
             with pytest.raises(ValueError, match="overflows float64"):
                 warm.eval_log_abs_omega(t)
-        for z in (1e300 * cmath.exp(0.7j), complex(0.0, -1e300)):
+        # |z| of the last point is past the float range itself
+        for z in (1e300 * cmath.exp(0.7j), complex(0.0, -1e300), complex(1.5e308, 1.5e308)):
             with pytest.raises(ValueError, match="overflows float64"):
                 warm.eval_log_abs_omega_complex(z)
         # the prefix now ends in inf, and a finite point still matches
