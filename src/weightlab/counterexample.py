@@ -71,7 +71,7 @@ def dyadic_multiplicities(seq: ZeroSequence, j_max: int) -> MultiplicityProfile:
         raise ValueError("j_max must be >= 1")
     if j_max > 1023:
         raise ValueError(f"--j-max {j_max} > 1023: the dyadic point 2^j overflows float64")
-    counts = [seq.count_leq(2.0**j) for j in range(1, j_max + 1)]
+    counts = seq.count_leq(2.0 ** np.arange(1, j_max + 1, dtype=float))
     n = [counts[0]] + [counts[j] - counts[j - 1] for j in range(1, j_max)]
     return MultiplicityProfile(j_max=j_max, n=n, source_spec=seq.spec_string())
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .sampling import SampledFunction
 from .sequences import DivergenceCertificate, ZeroSequence
-from .weights import WeightEvaluator, big_N
+from .weights import WeightEvaluator, big_n_levels
 
 VERDICT_CONV = "convergent-certified"
 VERDICT_DIV = "divergent-trend"
@@ -219,7 +219,7 @@ def _family_certs(seq: ZeroSequence, profile: str) -> SeriesCertificates:
         nT = fam.count_leq(T)
         if profile == "n":
             return 2.0 * (nT / T + fam.inv_tail(nT))
-        g = fam._log_weight_majorant(J + 1)
+        g = fam._log_weight_majorant(J + 1, nT)
         return 2.0 * (g / T + nT / T + 0.5 * math.pi * fam.inv_tail(nT))
 
     # a family without a msnq certificate returns None at every J, which
@@ -233,10 +233,9 @@ def _family_certs(seq: ZeroSequence, profile: str) -> SeriesCertificates:
 
 def profile_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
     """a_j = n(2^j), exact counts."""
-    vals = [float(seq.count_leq(2.0**j)) for j in range(1, j_max + 1)]
     return DyadicProfile(
         j_min=1,
-        values=np.array(vals),
+        values=np.array(seq.count_leq(2.0 ** np.arange(1.0, j_max + 1)), dtype=float),
         source=f"n-profile({seq.spec_string()})",
         from_increasing=True,
         certs=_family_certs(seq, "n"),
@@ -245,10 +244,9 @@ def profile_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
 
 def profile_big_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
     """a_j = N(2^j) = ln max(1, sup_k 2^jk/(t_1..t_k))."""
-    vals = [big_N(seq, 2.0**j)[0] for j in range(1, j_max + 1)]
     return DyadicProfile(
         j_min=1,
-        values=np.array(vals),
+        values=big_n_levels(seq, 2.0 ** np.arange(1.0, j_max + 1))[0],
         source=f"N-profile({seq.spec_string()})",
         from_increasing=True,
         certs=_family_certs(seq, "N"),

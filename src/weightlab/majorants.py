@@ -200,6 +200,7 @@ class ConcaveSeriesMajorant:
     _cumlog: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._t = np.empty(0)  # t_1..t_K, kept for counting
         self._cumlog = np.zeros(1)  # cumlog[k] = sum_{i<=k} ln t_i
         fam = self.sequence.family
         self._cap = math.inf if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
@@ -210,6 +211,7 @@ class ConcaveSeriesMajorant:
             return
         k = min(max(k, 2 * have, 1024), self._cap)
         tj = self.sequence.terms(have + 1, k)
+        self._t = np.concatenate([self._t, tj])
         fin = np.isfinite(tj)
         logs = np.where(fin, np.log(np.where(fin, tj, 1.0)), np.inf)
         ext = self._cumlog[-1] + np.cumsum(np.asarray(logs, dtype=np.longdouble))
@@ -224,7 +226,10 @@ class ConcaveSeriesMajorant:
         if not (t > 0) or not math.isfinite(t):
             raise ValueError("need finite t > 0")
         x = 4.0 * t
-        k_star = self.sequence.count_leq(2.0 * x) + self._EXTRA
+        n = int(self._t.searchsorted(2.0 * x, "right"))
+        if n == len(self._t):  # the kept t_j end at or below 2x
+            n = self.sequence.count_leq(2.0 * x)
+        k_star = n + self._EXTRA
         if k_star + 1 > self._cap:
             raise KEvalError(
                 f"alpha({t:g}) needs {k_star + 1} inner-series terms, more than "

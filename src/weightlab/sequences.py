@@ -9,9 +9,11 @@ be +inf from some index on, meaning a finite product).  Four families ship:
                              t_1 = t_2 = t_3;  needs a > 1, or a = 1 and b > 1
     explicit:[v1,v2,...]     finite nondecreasing list, +inf beyond
 
-Each family knows how to count zeros below a threshold exactly (bisection on
-the closed form), and carries analytic tail bounds for the sums its series
-diagnostics need.  Every tail-bound method documents the inequality it uses.
+Each family defines t_j once, as a numpy expression over an array of indices
+(`_at`).  Enumeration, single terms and the exact zero count n(t) all read
+it, so n(t) counts exactly the zeros that every sum includes.  Each family
+also carries analytic tail bounds for the sums its series diagnostics need.
+Every tail-bound method documents the inequality it uses.
 """
 
 from __future__ import annotations
@@ -50,37 +52,18 @@ class DivergenceCertificate:
     reason: str
 
 
-# term() takes an index as a float, and 2^1024 no longer converts to one
-MAX_INDEX = 2 ** (sys.float_info.max_exp - 1)
+# the zero count reads t_j at float indices up to 2^1023, the largest power
+# of two below 2^1024, which no longer converts to a float
+_TOP = 2.0 ** (sys.float_info.max_exp - 1)
+_ONE_BITS, _TOP_BITS = np.array([1.0, _TOP]).view(np.int64)
+_INNER = np.arange(1, 64)  # a search cell's inner points, in steps
 
 
-def _check_count_arg(t: float) -> None:
-    """n(nan) has no value: every comparison with nan is false."""
-    if math.isnan(t):
-        raise ValueError("zero count n(t) needs a number, got nan")
-
-
-def _bisect_count(term, t: float) -> int:
-    """#{j >= 1 : term(j) <= t} for a nondecreasing term function."""
-    _check_count_arg(t)
-    if term(1) > t:
-        return 0
-    lo, hi = 1, 2
-    while term(hi) <= t:
-        if hi == MAX_INDEX:
-            raise ValueError(
-                f"zero count n({t:g}) reaches 2^1023, and the next index bracket "
-                "2^1024 no longer converts to a float"
-            )
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if term(mid) <= t:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _last_index(x: float) -> int:
+    """The largest integer j with float(j) == x, for an integer-valued x >= 1:
+    past 2^53, j rounds to the nearest float, ties to an even mantissa."""
+    ulp = int(math.ulp(x))
+    return int(x) + ulp // 2 - (int(x) // ulp) % 2 if ulp > 1 else int(x)
 
 
 class Family:
@@ -89,16 +72,49 @@ class Family:
     name = "base"
 
     # -- enumeration ------------------------------------------------------
-    def term(self, j: int) -> float:
+    def _at(self, j: np.ndarray) -> np.ndarray:
+        """t_j at an array of integer-valued float indices j >= 1; an index
+        past 2^53 is the float it rounds to.  The one definition of t_j."""
         raise NotImplementedError
 
     def terms(self, j_from: int, j_to: int) -> np.ndarray:
-        """t_j for j in [j_from, j_to], vectorized."""
-        return np.array([self.term(j) for j in range(j_from, j_to + 1)])
+        """t_j for j in [j_from, j_to]."""
+        return self._at(np.arange(j_from, j_to + 1, dtype=float))
 
-    def count_leq(self, t: float) -> int:
-        """Exact n(t) = #{j : t_j <= t}."""
-        return _bisect_count(self.term, t)
+    def count_leq(self, t):
+        """Exact n(t) = #{j : t_j <= t}: an int for one threshold, a list of
+        ints for an array of them.  Each count n has t_n <= t < t_{n+1}.
+
+        The search runs over the bit patterns b of the floats x in
+        [1, 2^1023], which order like the floats, and reads t at the
+        integer floor(x), so t is nondecreasing in b.  Each step splits
+        every cell [lo, hi] into 64 and keeps the part before the first
+        inner point where t exceeds the threshold.  A cell is closed once
+        its two indices are adjacent integers, or adjacent floats past
+        2^53; further steps keep the lower index of a closed cell.
+        """
+        flat = np.array(t, dtype=float).reshape(-1, 1)
+        if np.isnan(flat).any():
+            raise ValueError("zero count n(t) needs a number, got nan")
+        first, last = self._at(np.array([1.0, _TOP]))
+        if (flat >= last).any():
+            raise ValueError(
+                f"zero count n({flat[flat >= last][0]:g}) reaches 2^1023, and the next "
+                "index bracket 2^1024 no longer converts to a float"
+            )
+        below = flat < first  # no zero, and a cell closed from the start
+        lo = np.full(flat.shape, _ONE_BITS)  # t at x(lo) <= threshold < t at x(hi)
+        hi = np.full(flat.shape, _TOP_BITS)
+        while True:
+            x_lo = np.floor(lo.view(float))
+            if ((hi - lo == 1) | (np.floor(hi.view(float)) - x_lo == 1) | below).all():
+                break
+            step = (hi - lo + 63) >> 6
+            ok = self._at(np.floor((lo + step * _INNER).view(float))) <= flat
+            c = ok.cumprod(axis=1).sum(axis=1, keepdims=True)
+            lo, hi = lo + step * c, np.minimum(hi, lo + step * (c + 1))
+        counts = [0 if z else _last_index(x) for z, x in zip(below.flat, x_lo.flat)]
+        return counts if np.ndim(t) else counts[0]
 
     # -- certified tails ---------------------------------------------------
     def inv_tail(self, k_from: int) -> float:
@@ -148,15 +164,14 @@ class Family:
         raise NotImplementedError
 
     # -- shared helpers -----------------------------------------------------
-    def _log_weight_majorant(self, j: int) -> float:
-        """Upper bound for ln|w(2^j)| usable inside tail sums.
+    def _log_weight_majorant(self, j: int, n: int) -> float:
+        """Upper bound for ln|w(2^j)| usable inside tail sums, n = n(2^j).
 
         ln prod (1+t^2/t_k^2)^(1/2) <= sum_{t_k <= t} (ln sqrt(2) + ln(t/t_k))
         + (t^2/2) sum_{t_k > t} 1/t_k^2, evaluated at t = 2^j with exact
         counting and the family lower bound on the cumulated logs.
         """
         t = 2.0**j
-        n = self.count_leq(t)
         if n == 0:
             extra = 0.5 * t * t * self.inv_sq_tail(0)
             return extra
@@ -178,14 +193,16 @@ class Family:
             return j * LN2
         return max(0.0, j * LN2 - math.log(0.5 * LN2 * n_low))
 
-    def _dyadic_term_upper(self, profile: str, j: int) -> float:
-        """Upper bound for one msnq-series term, via exact counting."""
-        t = 2.0**j
-        if profile == "n":
-            p_up = float(self.count_leq(t))
-        else:
-            p_up = self._log_weight_majorant(j)
-        return p_up / t * self._msnq_weight_bound(j)
+    def _dyadic_terms_upper(self, profile: str, j_from: int, j_to: int) -> list:
+        """Upper bounds for the msnq-series terms at levels j_from..j_to,
+        via exact counts of every level in one call."""
+        levels = range(j_from, j_to + 1)
+        counts = self.count_leq(2.0 ** np.array(levels, dtype=float)) if levels else []
+        out = []
+        for j, n in zip(levels, counts):
+            p_up = float(n) if profile == "n" else self._log_weight_majorant(j, n)
+            out.append(p_up / 2.0**j * self._msnq_weight_bound(j))
+        return out
 
 
 class GeometricFamily(Family):
@@ -199,15 +216,9 @@ class GeometricFamily(Family):
         self.r = float(r)
         self._lnr = math.log(self.r)
 
-    def term(self, j: int) -> float:
-        try:
-            return self.r**j
-        except OverflowError:
-            return math.inf
-
-    def terms(self, j_from: int, j_to: int) -> np.ndarray:
+    def _at(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.r ** np.arange(j_from, j_to + 1, dtype=float)
+            return self.r**j
 
     def inv_tail(self, k_from: int) -> float:
         # sum_{k > K} r^-k = r^-K / (r - 1), exact
@@ -229,7 +240,7 @@ class GeometricFamily(Family):
 
     def omega0_tail_claim(self) -> bool:
         # r^(j+1)/(j+1) >= r^j/j iff r >= 1 + 1/j; true for all j >= j0,
-        # the prefix check covers the finитely many early indices.
+        # the prefix check covers the finitely many early indices.
         return True
 
     def index_series_tail(self, cond: str, k_from: int) -> float:
@@ -258,7 +269,7 @@ class GeometricFamily(Family):
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         j0 = max(j_from + 1, 3)
-        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
+        head = sum(self._dyadic_terms_upper(profile, j_from + 1, j0 - 1))
         a, b, c_sq = self._profile_majorant_coeffs()
         if profile == "n":
             # terms <= (a j + b)/2^j * w(j), and w <= j ln 2
@@ -281,15 +292,9 @@ class PowerFamily(Family):
             raise SequenceSpecError("power family needs a > 1")
         self.a = float(a)
 
-    def term(self, j: int) -> float:
-        try:
-            return float(j) ** self.a
-        except OverflowError:
-            return math.inf
-
-    def terms(self, j_from: int, j_to: int) -> np.ndarray:
+    def _at(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return np.arange(j_from, j_to + 1, dtype=float) ** self.a
+            return j**self.a
 
     def inv_tail(self, k_from: int) -> float:
         # sum_{k>K} k^-a <= integral_K^inf x^-a dx = K^(1-a)/(a-1), K >= 1
@@ -331,7 +336,7 @@ class PowerFamily(Family):
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         j0 = max(j_from + 1, 3, math.ceil(2.0 * self.a))
-        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
+        head = sum(self._dyadic_terms_upper(profile, j_from + 1, j0 - 1))
         x = 2.0 ** (1.0 / self.a - 1.0)  # n(2^j)/2^j <= x^j
         if profile == "n":
             return head + poly_geom_tail(LN2, 1, 0, x, j0)
@@ -360,38 +365,36 @@ class PowLogFamily(Family):
             )
         self.a = float(a)
         self.b = float(b)
-        # first index from which t_k >= k (i.e. (ln k)^a (lnln k)^b >= 1)
-        self._k_geq_index = self._scan_k_geq()
-        # exact correction: sum over early k of min(0, ln t_k - ln k)
-        self._neg_log_correction = sum(
-            min(0.0, math.log(self.term(k)) - math.log(k))
-            for k in range(1, self._k_geq_index)
-        )
+        # first index from which t_k >= k, i.e. (ln k)^a (lnln k)^b >= 1;
+        # k = 16 has ln k > 1 and lnln k > 1, so it is at most 16
+        k = np.arange(1.0, 17.0)
+        tk = self._at(k)
+        self._k_geq_index = int(np.argmax(tk >= k)) + 1
+        self._t_geq = float(tk[self._k_geq_index - 1])
+        # exact corrections: cumulated min(0, ln t_k - ln k) over k < k_geq_index
+        below = slice(0, self._k_geq_index - 1)
+        self._neg_log = np.cumsum(np.concatenate(
+            ([0.0], np.minimum(0.0, np.log(tk[below]) - np.log(k[below])))))
 
-    def _scan_k_geq(self) -> int:
-        for k in range(1, 200_000):
-            if self.term(k) >= k:
-                return k
-        raise SequenceSpecError("powlog family: t_k < k persists past 2e5")
-
-    def term(self, j: int) -> float:
-        m = max(j, 3)
-        lm = math.log(m)
-        llm = math.log(lm)
-        return m * lm**self.a * llm**self.b
-
-    def terms(self, j_from: int, j_to: int) -> np.ndarray:
-        m = np.arange(j_from, j_to + 1, dtype=float)
-        np.maximum(m, 3.0, out=m)
-        lm = np.log(m)
-        out = lm**self.a
-        out *= m
-        np.log(lm, out=lm)
-        lm **= self.b
-        out *= lm
+    def _at(self, j: np.ndarray) -> np.ndarray:
+        m = np.maximum(j, 3.0)
+        with np.errstate(over="ignore"):
+            lm = np.log(m)
+            out = lm**self.a
+            out *= m
+            np.log(lm, out=lm)
+            lm **= self.b
+            out *= lm
         return out
 
     # -- tail bounds --------------------------------------------------------
+    def _head(self, k_from: int, k0: int, summand) -> float:
+        """sum of summand(k, t_k) over k_from < k <= k0; 0 when empty."""
+        if k_from >= k0:
+            return 0.0
+        k = np.arange(k_from + 1, k0 + 1, dtype=float)
+        return float(np.sum(summand(k, self._at(k))))
+
     def inv_tail(self, k_from: int) -> float:
         """sum_{k>K} 1/t_k via u = ln x substitution.
 
@@ -401,7 +404,7 @@ class PowLogFamily(Family):
         For a = 1, b > 1:  = (lnln K)^(1-b)/(b-1) exactly as an integral.
         """
         k0 = max(k_from, 4)
-        head = sum(1.0 / self.term(k) for k in range(k_from + 1, k0 + 1))
+        head = self._head(k_from, k0, lambda k, tk: 1.0 / tk)
         if self.a > 1.0:
             pull = math.log(math.log(k0)) ** (-self.b) if self.b else 1.0
             return head + pull * log_pow_integral(0, self.a, math.log(k0))
@@ -410,7 +413,7 @@ class PowLogFamily(Family):
     def inv_sq_tail(self, k_from: int) -> float:
         """Terms 1/t_k^2 <= (ln K)^-2a (lnln K)^-2b / k^2 for k > K >= 4."""
         k0 = max(k_from, 4)
-        head = sum(1.0 / self.term(k) ** 2 for k in range(k_from + 1, k0 + 1))
+        head = self._head(k_from, k0, lambda k, tk: 1.0 / tk**2)
         pull = math.log(k0) ** (-2 * self.a) * math.log(math.log(k0)) ** (-2 * self.b)
         return head + pull / k0  # sum_{k>k0} k^-2 <= 1/k0
 
@@ -420,13 +423,7 @@ class PowLogFamily(Family):
         ln t_k >= ln k for k >= k_geq_index, and the finitely many indices
         below it contribute exactly their (negative) differences.
         """
-        base = lgamma(m + 1.0)
-        if m >= self._k_geq_index:
-            return base + self._neg_log_correction
-        corr = sum(
-            min(0.0, math.log(self.term(k)) - math.log(k)) for k in range(1, m + 1)
-        )
-        return base + corr
+        return lgamma(m + 1.0) + float(self._neg_log[min(m, self._k_geq_index - 1)])
 
     def _polylog(self, t: float) -> float:
         lt = math.log(t)
@@ -438,7 +435,7 @@ class PowLogFamily(Family):
         t_(n+1) > t and n+1 <= t (valid past the t_k >= k onset) give
         (n+1) (ln t)^a (lnln t)^b >= (n+1)(ln(n+1))^a(...)^b > t.
         """
-        t0 = max(math.e**1.1, self.term(self._k_geq_index))
+        t0 = max(math.e**1.1, self._t_geq)
         if t <= math.exp(math.e) or t <= t0:
             return float(self.count_leq(t))
         # evaluated at t+1 since only n+1 <= t+1 is guaranteed
@@ -458,15 +455,12 @@ class PowLogFamily(Family):
         if not self.msnq_convergent and cond in ("i", "v", "vi"):
             return None
         k0 = max(k_from, 16)
-        head = 0.0
-        for k in range(k_from + 1, k0 + 1):
-            tk = self.term(k)
-            if cond == "i":
-                head += max(0.0, math.log(tk / k)) / tk
-            elif cond == "v":
-                head += max(0.0, math.log(math.log(k))) / tk
-            else:
-                head += max(0.0, math.log(math.log(tk))) / tk
+
+        def summand(k, tk):
+            num = np.log(tk / k) if cond == "i" else np.log(np.log(k if cond == "v" else tk))
+            return np.maximum(0.0, num) / tk
+
+        head = self._head(k_from, k0, summand)
         lk = math.log(k0)
         llk = math.log(lk)
         if cond == "i":
@@ -529,9 +523,7 @@ class PowLogFamily(Family):
             if corr < 0.5:
                 break
             j2 *= 2
-        total = 0.0
-        for j in range(j_from + 1, j2 + 1):
-            total += self._dyadic_term_upper(profile, j)
+        total = sum(self._dyadic_terms_upper(profile, j_from + 1, j2))
         kappa1 = 1.0 - corr
         # P(2^j)/2^j for P = n: n_up(2^j)/2^j <= 1/((ln M)^a (lnln M)^b)
         # with M = n_lower(2^j), ln M >= kappa1 u and lnln M >= kap_log ln u
@@ -607,15 +599,14 @@ class ExplicitFamily(Family):
                     f"non-monotone explicit list: t_{i+1} < t_{i}", i
                 )
         self.values = vals
+        self._padded = np.array(vals + [math.inf])
 
-    def term(self, j: int) -> float:
-        return self.values[j - 1] if j <= len(self.values) else math.inf
+    def _at(self, j: np.ndarray) -> np.ndarray:
+        return self._padded[np.minimum(j, len(self.values) + 1).astype(np.intp) - 1]
 
-    def count_leq(self, t: float) -> int:
-        import bisect
-
-        _check_count_arg(t)
-        return bisect.bisect_right(self.values, t)
+    def count_leq(self, t):
+        # the +inf past the list are no zeros, so n(inf) is the list's length
+        return super().count_leq(np.minimum(t, sys.float_info.max))
 
     def inv_tail(self, k_from: int) -> float:
         if k_from >= len(self.values):
@@ -657,7 +648,7 @@ class ExplicitFamily(Family):
         m = len(self.values)
         c = 0.5 * LN2 + max(0.0, -math.log(self.values[0]))
         j0 = max(j_from + 1, 3)
-        head = sum(self._dyadic_term_upper(profile, j) for j in range(j_from + 1, j0))
+        head = sum(self._dyadic_terms_upper(profile, j_from + 1, j0 - 1))
         if profile == "n":
             return head + poly_geom_tail(m * LN2, 1, 0, 0.5, j0)
         return head + poly_geom_tail(m * (LN2 + c / j0) * LN2, 2, 0, 0.5, j0)
@@ -673,8 +664,8 @@ class ZeroSequence:
 
     j_cut (the CLI's --j-cut) caps every term-wise enumeration: the
     evaluators' cutoff, a coefficient table's factor count and the concave
-    majorant's inner series, which raises KEvalError past it.  Counting via
-    bisection is exact regardless.  omega0_flag asserts t_j/j is
+    majorant's inner series, which raises KEvalError past it.  Counting
+    is exact regardless.  omega0_flag asserts t_j/j is
     nondecreasing, verified on the enumerated prefix and by family tail
     knowledge.
     """
@@ -721,12 +712,12 @@ class ZeroSequence:
         return bool(tail) if tail is not None else True
 
     def term(self, j: int) -> float:
-        return self.family.term(j)
+        return float(self.family._at(np.array([float(j)]))[0])
 
     def terms(self, j_from: int, j_to: int) -> np.ndarray:
         return self.family.terms(j_from, j_to)
 
-    def count_leq(self, t: float) -> int:
+    def count_leq(self, t):
         return self.family.count_leq(t)
 
     def cutoff(self, bound, tol: float, start: int, cap: int,

@@ -27,7 +27,7 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
     if not 0.0 < x < 1.0 or p < 0 or q < 0 or j_from < 3:
         raise ValueError("poly_geom_tail: invalid parameters")
 
-    def term(j: int) -> float:
+    def summand(j: int) -> float:
         return coeff * j**p * math.log(j) ** q * x**j
 
     j = j_from
@@ -35,8 +35,8 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
     while True:
         ratio = x * ((j + 1) / j) ** p * (math.log(j + 1) / math.log(j)) ** q
         if ratio < 1.0:
-            return head + term(j) / (1.0 - ratio)
-        head += term(j)
+            return head + summand(j) / (1.0 - ratio)
+        head += summand(j)
         j += 1
         if j > j_from + 10_000:
             return math.inf

@@ -123,12 +123,19 @@ class WeightEvaluator:
     def _cutoff(self, point, x: float, bound) -> tuple[int, float]:
         """J and bound(J), bound(J) bounding what the zeros past J add: from
         past the last zero <= x, at least 16, doubled until bound(J) <= tol.
-        x is about 8|point|, and a closed-form family cannot count up to x = inf,
-        where ln|w(point)| overflows float64."""
+        The zeros <= x are counted on the prefix when it reaches past x or
+        holds all j_cut of them.  x is about 8|point|, and a closed-form
+        family cannot count up to x = inf, where ln|w(point)| overflows
+        float64; an explicit list is taken whole, uncounted."""
         seq = self.sequence
-        if x == math.inf and not isinstance(seq.family, ExplicitFamily):
-            raise ValueError(f"ln|w| at {point!r} overflows float64 (8|z| = inf)")
-        return seq.cutoff(bound, self.tol, max(16, seq.count_leq(x)), seq.j_cut)
+        n = 0
+        if not isinstance(seq.family, ExplicitFamily):
+            if x == math.inf:
+                raise ValueError(f"ln|w| at {point!r} overflows float64 (8|z| = inf)")
+            n = int(self._prefix.searchsorted(x, "right"))
+            if n == len(self._prefix) < seq.j_cut:
+                n = seq.count_leq(x)
+        return seq.cutoff(bound, self.tol, max(16, n), seq.j_cut)
 
     def _choose_cutoff(self, t: float) -> tuple[int, float]:
         """J and tail bound for the real log-sum: from past the last zero
@@ -271,37 +278,31 @@ class WeightEvaluator:
 
 
 def big_N(seq: ZeroSequence, t: float) -> tuple[float, int]:
-    """(N(t), argmax) with N(t) = ln max(1, sup_k t^k/(t_1...t_k)).
-
-    The summands ln t - ln t_k are positive exactly while t_k < t, so the
-    sup over k <= j_cut is attained at k* = min(n(t), j_cut); the value is
-    accumulated term by term.
-    """
+    """(N(t), argmax) with N(t) = ln max(1, sup_k t^k/(t_1...t_k))."""
     t = _check_finite_real(t)
     if t <= 0:
         raise ValueError("argument must be positive")
-    k_star = min(seq.count_leq(t), seq.j_cut)
-    if k_star == 0:
-        return 0.0, 0
-    lnt = math.log(t)
-    best = 0.0
-    best_k = 0
-    acc = 0.0
-    comp = 0.0
-    for start in range(1, k_star + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, k_star)
-        tj = seq.terms(start, stop)
-        incr = np.cumsum(lnt - np.log(tj))
-        cand = acc + comp + incr
-        i = int(np.argmax(cand))
-        if cand[i] > best:
-            best = float(cand[i])
-            best_k = start + i
-        part = float(incr[-1])
-        s = acc + part
-        comp += (acc - s) + part if abs(acc) >= abs(part) else (part - s) + acc
-        acc = s
-    return max(0.0, best), best_k
+    (value,), (k,) = big_n_levels(seq, np.array([t]))
+    return float(value), k
+
+
+def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
+    """N(t) and its argmax at each t > 0 of ts, from one cumulative sum of
+    ln t_j.  The summands ln t - ln t_j are nonnegative exactly while
+    t_j <= t, so the sup over k <= j_cut is attained at k = min(n(t), j_cut),
+    where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax is 0 when N(t) = 0.
+    The sum runs in _CHUNK-term pieces, so a level's value does not depend
+    on the other levels."""
+    ks = np.array([min(k, seq.j_cut) for k in seq.count_leq(ts)], dtype=np.int64)
+    cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per level
+    done = 0.0
+    for start in range(1, int(ks.max(initial=0)) + 1, _CHUNK):
+        logs = np.cumsum(np.log(seq.terms(start, min(start + _CHUNK - 1, int(ks.max())))))
+        at = (ks >= start) & (ks < start + _CHUNK)
+        cum[at] = done + logs[ks[at] - start]
+        done += float(logs[-1])
+    values = np.maximum(0.0, ks * np.log(ts) - cum)
+    return values, np.where(values > 0.0, ks, 0).tolist()
 
 
 @dataclass

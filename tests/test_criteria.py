@@ -13,7 +13,9 @@ from weightlab import (
     msnq_omega_conditions,
     msnq_series,
     nqa_series,
+    big_N,
     parse_sequence_spec,
+    profile_big_n,
     profile_log_omega,
     profile_n,
     WeightEvaluator,
@@ -93,6 +95,25 @@ class TestMsnqSeries:
         p = DyadicProfile(j_min=1, values=np.array([1.0, 2.0]), from_increasing=False)
         with pytest.raises(ValueError):
             msnq_series(p)
+
+
+class TestProfiles:
+    @pytest.mark.parametrize("j_cut", [500_000, 1000])
+    @pytest.mark.parametrize("spec", ["geometric:r=2", "power:a=2", "powlog:a=1,b=2"])
+    def test_one_pass_profiles_equal_their_levels(self, spec, j_cut):
+        # the profiles count and sum every level in one pass; each level
+        # is bit for bit the value of its own one-point call (at
+        # j_cut = 1000 the levels past about 2^14 reach the cap)
+        seq = parse_sequence_spec(spec, j_cut=j_cut)
+        want = [big_N(seq, 2.0**j)[0] for j in range(1, 31)]
+        assert profile_big_n(seq, 30).values.tolist() == want
+        # the term-by-term sup of the partial sums of ln t - ln t_k is the
+        # reference; the one pass sums in another order
+        for j, got in zip(range(1, 17), want):
+            lead = np.cumsum(j * math.log(2.0) - np.log(seq.terms(1, min(j_cut, 2 ** (j + 6)))))
+            assert got == pytest.approx(max(0.0, lead.max()), rel=1e-12, abs=1e-12)
+        counts = [float(seq.count_leq(2.0**j)) for j in range(1, 31)]
+        assert profile_n(seq, 30).values.tolist() == counts
 
 
 class TestPositivePartDiff:

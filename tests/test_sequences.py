@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weightlab import (
     ExplicitFamily,
@@ -12,6 +12,20 @@ from weightlab import (
     SequenceSpecError,
     ZeroSequence,
     parse_sequence_spec,
+)
+
+
+# 200 zeros from 1 to about 7.2, in runs of three equal ones
+EXPLICIT_200 = "explicit:[" + ",".join(f"{1.01 ** (k - k % 3):.12g}" for k in range(200)) + "]"
+FOUR_FAMILIES = ["geometric:r=1.1", "power:a=2.5", "powlog:a=1,b=2", "powlog:a=3,b=0",
+                 EXPLICIT_200]
+SPECS = st.one_of(
+    st.floats(1.0, 3.0, exclude_min=True).map(lambda r: f"geometric:r={r!r}"),
+    st.floats(1.0, 4.0, exclude_min=True).map(lambda a: f"power:a={a!r}"),
+    st.tuples(st.floats(1.0, 4.0), st.floats(0.0, 4.0))
+    .filter(lambda ab: ab[0] > 1.0 or ab[1] > 1.0)
+    .map(lambda ab: f"powlog:a={ab[0]!r},b={ab[1]!r}"),
+    st.just(EXPLICIT_200),
 )
 
 
@@ -79,26 +93,41 @@ class TestCounting:
         fam = PowLogFamily(1.0, 2.0)
         # enumeration oracle
         count = 0
-        j = 1
-        while fam.term(j) <= 100.0:
+        for t in fam.terms(1, 1000).tolist():
+            if t > 100.0:
+                break
             count += 1
-            j += 1
         assert fam.count_leq(100.0) == count
 
     def test_count_is_exact_at_huge_arguments(self):
-        fam = PowLogFamily(1.0, 2.0)
-        n = fam.count_leq(2.0**60)
-        assert fam.term(n) <= 2.0**60 < fam.term(n + 1)
+        seq = ZeroSequence(PowLogFamily(1.0, 2.0))
+        n = seq.count_leq(2.0**60)
+        assert seq.term(n) <= 2.0**60 < seq.term(n + 1)
 
     @pytest.mark.parametrize("fam", [PowLogFamily(1.0, 2.0), PowerFamily(1.0000001)])
     def test_count_at_the_largest_dyadic_point(self, fam):
         # counts past 2^400 (the 2^1023 level needs about 2^1009 and 2^1023
         # zeros) still bracket t, and a count whose next bracket would not
-        # convert to a float raises instead of overflowing in term()
-        n = fam.count_leq(2.0**1023)
-        assert fam.term(n) <= 2.0**1023 < fam.term(n + 1)
+        # convert to a float raises instead of overflowing
+        seq = ZeroSequence(fam)
+        n = seq.count_leq(2.0**1023)
+        assert seq.term(n) <= 2.0**1023 < seq.term(n + 1)
         with pytest.raises(ValueError, match="2\\^1024 no longer converts to a float"):
             PowerFamily(1.0000001).count_leq(1.7e308)
+
+    @given(SPECS, st.integers(1, 30_000))
+    @example("power:a=2.5", 10)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_count_matches_the_enumeration(self, spec, j):
+        # at t_j and the floats next to it, n(t) counts exactly the t_j
+        # that terms() enumerates, in one-threshold and array form alike
+        seq = parse_sequence_spec(spec)
+        full = seq.terms(1, 30_000)
+        tj = full[min(j, int(np.isfinite(full).sum())) - 1]
+        ts = np.array([math.nextafter(tj, 0.0), tj, math.nextafter(tj, math.inf)])
+        want = full.searchsorted(ts, "right").tolist()
+        assert [seq.count_leq(t) for t in ts] == want
+        assert seq.count_leq(ts) == want
 
     @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2", "explicit:[1,2,3]"])
     def test_nan_has_no_count(self, spec):
@@ -110,7 +139,7 @@ class TestCounting:
     def test_explicit_infinite_tail(self):
         fam = ExplicitFamily([1.0, 2.0, 3.0])
         assert fam.count_leq(10.0) == 3
-        assert fam.term(4) == math.inf
+        assert fam.terms(4, 4)[0] == math.inf
 
 
 class TestTailBounds:
@@ -121,8 +150,7 @@ class TestTailBounds:
         fam = parse_sequence_spec(spec).family
         for K in (10, 100, 1000):
             brute = brute_sq = 0.0
-            for k in range(K + 1, 120_001):
-                t = fam.term(k)
+            for t in fam.terms(K + 1, 120_000).tolist():
                 if t > 1e120:
                     break
                 brute += 1.0 / t
@@ -138,8 +166,7 @@ class TestTailBounds:
         bound = fam.index_series_tail(cond, K)
         assert bound is not None
         brute = 0.0
-        for k in range(K + 1, 120_001):
-            t = fam.term(k)
+        for k, t in enumerate(fam.terms(K + 1, 120_000).tolist(), start=K + 1):
             if t > 1e120:
                 break
             if cond == "i":
@@ -173,10 +200,8 @@ class TestTailBounds:
         J = 16
         bound = fam.dyadic_weighted_tail(profile, J)
         assert bound is not None
-        brute = 0.0
-        for j in range(J + 1, 120):
-            brute += fam._dyadic_term_upper(profile, j)
-        # _dyadic_term_upper itself over-estimates the true terms, so this
+        brute = sum(fam._dyadic_terms_upper(profile, J + 1, 119))
+        # _dyadic_terms_upper itself over-estimates the true terms, so this
         # is a strictly harder comparison than against the true series
         assert bound >= 0.999 * brute
 
@@ -184,7 +209,7 @@ class TestTailBounds:
         for spec in ("geometric:r=2", "power:a=2", "powlog:a=1,b=2"):
             fam = parse_sequence_spec(spec).family
             for m in (5, 50, 500):
-                exact = sum(math.log(fam.term(k)) for k in range(1, m + 1))
+                exact = sum(math.log(t) for t in fam.terms(1, m).tolist())
                 assert fam.cum_log_lower(m) <= exact + 1e-9
 
 
@@ -205,8 +230,8 @@ class TestInvariants:
             )
 
     def test_prefix_checks_match_term_loop(self):
-        # validate and the omega0 check read one terms() array; the
-        # per-term loop they replaced is the reference
+        # validate and the omega0 check read one terms() array; a Python
+        # loop over its ratios is the reference
         for spec in ("geometric:r=1.001", "geometric:r=2", "power:a=1.5", "power:a=2",
                      "powlog:a=1,b=2", "powlog:a=3,b=0", "powlog:a=1.5,b=0.5",
                      "explicit:[1,1,2]", "explicit:[1,2,4]"):
@@ -214,7 +239,7 @@ class TestInvariants:
                 seq = parse_sequence_spec(spec, j_cut=j_cut)
                 fam = seq.family
                 upto = len(fam.values) if isinstance(fam, ExplicitFamily) else j_cut
-                ratios = [fam.term(j) / j for j in range(1, upto + 1)]
+                ratios = [t / j for j, t in enumerate(fam.terms(1, upto).tolist(), start=1)]
                 flat = not any(b < a * (1.0 - 1e-15) for a, b in zip(ratios, ratios[1:]))
                 tail = fam.omega0_tail_claim()
                 assert seq.omega0_flag == (flat and tail is not False), (spec, j_cut)
@@ -226,12 +251,16 @@ class TestInvariants:
 
     def test_powlog_clamped_head(self):
         fam = PowLogFamily(1.0, 2.0)
-        assert fam.term(1) == fam.term(2) == fam.term(3)
-        assert fam.term(3) < fam.term(4)
+        t = fam.terms(1, 4)
+        assert t[0] == t[1] == t[2] < t[3]
 
-    def test_terms_vectorized_matches_scalar(self):
-        for spec in ("geometric:r=2", "power:a=2", "powlog:a=1,b=2"):
-            fam = parse_sequence_spec(spec).family
-            vec = fam.terms(1, 50)
-            scal = np.array([fam.term(j) for j in range(1, 51)])
-            np.testing.assert_allclose(vec, scal, rtol=1e-12)
+    @pytest.mark.parametrize("spec", FOUR_FAMILIES, ids=lambda s: s.split(":[")[0])
+    def test_terms_do_not_depend_on_the_window(self, spec):
+        # t_j has one definition, so every window and every single-index
+        # read gives the same bits as the full enumeration
+        seq = parse_sequence_spec(spec)
+        full = seq.terms(1, 30_000)
+        for k in range(1, 9):
+            assert np.array_equal(seq.terms(k, 30_000), full[k - 1 :])
+        js = range(1, 30_001, 7)
+        assert np.array_equal([seq.term(j) for j in js], full[::7])
