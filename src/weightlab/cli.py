@@ -118,32 +118,17 @@ def h_weight_coeffs(p: dict):
 def h_criteria_classify(p: dict):
     seq = _seq(p)
     rep = criteria2_report(seq, p["k_max"])
-    out = {
-        "command": "criteria.classify",
-        "spec": rep["spec"],
-        "omega0_flag": rep["omega0_flag"],
-        "verdicts_agree": rep["verdicts_agree"],
-        "diagnostics": {k: d.to_dict() for k, d in rep["diagnostics"].items()},
-    }
     ok = (not seq.omega0_flag) or rep["verdicts_agree"]
-    return out, None, ok
+    return {"command": "criteria.classify", **rep}, None, ok
 
 
 def h_criteria_omega6(p: dict):
     seq = _seq(p)
     rep = msnq_omega_conditions(seq, p["J"], k_max=p["k_max"])
-    out = {
-        "command": "criteria.omega6",
-        "spec": rep["spec"],
-        "omega0_flag": rep["omega0_flag"],
-        "verdicts_agree_i_to_iv": rep["verdicts_agree_i_to_iv"],
-        "verdicts_agree_all_six": rep["verdicts_agree_all_six"],
-        "diagnostics": {k: d.to_dict() for k, d in rep["diagnostics"].items()},
-    }
     ok = rep["verdicts_agree_i_to_iv"] and (
         not seq.omega0_flag or rep["verdicts_agree_all_six"]
     )
-    return out, None, ok
+    return {"command": "criteria.omega6", **rep}, None, ok
 
 
 def h_weight_checks(p: dict):

@@ -289,7 +289,6 @@ class InfSupResult:
     k: int
     log_lhs: float
     log_rhs: float
-    minimizer: float
 
     @property
     def rel_error(self) -> float:
@@ -319,7 +318,7 @@ def inf_sup_identity(table: CoeffTable, k: int) -> InfSupResult:
     grid = np.linspace(log_t_star - 3.0, log_t_star + 3.0, 96)
     at_star = -float(neg_objective(np.array([log_t_star]))[0])
     best = min(-zoom_max(neg_objective, grid), at_star)
-    return InfSupResult(k=k, log_lhs=best, log_rhs=float(la[k]), minimizer=math.exp(log_t_star))
+    return InfSupResult(k=k, log_lhs=best, log_rhs=float(la[k]))
 
 
 def log_convexity_margins(table: CoeffTable) -> np.ndarray:

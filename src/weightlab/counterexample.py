@@ -345,7 +345,6 @@ class BetaSpec:
     name: str
     fn: Callable[[float], float]
     dyadic_tail: Callable[[int], float]
-    note: str = ""
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -356,7 +355,6 @@ def beta_const(c: float) -> BetaSpec:
         name=f"const:{c:g}",
         fn=lambda t: c,
         dyadic_tail=lambda J: c * 2.0**-J,  # sum_{j>J} c/2^j
-        note="constant radius",
     )
 
 
@@ -366,7 +364,6 @@ def beta_loglinear(c: float) -> BetaSpec:
         name=f"loglinear:{c:g}",
         fn=lambda t: c * max(1.0, math.log(t)),
         dyadic_tail=lambda J: c * LN2 * (J + 2.0) / 2.0**J + c * 2.0**-J,
-        note="c max(1, ln t)",
     )
 
 
@@ -384,7 +381,7 @@ def beta_inv_log_sq() -> BetaSpec:
         head = sum(fn(2.0**j) / 2.0**j for j in range(J + 1, jj + 1))
         return head + 1.0 / (LN2**2 * jj)
 
-    return BetaSpec(name="invlogsq", fn=fn, dyadic_tail=tail, note="t/(ln t)^2")
+    return BetaSpec(name="invlogsq", fn=fn, dyadic_tail=tail)
 
 
 def beta_inv_log_loglog_sq() -> BetaSpec:
@@ -404,7 +401,7 @@ def beta_inv_log_loglog_sq() -> BetaSpec:
         head = sum(fn(2.0**j) / 2.0**j for j in range(J + 1, jj + 1))
         return head + 1.0 / math.log(jj * LN2)
 
-    return BetaSpec(name="invloglog", fn=fn, dyadic_tail=tail, note="t/(ln t (lnln t)^2)")
+    return BetaSpec(name="invloglog", fn=fn, dyadic_tail=tail)
 
 
 def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
@@ -432,7 +429,6 @@ def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
         name=f"trace:c={c:g},r={r:g}",
         fn=fn,
         dyadic_tail=tail,
-        note="scaled geometric weight trace",
     )
 
 
@@ -454,7 +450,6 @@ def beta_self_referential(seq: ZeroSequence) -> BetaSpec:
         name="selfref",
         fn=fn,
         dyadic_tail=tail,
-        note="zero-count of the source at 2t",
     )
 
 

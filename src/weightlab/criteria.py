@@ -269,44 +269,41 @@ def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> Dyadi
 # ---------------------------------------------------------------------------
 # index series (sums over the zero index j rather than dyadic levels)
 
-def _index_series(seq: ZeroSequence, cond: str, k_max: int) -> SeriesDiagnostic:
-    """Partial sums of the index series for condition i/v/vi.
+def _index_terms(tj: np.ndarray, jj: np.ndarray):
+    """(condition, terms) for i, v and vi over the zeros tj at indices jj,
+    one array at a time."""
+    finite = np.isfinite(tj)
+    yield "i", np.where(finite, np.maximum(0.0, np.log(tj / jj)) / tj, 0.0)
+    lg = np.where(jj >= 3, np.log(np.log(np.maximum(jj, 3.0))), 0.0)
+    yield "v", np.where(finite, np.maximum(0.0, lg) / tj, 0.0)
+    lt = np.where(tj > 1.0, np.log(tj), 1.0)
+    yield "vi", np.where(finite & (tj > 1.0), np.maximum(0.0, np.log(lt)) / tj, 0.0)
+
+
+def _index_series(seq: ZeroSequence, k_max: int) -> dict:
+    """Partial sums of the index series of conditions i, v and vi, keyed by
+    condition, from one pass over t_1..t_{k_max}.
 
     i : ln^+(t_j/j)/t_j,  v : ln^+ln(j)/t_j,  vi : ln^+ln(t_j)/t_j.
     Decimated accumulation (vectorized in chunks, fixed order).
     """
     fam = seq.family
     chunk = 1 << 16
-    acc = 0.0
-    partial = []
+    acc = {"i": 0.0, "v": 0.0, "vi": 0.0}
+    partial = {cond: [] for cond in acc}
     record_at = _record_points(k_max)
-    next_rec = 0
     for start in range(1, k_max + 1, chunk):
         stop = min(start + chunk - 1, k_max)
-        tj = seq.terms(start, stop)
-        finite = np.isfinite(tj)
         jj = np.arange(start, stop + 1, dtype=float)
+        rec = [k - start for k in record_at if start <= k <= stop]
         with np.errstate(divide="ignore", invalid="ignore"):
-            if cond == "i":
-                terms = np.where(finite, np.maximum(0.0, np.log(tj / jj)) / tj, 0.0)
-            elif cond == "v":
-                lg = np.where(jj >= 3, np.log(np.log(np.maximum(jj, 3.0))), 0.0)
-                terms = np.where(finite, np.maximum(0.0, lg) / tj, 0.0)
-            elif cond == "vi":
-                lt = np.where(tj > 1.0, np.log(tj), 1.0)
-                terms = np.where(
-                    finite & (tj > 1.0), np.maximum(0.0, np.log(lt)) / tj, 0.0
-                )
-            else:
-                raise ValueError(f"unknown condition {cond!r}")
-        csum = np.cumsum(terms)
-        while next_rec < len(record_at) and record_at[next_rec] <= stop:
-            partial.append(acc + float(csum[record_at[next_rec] - start]))
-            next_rec += 1
-        acc += float(csum[-1])
-    tail = fam.index_series_tail(cond, k_max)
-    div = fam.index_series_divergence(cond)
-    return _finish(f"index-{cond}", partial, 1, tail, div)
+            for cond, terms in _index_terms(seq.terms(start, stop), jj):
+                csum = np.cumsum(terms)
+                partial[cond] += [acc[cond] + float(csum[i]) for i in rec]
+                acc[cond] += float(csum[-1])
+    return {cond: _finish(f"index-{cond}", partial[cond], 1, fam.index_series_tail(cond, k_max),
+                          fam.index_series_divergence(cond))
+            for cond in acc}
 
 
 def _record_points(k_max: int):
@@ -326,12 +323,10 @@ def msnq_omega_conditions(seq: ZeroSequence, J: int, k_max: Optional[int] = None
     if k_max is None:
         k_max = int(min(seq.j_cut, max(1000, seq.count_leq(2.0 ** min(J, 40)))))
     diags = {
-        "i": _index_series(seq, "i", k_max),
+        **_index_series(seq, k_max),
         "ii": msnq_series(profile_n(seq, J)),
         "iii": msnq_series(profile_big_n(seq, J)),
         "iv": msnq_series(profile_log_omega(seq, J)),
-        "v": _index_series(seq, "v", k_max),
-        "vi": _index_series(seq, "vi", k_max),
     }
     v14 = {diags[c].verdict for c in ("i", "ii", "iii", "iv")}
     v_all = {d.verdict for d in diags.values()}
@@ -353,11 +348,8 @@ def criteria2_report(seq: ZeroSequence, k_max: int) -> dict:
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
-    diags = {
-        "loglog_j": _index_series(seq, "v", k_max),
-        "loglog_t": _index_series(seq, "vi", k_max),
-        "logratio": _index_series(seq, "i", k_max),
-    }
+    index = _index_series(seq, k_max)
+    diags = {"loglog_j": index["v"], "loglog_t": index["vi"], "logratio": index["i"]}
     verdicts = {d.verdict for d in diags.values()}
     return {
         "spec": seq.spec_string(),

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sampling import SampledFunction, log_grid
+from .sampling import log_grid
 from .sequences import ExplicitFamily, ZeroSequence
 
 LN3 = math.log(3.0)
@@ -258,14 +258,6 @@ class ConcaveSeriesMajorant:
         err = 2.0 * math.log1p(tail_over)
         return value, err
 
-    def __call__(self, t: float) -> float:
-        return self.eval(t)[0]
-
-    def trace(self, lo: float, hi: float, n: int) -> SampledFunction:
-        grid = log_grid(lo, hi, n)
-        vals = [self.eval(float(t))[0] for t in grid]
-        return SampledFunction(grid, np.array(vals), label="concave-series-majorant")
-
 
 class LambdaDomainError(ValueError):
     """(1+t)/(lam*alpha(2et)) dipped to 8e or below."""
@@ -311,9 +303,6 @@ class BetaMajorant:
             (1.0 + t) / (self.lam * a2)
         ) - main_low
         return main_low + series, err_main + tail
-
-    def __call__(self, t: float) -> float:
-        return self.eval(t)[0]
 
 
 def beta_dyadic_nqa_tail(seq: ZeroSequence, lam: float, j_from: int) -> Optional[float]:
@@ -411,13 +400,6 @@ class StepFunction:
         for lth, lval in zip(self.log_thresholds, self.log_values):
             out.append(math.exp(lval + math.log(lth) - lth))
         return out
-
-    def trace(self, j_max: int = 60) -> SampledFunction:
-        grid = 2.0 ** np.arange(0, j_max + 1)
-        vals = np.array([self.value(float(t)) for t in grid])
-        lo = math.exp(self.log_thresholds[0])
-        keep = grid >= lo
-        return SampledFunction(grid[keep], vals[keep], label="step-counterexample")
 
 
 def step_counterexample(k_max: int = 6) -> StepFunction:

@@ -63,10 +63,4 @@ def write_csv(fp: IO[str], columns: Iterable[str], rows: Iterable) -> None:
     cols = list(columns)
     fp.write(",".join(cols) + "\n")
     for row in rows:
-        if hasattr(row, "__dataclass_fields__"):
-            vals = [getattr(row, c) for c in cols]
-        elif isinstance(row, dict):
-            vals = [row[c] for c in cols]
-        else:
-            vals = list(row)
-        fp.write(",".join(_cell(v) for v in vals) + "\n")
+        fp.write(",".join(_cell(getattr(row, c)) for c in cols) + "\n")

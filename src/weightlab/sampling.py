@@ -19,7 +19,6 @@ class SampledFunction:
 
     grid: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -32,9 +31,6 @@ class SampledFunction:
             raise ValueError("grid must be strictly increasing")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-
-    def __len__(self) -> int:
-        return len(self.grid)
 
     def at(self, t: float) -> float:
         """Piecewise-constant-from-the-left lookup (steps jump at grid points)."""

@@ -48,7 +48,6 @@ class SequenceSpecError(ValueError):
 class DivergenceCertificate:
     """Analytic witness that a nonnegative series diverges."""
 
-    series: str
     reason: str
 
 
@@ -68,8 +67,6 @@ def _last_index(x: float) -> int:
 
 class Family:
     """Base class: exact enumeration plus certified tail bounds."""
-
-    name = "base"
 
     # -- enumeration ------------------------------------------------------
     def _at(self, j: np.ndarray) -> np.ndarray:
@@ -133,15 +130,6 @@ class Family:
         return float(self.count_leq(t))
 
     # -- classification ----------------------------------------------------
-    @property
-    def msnq_convergent(self) -> Optional[bool]:
-        """True/False when the family's msNQA status is known analytically."""
-        return None
-
-    def omega0_tail_claim(self) -> Optional[bool]:
-        """Whether t_j/j is nondecreasing beyond any finite prefix."""
-        return None
-
     def index_series_tail(self, cond: str, k_from: int) -> Optional[float]:
         """Certified tail for the index series of `cond`, or None."""
         return None
@@ -208,8 +196,6 @@ class Family:
 class GeometricFamily(Family):
     """t_j = r^j with r > 1."""
 
-    name = "geometric"
-
     def __init__(self, r: float):
         if not (r > 1.0) or not math.isfinite(r):
             raise SequenceSpecError("geometric family needs r > 1")
@@ -233,15 +219,6 @@ class GeometricFamily(Family):
 
     def n_lower(self, t: float) -> float:
         return max(0.0, math.log(t) / self._lnr - 1.0) if t >= 1.0 else 0.0
-
-    @property
-    def msnq_convergent(self) -> bool:
-        return True
-
-    def omega0_tail_claim(self) -> bool:
-        # r^(j+1)/(j+1) >= r^j/j iff r >= 1 + 1/j; true for all j >= j0,
-        # the prefix check covers the finitely many early indices.
-        return True
 
     def index_series_tail(self, cond: str, k_from: int) -> float:
         k0 = max(k_from + 1, 3)
@@ -285,8 +262,6 @@ class GeometricFamily(Family):
 class PowerFamily(Family):
     """t_j = j^a with a > 1."""
 
-    name = "power"
-
     def __init__(self, a: float):
         if not (a > 1.0) or not math.isfinite(a):
             raise SequenceSpecError("power family needs a > 1")
@@ -311,14 +286,6 @@ class PowerFamily(Family):
 
     def n_lower(self, t: float) -> float:
         return max(0.0, t ** (1.0 / self.a) - 1.0) if t > 0 else 0.0
-
-    @property
-    def msnq_convergent(self) -> bool:
-        return True
-
-    def omega0_tail_claim(self) -> bool:
-        # j^a/j = j^(a-1) nondecreasing for a >= 1
-        return True
 
     def index_series_tail(self, cond: str, k_from: int) -> float:
         from .tails import log_pow_over_pow_tail
@@ -352,8 +319,6 @@ class PowerFamily(Family):
 
 class PowLogFamily(Family):
     """t_j = m (ln m)^a (lnln m)^b with m = max(j, 3); a > 1, or a = 1, b > 1."""
-
-    name = "powlog"
 
     def __init__(self, a: float, b: float):
         if not (math.isfinite(a) and math.isfinite(b)) or b < 0:
@@ -447,10 +412,6 @@ class PowLogFamily(Family):
         # converges iff a > 1, or a = 1 and b > 2.
         return self.a > 1.0 or self.b > 2.0
 
-    def omega0_tail_claim(self) -> bool:
-        # t_j/j = (ln j)^a (lnln j)^b nondecreasing in j for a, b >= 0
-        return True
-
     def index_series_tail(self, cond: str, k_from: int) -> Optional[float]:
         if not self.msnq_convergent and cond in ("i", "v", "vi"):
             return None
@@ -484,7 +445,6 @@ class PowLogFamily(Family):
             return None
         # a = 1 and 1 < b <= 2
         return DivergenceCertificate(
-            series=cond,
             reason=(
                 f"terms >= lnln(k)/(k ln(k) (lnln k)^{self.b:g}) = "
                 f"1/(k ln k (lnln k)^{self.b - 1:g}) for k >= 16; since "
@@ -567,7 +527,6 @@ class PowLogFamily(Family):
         if self.msnq_convergent:
             return None
         return DivergenceCertificate(
-            series=f"dyadic-{profile}-msnq",
             reason=(
                 "sum ln(t_j/j)/t_j diverges for this family (integral "
                 "comparison; see the index-series certificate), and the "
@@ -584,8 +543,6 @@ class PowLogFamily(Family):
 class ExplicitFamily(Family):
     """Finite nondecreasing list of zeros; t_j = +inf past the list, so w is
     a finite product and every tail past the list is exactly 0."""
-
-    name = "explicit"
 
     def __init__(self, values):
         vals = [float(v) for v in values]
@@ -622,14 +579,6 @@ class ExplicitFamily(Family):
         m = min(m, len(self.values))
         return sum(math.log(v) for v in self.values[:m])
 
-    @property
-    def msnq_convergent(self) -> bool:
-        return True
-
-    def omega0_tail_claim(self) -> bool:
-        # +inf/j is nondecreasing, so only the finite prefix matters
-        return True
-
     def index_series_tail(self, cond: str, k_from: int) -> float:
         total = 0.0
         for k in range(max(k_from + 1, 2), len(self.values) + 1):
@@ -662,17 +611,24 @@ class ExplicitFamily(Family):
 class ZeroSequence:
     """A zero sequence: a family plus an enumeration budget for sums.
 
-    j_cut (the CLI's --j-cut) caps every term-wise enumeration: the
-    evaluators' cutoff, a coefficient table's factor count and the concave
-    majorant's inner series, which raises KEvalError past it.  Counting
-    is exact regardless.  omega0_flag asserts t_j/j is
-    nondecreasing, verified on the enumerated prefix and by family tail
-    knowledge.
+    j_cut (the CLI's --j-cut) caps every term-wise enumeration of a
+    closed-form family: the evaluators' cutoff, the N profile, a
+    coefficient table's factor count and the concave majorant's inner
+    series, which raises KEvalError past it.  An explicit list is taken
+    whole (term_cap).  Counting is exact regardless.
+
+    omega0_flag says that t_j/j is nondecreasing.  It is derived, not set:
+    validate reads it off the prefix it checks, t_1..t_min(j_cut, 4096) or
+    the whole explicit list.  Past that prefix no family turns down again:
+    ln(r^j/j) = j ln r - ln j is convex in j, so a geometric ratio that has
+    stopped falling keeps rising; j^a/j = j^(a-1) for a > 1 and
+    (ln j)^a (lnln j)^b for j >= 3, a, b >= 0 are nondecreasing; and past an
+    explicit list t_j/j = +inf.
     """
 
     family: Family
     j_cut: int = 500_000
-    omega0_flag: bool = field(default=False)
+    omega0_flag: bool = field(init=False)
 
     def __post_init__(self):
         if self.j_cut < 1:
@@ -682,16 +638,18 @@ class ZeroSequence:
     # prefix length used for invariant validation
     _CHECK_PREFIX = 4096
 
-    def _check_terms(self) -> np.ndarray:
-        """The prefix the invariants are checked on: t_1..t_min(j_cut, 4096),
-        or the whole explicit list."""
+    @property
+    def term_cap(self) -> int:
+        """How many terms a term-wise sum reads: the whole explicit list, or
+        j_cut of a closed-form family."""
         fam = self.family
-        if isinstance(fam, ExplicitFamily):
-            return fam.terms(1, len(fam.values))
-        return fam.terms(1, min(self.j_cut, self._CHECK_PREFIX))
+        return len(fam.values) if isinstance(fam, ExplicitFamily) else self.j_cut
 
     def validate(self) -> None:
-        t = self._check_terms()
+        """t_j > 0 and nondecreasing on the checked prefix; sets omega0_flag."""
+        fam = self.family
+        explicit = isinstance(fam, ExplicitFamily)
+        t = fam.terms(1, self.term_cap if explicit else min(self.j_cut, self._CHECK_PREFIX))
         nonpos = ~(t > 0)
         bad = nonpos.copy()
         bad[1:] |= t[1:] < t[:-1]
@@ -700,16 +658,8 @@ class ZeroSequence:
             if nonpos[j - 1]:
                 raise SequenceSpecError(f"t_{j} <= 0", j)
             raise SequenceSpecError(f"t_{j} < t_{j-1}", j)
-        if self.omega0_flag and not self.check_omega0_prefix():
-            raise SequenceSpecError("omega0_flag set but t_j/j decreases on prefix")
-
-    def check_omega0_prefix(self) -> bool:
-        t = self._check_terms()
         ratio = t / np.arange(1, len(t) + 1)
-        if np.any(ratio[1:] < ratio[:-1] * (1.0 - 1e-15)):
-            return False
-        tail = self.family.omega0_tail_claim()
-        return bool(tail) if tail is not None else True
+        self.omega0_flag = not np.any(ratio[1:] < ratio[:-1] * (1.0 - 1e-15))
 
     def term(self, j: int) -> float:
         return float(self.family._at(np.array([float(j)]))[0])
@@ -759,8 +709,7 @@ def parse_sequence_spec(text: str, j_cut: int = 500_000) -> ZeroSequence:
     Grammar (ASCII, comma-separated key=value, no significant whitespace):
         geometric:r=<real> | powlog:a=<real>,b=<real> | power:a=<real>
         | explicit:[v1,v2,...]
-    The omega0 flag is set automatically from the prefix check plus family
-    tail knowledge.
+    The omega0 flag is derived from the prefix check (ZeroSequence).
     """
     if not text.isascii():
         raise SequenceSpecError("sequence spec must be ASCII", 0)
@@ -805,6 +754,4 @@ def parse_sequence_spec(text: str, j_cut: int = 500_000) -> ZeroSequence:
     else:
         raise SequenceSpecError(f"unknown family {head!r}", 0)
 
-    seq = ZeroSequence(family=fam, j_cut=j_cut, omega0_flag=False)
-    seq.omega0_flag = seq.check_omega0_prefix()
-    return seq
+    return ZeroSequence(family=fam, j_cut=j_cut)

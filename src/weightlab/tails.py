@@ -105,15 +105,13 @@ def inv_loglog_pow_tail(coeff: float, s: float, j_from: int) -> float:
 
 
 def index_weighted_half_pow_tail(j_from: int, m: int = 1) -> float:
-    """Exact sum_{j >= j_from} j^m / 2^j for m in {0, 1, 2}.
+    """Exact sum_{j >= j_from} j^m / 2^j for m in {0, 1}.
 
-    m=0: 2^(1-j0); m=1: (j0+1)/2^(j0-1); m=2: (j0^2+2 j0+3)/2^(j0-1).
+    m=0: 2^(1-j0); m=1: (j0+1)/2^(j0-1).
     """
     j0 = j_from
     if m == 0:
         return 2.0 ** (1 - j0)
     if m == 1:
         return (j0 + 1.0) / 2.0 ** (j0 - 1)
-    if m == 2:
-        return (j0 * j0 + 2.0 * j0 + 3.0) / 2.0 ** (j0 - 1)
-    raise ValueError("index_weighted_half_pow_tail: m must be 0, 1 or 2")
+    raise ValueError("index_weighted_half_pow_tail: m must be 0 or 1")

@@ -105,9 +105,8 @@ class WeightEvaluator:
         t = self._prefix
         have = len(t)
         if have < j_max and self._n_finite == have:
-            fam = self.sequence.family
-            cap = len(fam.values) if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
-            new = min(cap, 1 << max(4, (max(j_max, 2 * have) - 1).bit_length()))
+            grow = 1 << max(4, (max(j_max, 2 * have) - 1).bit_length())
+            new = min(self.sequence.term_cap, grow)
             t.resize(new, refcheck=False)
             start = have
             while start < new:
@@ -289,11 +288,12 @@ def big_N(seq: ZeroSequence, t: float) -> tuple[float, int]:
 def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
     """N(t) and its argmax at each t > 0 of ts, from one cumulative sum of
     ln t_j.  The summands ln t - ln t_j are nonnegative exactly while
-    t_j <= t, so the sup over k <= j_cut is attained at k = min(n(t), j_cut),
-    where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax is 0 when N(t) = 0.
-    The sum runs in _CHUNK-term pieces, so a level's value does not depend
-    on the other levels."""
-    ks = np.array([min(k, seq.j_cut) for k in seq.count_leq(ts)], dtype=np.int64)
+    t_j <= t, so the sup over k <= cap = seq.term_cap is attained at
+    k = min(n(t), cap), where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax
+    is 0 when N(t) = 0.  The sum runs in _CHUNK-term pieces, so a level's
+    value does not depend on the other levels."""
+    cap = seq.term_cap
+    ks = np.array([min(k, cap) for k in seq.count_leq(ts)], dtype=np.int64)
     cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per level
     done = 0.0
     for start in range(1, int(ks.max(initial=0)) + 1, _CHUNK):

@@ -171,6 +171,19 @@ class TestCriteria2:
         rep = criteria2_report(parse_sequence_spec("explicit:[0.9,2,4]"), 10)
         assert all(d.verdict == VERDICT_CONV for d in rep["diagnostics"].values())
 
+    @pytest.mark.parametrize("spec", ["geometric:r=2", "power:a=2", "powlog:a=1,b=2",
+                                      "powlog:a=3,b=0", "explicit:[0.5,0.6,4,9,9,30]"])
+    def test_same_index_series_as_omega6(self, spec):
+        # both reports read one pass over the same zeros; 70,000 terms
+        # cross a 2^16-term chunk boundary
+        seq = parse_sequence_spec(spec)
+        k = 70_000
+        six = msnq_omega_conditions(seq, 20, k_max=k)["diagnostics"]
+        three = criteria2_report(seq, k)["diagnostics"]
+        for name, cond in (("logratio", "i"), ("loglog_j", "v"), ("loglog_t", "vi")):
+            assert three[name].to_dict() == six[cond].to_dict(), (spec, cond)
+            assert np.array_equal(three[name].partial_sums, six[cond].partial_sums)
+
 
 class TestIntegralCrossCheck:
     def test_constant_closed_form(self):

@@ -223,12 +223,6 @@ class TestInvariants:
         seq = ZeroSequence(family=ExplicitFamily(values), j_cut=100)
         assert seq.term(1) == pytest.approx(values[0])
 
-    def test_omega0_flag_prefix_violation_rejected(self):
-        with pytest.raises(SequenceSpecError):
-            ZeroSequence(
-                family=ExplicitFamily([1.0, 1.0, 2.0]), j_cut=10, omega0_flag=True
-            )
-
     def test_prefix_checks_match_term_loop(self):
         # validate and the omega0 check read one terms() array; a Python
         # loop over its ratios is the reference
@@ -241,8 +235,8 @@ class TestInvariants:
                 upto = len(fam.values) if isinstance(fam, ExplicitFamily) else j_cut
                 ratios = [t / j for j, t in enumerate(fam.terms(1, upto).tolist(), start=1)]
                 flat = not any(b < a * (1.0 - 1e-15) for a, b in zip(ratios, ratios[1:]))
-                tail = fam.omega0_tail_claim()
-                assert seq.omega0_flag == (flat and tail is not False), (spec, j_cut)
+                assert seq.omega0_flag == flat, (spec, j_cut)
+                assert ZeroSequence(fam, j_cut).omega0_flag == seq.omega0_flag, (spec, j_cut)
 
     def test_nan_entry_reported_at_its_index(self):
         with pytest.raises(SequenceSpecError, match="t_2 <= 0") as exc:

@@ -17,7 +17,7 @@ from weightlab import (
     scaling_inequality_check,
     strong_nqa_tail_check,
 )
-from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK
+from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK, big_n_levels
 
 NEG_INF = float("-inf")
 _U = 2.0**-53  # unit roundoff of float64
@@ -300,6 +300,17 @@ class TestBigN:
             for t in (2.0, 17.0, 513.0, 1e5):
                 v, err = w.eval_log_abs_omega(t)
                 assert big_N(seq, t)[0] <= v + err + 1e-9
+
+
+    def test_explicit_list_read_whole_at_any_j_cut(self):
+        # 50 zeros 1, 1.5, ..., 25.5: the N profile reads the whole list, as
+        # every other sum over an explicit list does, whatever j_cut says
+        fam = ExplicitFamily([1.0 + 0.5 * i for i in range(50)])
+        ts = np.append(2.0 ** np.arange(1.0, 13.0), 1e3)
+        capped = big_n_levels(ZeroSequence(fam, j_cut=10), ts)
+        whole = big_n_levels(ZeroSequence(fam), ts)
+        assert np.array_equal(capped[0], whole[0]) and capped[1] == whole[1]
+        assert whole[1][-1] == 50
 
 
 class TestScaling:
