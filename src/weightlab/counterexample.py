@@ -407,8 +407,8 @@ def beta_inv_log_loglog_sq() -> BetaSpec:
 def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
     """c ln|w_geo(t)| + c', the trace of a geometric-family weight.
 
-    ln|w_geo(2^j)| <= (j ln2/ln r + 1)(j + 0.5) ln2 + r^2/(2(r^2-1)),
-    a quadratic in j, so the dyadic tail is a poly/2^j closed form.
+    ln|w_geo(2^j)| is at most a quadratic in j (GeometricFamily.
+    log_weight_quadratic), so the dyadic tail is a poly/2^j closed form.
     """
     fam = GeometricFamily(r)
     seq = ZeroSequence(family=fam, j_cut=4096)
@@ -421,9 +421,7 @@ def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
         from .tails import poly_geom_tail
 
         j0 = max(J + 1, 3)
-        a = LN2 / math.log(r)
-        q = (a + 1.0 / j0) * (1.0 + 0.5 / j0) * LN2 + (r * r / (2 * (r * r - 1))) / j0**2
-        return c * poly_geom_tail(q, 2, 0, 0.5, j0) + c_prime * 2.0**-J
+        return c * poly_geom_tail(fam.log_weight_quadratic(j0), 2, 0, 0.5, j0) + c_prime * 2.0**-J
 
     return BetaSpec(
         name=f"trace:c={c:g},r={r:g}",

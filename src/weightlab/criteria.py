@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import SampledFunction
-from .sequences import DivergenceCertificate, ZeroSequence
+from .sequences import DivergenceCertificate, ZeroSequence, index_terms
 from .weights import WeightEvaluator, big_n_levels
 
 VERDICT_CONV = "convergent-certified"
@@ -269,23 +269,12 @@ def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> Dyadi
 # ---------------------------------------------------------------------------
 # index series (sums over the zero index j rather than dyadic levels)
 
-def _index_terms(tj: np.ndarray, jj: np.ndarray):
-    """(condition, terms) for i, v and vi over the zeros tj at indices jj,
-    one array at a time."""
-    finite = np.isfinite(tj)
-    yield "i", np.where(finite, np.maximum(0.0, np.log(tj / jj)) / tj, 0.0)
-    lg = np.where(jj >= 3, np.log(np.log(np.maximum(jj, 3.0))), 0.0)
-    yield "v", np.where(finite, np.maximum(0.0, lg) / tj, 0.0)
-    lt = np.where(tj > 1.0, np.log(tj), 1.0)
-    yield "vi", np.where(finite & (tj > 1.0), np.maximum(0.0, np.log(lt)) / tj, 0.0)
-
-
 def _index_series(seq: ZeroSequence, k_max: int) -> dict:
     """Partial sums of the index series of conditions i, v and vi, keyed by
     condition, from one pass over t_1..t_{k_max}.
 
-    i : ln^+(t_j/j)/t_j,  v : ln^+ln(j)/t_j,  vi : ln^+ln(t_j)/t_j.
-    Decimated accumulation (vectorized in chunks, fixed order).
+    The terms are sequences.index_terms, made one condition's array at a
+    time; decimated accumulation (vectorized in chunks, fixed order).
     """
     fam = seq.family
     chunk = 1 << 16
@@ -295,12 +284,12 @@ def _index_series(seq: ZeroSequence, k_max: int) -> dict:
     for start in range(1, k_max + 1, chunk):
         stop = min(start + chunk - 1, k_max)
         jj = np.arange(start, stop + 1, dtype=float)
+        tj = seq.terms(start, stop)
         rec = [k - start for k in record_at if start <= k <= stop]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for cond, terms in _index_terms(seq.terms(start, stop), jj):
-                csum = np.cumsum(terms)
-                partial[cond] += [acc[cond] + float(csum[i]) for i in rec]
-                acc[cond] += float(csum[-1])
+        for cond in acc:
+            csum = np.cumsum(index_terms(cond, tj, jj))
+            partial[cond] += [acc[cond] + float(csum[i]) for i in rec]
+            acc[cond] += float(csum[-1])
     return {cond: _finish(f"index-{cond}", partial[cond], 1, fam.index_series_tail(cond, k_max),
                           fam.index_series_divergence(cond))
             for cond in acc}
@@ -320,6 +309,9 @@ def msnq_omega_conditions(seq: ZeroSequence, J: int, k_max: Optional[int] = None
     (v)-(vi) join them when t_j/j is nondecreasing, so the report flags
     verdict agreement accordingly.
     """
+    if not 2 <= J <= 1023:
+        raise ValueError(f"--J {J} is outside [2, 1023]: the msnq series needs the "
+                         "levels 1..J with J >= 2, and 2^1024 overflows float64")
     if k_max is None:
         k_max = int(min(seq.j_cut, max(1000, seq.count_leq(2.0 ** min(J, 40)))))
     diags = {

@@ -30,6 +30,7 @@ from .tails import (
     inv_log_pow_tail,
     inv_loglog_pow_tail,
     log_pow_integral,
+    log_pow_over_pow_tail,
     poly_geom_tail,
 )
 
@@ -65,8 +66,28 @@ def _last_index(x: float) -> int:
     return int(x) + ulp // 2 - (int(x) // ulp) % 2 if ulp > 1 else int(x)
 
 
+def index_terms(cond: str, tj: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """The terms of the index series of `cond` at the zeros tj, indices jj:
+    i : ln^+(t_j/j)/t_j,  v : ln^+ln(j)/t_j,  vi : ln^+ln(t_j)/t_j,
+    and 0 where t_j = +inf.  The one definition of these terms."""
+    finite = np.isfinite(tj)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if cond == "i":
+            return np.where(finite, np.maximum(0.0, np.log(tj / jj)) / tj, 0.0)
+        if cond == "v":
+            lg = np.where(jj >= 3, np.log(np.log(np.maximum(jj, 3.0))), 0.0)
+            return np.where(finite, np.maximum(0.0, lg) / tj, 0.0)
+        if cond == "vi":
+            lt = np.where(tj > 1.0, np.log(tj), 1.0)
+            return np.where(finite & (tj > 1.0), np.maximum(0.0, np.log(lt)) / tj, 0.0)
+    raise ValueError(f"unknown condition {cond!r}")
+
+
 class Family:
     """Base class: exact enumeration plus certified tail bounds."""
+
+    # the first index at which omega0_flag reads t_j/j
+    _ratio_from = 1
 
     # -- enumeration ------------------------------------------------------
     def _at(self, j: np.ndarray) -> np.ndarray:
@@ -114,6 +135,13 @@ class Family:
         return counts if np.ndim(t) else counts[0]
 
     # -- certified tails ---------------------------------------------------
+    def _head(self, k_from: int, k0: int, summand) -> float:
+        """sum of summand(k, t_k) over k_from < k <= k0; 0 when empty."""
+        if k_from >= k0:
+            return 0.0
+        k = np.arange(k_from + 1, k0 + 1, dtype=float)
+        return float(np.sum(summand(k, self._at(k))))
+
     def inv_tail(self, k_from: int) -> float:
         """Upper bound for sum_{k > k_from} 1/t_k."""
         raise NotImplementedError
@@ -126,12 +154,20 @@ class Family:
         """Lower bound for sum_{k <= m} ln t_k."""
         raise NotImplementedError
 
-    def n_lower(self, t: float) -> float:
-        return float(self.count_leq(t))
-
     # -- classification ----------------------------------------------------
     def index_series_tail(self, cond: str, k_from: int) -> Optional[float]:
-        """Certified tail for the index series of `cond`, or None."""
+        """Certified bound for sum_{k > k_from} of the index series of
+        `cond`, or None: the terms up to the family's _index_onset summed
+        exactly by index_terms, the rest bounded by _index_far_tail."""
+        k0 = max(k_from, self._index_onset)
+        far = self._index_far_tail(cond, k0)
+        if far is None:
+            return None
+        return self._head(k_from, k0, lambda k, tk: index_terms(cond, tk, k)) + far
+
+    def _index_far_tail(self, cond: str, k0: int) -> Optional[float]:
+        """Analytic bound for sum_{k > k0} of the index series of `cond`,
+        k0 >= _index_onset, or None where none is known."""
         return None
 
     def index_series_divergence(self, cond: str) -> Optional[DivergenceCertificate]:
@@ -160,36 +196,35 @@ class Family:
         counting and the family lower bound on the cumulated logs.
         """
         t = 2.0**j
-        if n == 0:
-            extra = 0.5 * t * t * self.inv_sq_tail(0)
-            return extra
         head = n * (0.5 * LN2 + j * LN2) - self.cum_log_lower(n)
         extra = 0.5 * t * t * self.inv_sq_tail(n)
         return head + extra
 
-    def _msnq_weight_bound(self, j: int) -> float:
-        """Upper bound for ln(2^j / P(2^(j+1))), any profile P >= c0 * n.
-
-        Uses P(t) >= min(1, ln(2)/2) * n(t/e) which holds for P = n (n is
-        nondecreasing), P = N (N(t) >= n(t/e), each factor t/t_k >= e
-        contributes at least 1), and P = ln|w| (each zero <= t contributes
-        at least ln(2)/2).  Clamped at 0: negative-log terms never enter
+    def _msnq_weight_bound(self, j: int, n_low: int) -> float:
+        """Upper bound for ln(2^j / P(2^(j+1))) from the exact count
+        n_low = n(2^(j+1)/e), clamped at 0: negative-log terms never enter
         the diagnostics.
+
+        P(t) >= n(t/e) holds for P = n (n is nondecreasing), P = N (each
+        factor t/t_k >= e contributes at least 1) and P = ln|w| (each zero
+        t_k <= t/e contributes (1/2) ln(1 + t^2/t_k^2) >= (1/2) ln(1 + e^2)
+        > 1).  With no such zero the bound is j ln 2, which holds only
+        where P(2^(j+1)) >= 1.
         """
-        n_low = self.n_lower(2.0 ** (j + 1) / math.e)
-        if n_low < 1.0:
-            return j * LN2
-        return max(0.0, j * LN2 - math.log(0.5 * LN2 * n_low))
+        return max(0.0, j * LN2 - math.log(max(n_low, 1)))
 
     def _dyadic_terms_upper(self, profile: str, j_from: int, j_to: int) -> list:
         """Upper bounds for the msnq-series terms at levels j_from..j_to,
-        via exact counts of every level in one call."""
-        levels = range(j_from, j_to + 1)
-        counts = self.count_leq(2.0 ** np.array(levels, dtype=float)) if levels else []
+        from exact counts n(2^j) and n(2^(j+1)/e) of every level in one call."""
+        levels = np.arange(j_from, j_to + 1, dtype=float)
+        if not len(levels):
+            return []
+        # 2^j (2/e) is 2^(j+1)/e to the bit, and finite at j = 1023
+        counts = self.count_leq(np.concatenate((2.0**levels, 2.0**levels * (2.0 / math.e))))
         out = []
-        for j, n in zip(levels, counts):
+        for j, n, n_low in zip(range(j_from, j_to + 1), counts, counts[len(levels):]):
             p_up = float(n) if profile == "n" else self._log_weight_majorant(j, n)
-            out.append(p_up / 2.0**j * self._msnq_weight_bound(j))
+            out.append(p_up / 2.0**j * self._msnq_weight_bound(j, n_low))
         return out
 
 
@@ -217,43 +252,38 @@ class GeometricFamily(Family):
         # exact: sum_{k<=m} k ln r = m(m+1) ln(r) / 2
         return 0.5 * m * (m + 1) * self._lnr
 
-    def n_lower(self, t: float) -> float:
-        return max(0.0, math.log(t) / self._lnr - 1.0) if t >= 1.0 else 0.0
+    _index_onset = 2
 
-    def index_series_tail(self, cond: str, k_from: int) -> float:
-        k0 = max(k_from + 1, 3)
+    def _index_far_tail(self, cond: str, k0: int) -> float:
+        # terms <= c k^p (ln k)^q r^-k for k > k0 >= 2, so ln k >= 1
         if cond == "i":
-            # ln(t_k/k) <= k ln r, so terms <= (k ln r) r^-k
-            return poly_geom_tail(self._lnr, 1, 0, 1.0 / self.r, k0)
+            # ln(t_k/k) <= k ln r
+            return poly_geom_tail(self._lnr, 1, 0, 1.0 / self.r, k0 + 1)
         if cond == "v":
             # lnln k <= ln k
-            return poly_geom_tail(1.0, 0, 1, 1.0 / self.r, k0)
-        if cond == "vi":
-            # ln ln t_k = ln(k ln r) <= ln k + |ln ln r| <= (1+|ln ln r|) ln k
-            c = 1.0 + abs(math.log(self._lnr))
-            return poly_geom_tail(c, 0, 1, 1.0 / self.r, k0)
-        raise ValueError(f"unknown condition {cond!r}")
+            return poly_geom_tail(1.0, 0, 1, 1.0 / self.r, k0 + 1)
+        # ln ln t_k = ln(k ln r) <= ln k + |ln ln r| <= (1+|ln ln r|) ln k
+        return poly_geom_tail(1.0 + abs(math.log(self._lnr)), 0, 1, 1.0 / self.r, k0 + 1)
 
-    def _profile_majorant_coeffs(self) -> tuple[float, float, float]:
-        """(A, B, C) with ln|w(2^j)| <= (A j + B) * (j ln2 + ln2/2) + C.
+    def log_weight_quadratic(self, j0: int) -> float:
+        """q with ln|w(2^j)| <= q j^2 for every j >= j0 >= 1.
 
-        n(2^j) <= j ln2/ln r + 1 and the leftover tail term is bounded by
-        r^2/(2(r^2-1)) since t_(n+1) > t forces r^-2n < r^2/t^2.
+        n(2^j) <= j ln2/ln r + 1, and the leftover tail term is bounded by
+        r^2/(2(r^2-1)) since t_(n+1) > t forces r^-2n < r^2/t^2, so
+        ln|w(2^j)| <= (j ln2/ln r + 1)(j + 0.5) ln2 + r^2/(2(r^2-1)).
         """
-        a = LN2 / self._lnr
         c_sq = self.r**2 / (2.0 * (self.r**2 - 1.0))
-        return a, 1.0, c_sq
+        return (LN2 / self._lnr + 1.0 / j0) * (1.0 + 0.5 / j0) * LN2 + c_sq / j0**2
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
+        # the msnq weight is at most j ln 2
         j0 = max(j_from + 1, 3)
         head = sum(self._dyadic_terms_upper(profile, j_from + 1, j0 - 1))
-        a, b, c_sq = self._profile_majorant_coeffs()
         if profile == "n":
-            # terms <= (a j + b)/2^j * w(j), and w <= j ln 2
-            return head + poly_geom_tail((a + b / j0) * LN2, 2, 0, 0.5, j0)
-        # N <= ln|w|; quadratic majorant q(j) = (a j + b)(j+0.5) ln2 + c_sq
-        q_coeff = (a + b / j0) * (1.0 + 0.5 / j0) * LN2 + c_sq / j0**2
-        return head + poly_geom_tail(q_coeff * LN2, 3, 0, 0.5, j0)
+            # n(2^j) <= (ln2/ln r + 1/j0) j
+            return head + poly_geom_tail((LN2 / self._lnr + 1.0 / j0) * LN2, 2, 0, 0.5, j0)
+        # N <= ln|w|
+        return head + poly_geom_tail(self.log_weight_quadratic(j0) * LN2, 3, 0, 0.5, j0)
 
     def spec_string(self) -> str:
         return f"geometric:r={self.r:g}"
@@ -284,22 +314,17 @@ class PowerFamily(Family):
         # exact: a * ln(m!)
         return self.a * lgamma(m + 1.0)
 
-    def n_lower(self, t: float) -> float:
-        return max(0.0, t ** (1.0 / self.a) - 1.0) if t > 0 else 0.0
+    _index_onset = 3
 
-    def index_series_tail(self, cond: str, k_from: int) -> float:
-        from .tails import log_pow_over_pow_tail
-
-        k0 = max(k_from, 3)
+    def _index_far_tail(self, cond: str, k0: int) -> float:
+        # terms <= c ln k / k^a for k > k0 >= 3
         if cond == "i":
             # ln(t_k/k) = (a-1) ln k
             return log_pow_over_pow_tail(self.a - 1.0, 1, self.a, k0)
         if cond == "v":
             return log_pow_over_pow_tail(1.0, 1, self.a, k0)
-        if cond == "vi":
-            # ln ln t_k = ln a + ln ln k <= (ln a + 1) ln k for k >= 3
-            return log_pow_over_pow_tail(abs(math.log(self.a)) + 1.0, 1, self.a, k0)
-        raise ValueError(f"unknown condition {cond!r}")
+        # ln ln t_k = ln a + ln ln k <= (ln a + 1) ln k for k >= 3
+        return log_pow_over_pow_tail(abs(math.log(self.a)) + 1.0, 1, self.a, k0)
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         j0 = max(j_from + 1, 3, math.ceil(2.0 * self.a))
@@ -335,11 +360,13 @@ class PowLogFamily(Family):
         k = np.arange(1.0, 17.0)
         tk = self._at(k)
         self._k_geq_index = int(np.argmax(tk >= k)) + 1
-        self._t_geq = float(tk[self._k_geq_index - 1])
         # exact corrections: cumulated min(0, ln t_k - ln k) over k < k_geq_index
         below = slice(0, self._k_geq_index - 1)
         self._neg_log = np.cumsum(np.concatenate(
             ([0.0], np.minimum(0.0, np.log(tk[below]) - np.log(k[below])))))
+
+    # the clamped head t_1 = t_2 = t_3 makes t_j/j fall up to j = 3
+    _ratio_from = 3
 
     def _at(self, j: np.ndarray) -> np.ndarray:
         m = np.maximum(j, 3.0)
@@ -353,13 +380,6 @@ class PowLogFamily(Family):
         return out
 
     # -- tail bounds --------------------------------------------------------
-    def _head(self, k_from: int, k0: int, summand) -> float:
-        """sum of summand(k, t_k) over k_from < k <= k0; 0 when empty."""
-        if k_from >= k0:
-            return 0.0
-        k = np.arange(k_from + 1, k0 + 1, dtype=float)
-        return float(np.sum(summand(k, self._at(k))))
-
     def inv_tail(self, k_from: int) -> float:
         """sum_{k>K} 1/t_k via u = ln x substitution.
 
@@ -390,38 +410,17 @@ class PowLogFamily(Family):
         """
         return lgamma(m + 1.0) + float(self._neg_log[min(m, self._k_geq_index - 1)])
 
-    def _polylog(self, t: float) -> float:
-        lt = math.log(t)
-        return lt**self.a * math.log(lt) ** self.b
-
-    def n_lower(self, t: float) -> float:
-        """n(t) >= t/((ln t)^a (lnln t)^b) - 1 for t >= T0.
-
-        t_(n+1) > t and n+1 <= t (valid past the t_k >= k onset) give
-        (n+1) (ln t)^a (lnln t)^b >= (n+1)(ln(n+1))^a(...)^b > t.
-        """
-        t0 = max(math.e**1.1, self._t_geq)
-        if t <= math.exp(math.e) or t <= t0:
-            return float(self.count_leq(t))
-        # evaluated at t+1 since only n+1 <= t+1 is guaranteed
-        return max(0.0, t / self._polylog(t + 1.0) - 1.0)
-
     @property
     def msnq_convergent(self) -> bool:
         # sum ln(t_j/j)/t_j ~ sum lnln j/(j (ln j)^a (lnln j)^b):
         # converges iff a > 1, or a = 1 and b > 2.
         return self.a > 1.0 or self.b > 2.0
 
-    def index_series_tail(self, cond: str, k_from: int) -> Optional[float]:
-        if not self.msnq_convergent and cond in ("i", "v", "vi"):
+    _index_onset = 16
+
+    def _index_far_tail(self, cond: str, k0: int) -> Optional[float]:
+        if not self.msnq_convergent:
             return None
-        k0 = max(k_from, 16)
-
-        def summand(k, tk):
-            num = np.log(tk / k) if cond == "i" else np.log(np.log(k if cond == "v" else tk))
-            return np.maximum(0.0, num) / tk
-
-        head = self._head(k_from, k0, summand)
         lk = math.log(k0)
         llk = math.log(lk)
         if cond == "i":
@@ -436,9 +435,9 @@ class PowLogFamily(Family):
             # sum lnln k/(k (ln k)^a (lnln k)^b)
             #   <= (lnln k0)^-b * integral_{ln k0}^inf ln(u)/u^a du
             pull = llk ** (-self.b) if self.b else 1.0
-            return head + coeff * pull * log_pow_integral(1, self.a, lk)
+            return coeff * pull * log_pow_integral(1, self.a, lk)
         # a = 1, b > 2: terms = coeff/(k ln k (lnln k)^(b-1))
-        return head + inv_loglog_pow_tail(coeff, self.b - 1.0, k0)
+        return inv_loglog_pow_tail(coeff, self.b - 1.0, k0)
 
     def index_series_divergence(self, cond: str) -> Optional[DivergenceCertificate]:
         if self.msnq_convergent:
@@ -456,14 +455,15 @@ class PowLogFamily(Family):
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> Optional[float]:
         """Certified tail for sum_{j>J} (P(2^j)/2^j) w(j), msnq-convergent case.
 
-        Analytic part past j2: with u = j ln 2,
-          P(2^j)/2^j <= lnw-majorant/2^j <= C1 (ln u)^(q0)/u^(a-eps-free form)
-        assembled from n(t) <= t/((ln M)^a (lnln M)^b) with M = n_lower(t)
-        (t_n <= t gives n <= t/((ln n)^a (lnln n)^b), and n >= M),
-        cum_log_lower and the msnq weight bound;
+        Bridge terms up to j2 >= 64 use exact counts.  Past j2, with
+        t = 2^j and u = j ln 2, two analytic steps bound n = n(t):
+          n >= M = t/((ln t)^a (lnln t)^b) - 1, since t_(n+1) > t and
+            n + 1 <= t (t_k >= 2k here), so t < (n+1) (ln t)^a (lnln t)^b;
+          n <= t/((ln M)^a (lnln M)^b), since t_n <= t and n >= M.
+        With cum_log_lower and the msnq weight bound they give
+          P(2^j)/2^j <= lnw-majorant/2^j <= C1 (ln u)^(q0)/u^(a-eps-free form);
         all slowly-varying correction factors are frozen at j2 where they
-        are monotone in the safe direction.  Bridge terms up to j2 use the
-        exact count.
+        are monotone in the safe direction.
         """
         if not self.msnq_convergent:
             return None
@@ -474,7 +474,7 @@ class PowLogFamily(Family):
             # a = 1: terms <= coeff/(u (ln u)^(b-q)) need b - q > 1
             return None
         j2 = max(j_from, 64)
-        # kappa1: ln(n_lower(2^j)) >= kappa1 * u with u = j ln2, for j > j2;
+        # kappa1: ln M >= kappa1 * u with u = j ln2, for j > j2;
         # the correction (a ln u + b lnln u + 2)/u decreases in u, so the
         # value at u2 dominates.  Grow j2 until the correction is < 1/2.
         while True:
@@ -486,7 +486,7 @@ class PowLogFamily(Family):
         total = sum(self._dyadic_terms_upper(profile, j_from + 1, j2))
         kappa1 = 1.0 - corr
         # P(2^j)/2^j for P = n: n_up(2^j)/2^j <= 1/((ln M)^a (lnln M)^b)
-        # with M = n_lower(2^j), ln M >= kappa1 u and lnln M >= kap_log ln u
+        # with ln M >= kappa1 u and lnln M >= kap_log ln u
         # (both frozen at u2 where the ratios are monotone the safe way).
         kap_log = math.log(kappa1 * u2) / math.log(u2)  # increases to 1
         base_c = kappa1 ** (-self.a) * kap_log ** (-self.b)
@@ -514,8 +514,6 @@ class PowLogFamily(Family):
             # sum_{j>j2} coeff (ln u_j)^q_int / u_j^a, u_j = j ln2 + ln2:
             # (ln u_j) <= ln(2j) <= (1+ln2/ln j2) ln j and u_j >= j ln2
             c2 = coeff * LN2 ** (-self.a) * (1.0 + LN2 / math.log(j2)) ** q_int
-            from .tails import log_pow_over_pow_tail
-
             return total + log_pow_over_pow_tail(c2, q_int, self.a, j2)
         # a = 1, b > 2: terms <= coeff / (u (ln u)^(s-q)), s - q > 1 (above)
         s_eff = s - q
@@ -557,6 +555,7 @@ class ExplicitFamily(Family):
                 )
         self.values = vals
         self._padded = np.array(vals + [math.inf])
+        self._index_onset = len(vals)  # every index-series term is summed
 
     def _at(self, j: np.ndarray) -> np.ndarray:
         return self._padded[np.minimum(j, len(self.values) + 1).astype(np.intp) - 1]
@@ -579,17 +578,8 @@ class ExplicitFamily(Family):
         m = min(m, len(self.values))
         return sum(math.log(v) for v in self.values[:m])
 
-    def index_series_tail(self, cond: str, k_from: int) -> float:
-        total = 0.0
-        for k in range(max(k_from + 1, 2), len(self.values) + 1):
-            tk = self.values[k - 1]
-            if cond == "i":
-                total += max(0.0, math.log(tk / k)) / tk
-            elif cond == "v":
-                total += max(0.0, math.log(math.log(k))) / tk if k >= 3 else 0.0
-            else:
-                total += max(0.0, math.log(math.log(tk))) / tk if tk > 1.0 else 0.0
-        return total
+    def _index_far_tail(self, cond: str, k0: int) -> float:
+        return 0.0
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
         # P(2^j) <= m (j ln2 + ln sqrt2 + max(0, -ln t_1)), m = len(values),
@@ -617,9 +607,13 @@ class ZeroSequence:
     series, which raises KEvalError past it.  An explicit list is taken
     whole (term_cap).  Counting is exact regardless.
 
-    omega0_flag says that t_j/j is nondecreasing.  It is derived, not set:
-    validate reads it off the prefix it checks, t_1..t_min(j_cut, 4096) or
-    the whole explicit list.  Past that prefix no family turns down again:
+    omega0_flag says that t_j/j is nondecreasing from the family's
+    _ratio_from on: from j = 3 for powlog, whose clamped head
+    t_1 = t_2 = t_3 makes the ratio fall, and from j = 1 otherwise.
+    Convergence depends only on tails, so that is enough for conditions v
+    and vi to agree with i-iv.  The flag is derived, not set: validate
+    reads it off the prefix it checks, t_1..t_min(j_cut, 4096) or the
+    whole explicit list.  Past that prefix no family turns down again:
     ln(r^j/j) = j ln r - ln j is convex in j, so a geometric ratio that has
     stopped falling keeps rising; j^a/j = j^(a-1) for a > 1 and
     (ln j)^a (lnln j)^b for j >= 3, a, b >= 0 are nondecreasing; and past an
@@ -658,7 +652,7 @@ class ZeroSequence:
             if nonpos[j - 1]:
                 raise SequenceSpecError(f"t_{j} <= 0", j)
             raise SequenceSpecError(f"t_{j} < t_{j-1}", j)
-        ratio = t / np.arange(1, len(t) + 1)
+        ratio = (t / np.arange(1, len(t) + 1))[fam._ratio_from - 1:]
         self.omega0_flag = not np.any(ratio[1:] < ratio[:-1] * (1.0 - 1e-15))
 
     def term(self, j: int) -> float:

@@ -89,6 +89,13 @@ class TestBasics:
         assert code == 2 and not out
         assert "inner-series terms, more than --j-cut 500000" in err
 
+    @pytest.mark.parametrize("J", ["0", "1", "1024"])
+    def test_omega6_levels_outside_the_range_exit_2(self, J):
+        # J >= 2 gives the msnq series a term, and 2^1024 overflows float64
+        code, out, err = run_cli(["criteria", "omega6", "--seq", "geometric:r=2", "--J", J])
+        assert code == 2 and not out
+        assert f"--J {J} is outside [2, 1023]" in err
+
     def test_omega6_with_an_unclosable_tail_is_inconclusive(self):
         # r = 2^(1/a - 1) is within 7e-8 of 1: no geometric tail bound
         # closes, so the dyadic msnq series have no certificate

@@ -13,10 +13,14 @@ from weightlab import (
     ZeroSequence,
     parse_sequence_spec,
 )
+from weightlab.criteria import profile_big_n, profile_n
+from weightlab.sequences import index_terms
 
 
 # 200 zeros from 1 to about 7.2, in runs of three equal ones
 EXPLICIT_200 = "explicit:[" + ",".join(f"{1.01 ** (k - k % 3):.12g}" for k in range(200)) + "]"
+# 40 zeros 1.5, 2, 2.5, ..., 21
+EXPLICIT_40 = "explicit:[" + ",".join(f"{1 + 0.5 * k:g}" for k in range(1, 41)) + "]"
 FOUR_FAMILIES = ["geometric:r=1.1", "power:a=2.5", "powlog:a=1,b=2", "powlog:a=3,b=0",
                  EXPLICIT_200]
 SPECS = st.one_of(
@@ -158,24 +162,31 @@ class TestTailBounds:
             assert fam.inv_tail(K) >= brute
             assert fam.inv_sq_tail(K) >= brute_sq
 
-    @pytest.mark.parametrize("spec", ["geometric:r=2", "power:a=2", "powlog:a=3,b=0"])
+    @pytest.mark.parametrize("spec", [
+        "geometric:r=2", "power:a=2", "powlog:a=3,b=0", "power:a=1.5", "powlog:a=1,b=3",
+        pytest.param(EXPLICIT_40, id="explicit-40"),
+    ])
     @pytest.mark.parametrize("cond", ["i", "v", "vi"])
     def test_index_series_tails_dominate(self, spec, cond):
+        # from every start K, the terms below a family's onset included,
+        # the bound is at least the sum of the terms k = K+1..120,000; an
+        # explicit list's bound is the float sum of its terms, within 1e-12
         fam = parse_sequence_spec(spec).family
-        K = 50
-        bound = fam.index_series_tail(cond, K)
-        assert bound is not None
-        brute = 0.0
-        for k, t in enumerate(fam.terms(K + 1, 120_000).tolist(), start=K + 1):
-            if t > 1e120:
-                break
+        t = fam.terms(1, 120_000)
+        terms = index_terms(cond, t, np.arange(1.0, len(t) + 1))
+        # the scalar definitions are the reference for the first terms
+        for k, tk in enumerate(t[:200].tolist(), start=1):
             if cond == "i":
-                brute += max(0.0, math.log(t / k)) / t
+                want = max(0.0, math.log(tk / k)) / tk
             elif cond == "v":
-                brute += max(0.0, math.log(math.log(k))) / t if k >= 3 else 0.0
+                want = max(0.0, math.log(math.log(k))) / tk if k >= 3 else 0.0
             else:
-                brute += max(0.0, math.log(math.log(t))) / t if t > 1 else 0.0
-        assert bound >= brute
+                want = max(0.0, math.log(math.log(tk))) / tk if tk > 1 else 0.0
+            assert terms[k - 1] == pytest.approx(want if tk < math.inf else 0.0, rel=1e-12)
+        for K in (0, 1, 2, 3, 39, 50):
+            bound = fam.index_series_tail(cond, K)
+            assert bound is not None
+            assert bound >= math.fsum(terms[K:]) * (1.0 - 1e-12), K
 
     def test_powlog_divergence_certificates(self):
         fam = PowLogFamily(1.0, 2.0)
@@ -205,6 +216,20 @@ class TestTailBounds:
         # is a strictly harder comparison than against the true series
         assert bound >= 0.999 * brute
 
+    @pytest.mark.parametrize("spec", ["power:a=2", "powlog:a=3,b=0", "powlog:a=1,b=3"])
+    def test_dyadic_terms_bound_the_msnq_terms(self, spec):
+        # from the exact counts n(2^j) and n(2^(j+1)/e), the bound at each
+        # level is at least the term (a_j/2^j) ln^+(2^j/a_(j+1)) of the n
+        # and the N profile
+        seq = parse_sequence_spec(spec)
+        J = 30
+        for make, profile in ((profile_n, "n"), (profile_big_n, "N")):
+            a = make(seq, J).values
+            upper = seq.family._dyadic_terms_upper(profile, 1, J - 1)
+            for j in range(1, J):
+                term = a[j - 1] / 2.0**j * max(0.0, math.log(2.0**j / a[j])) if a[j - 1] else 0.0
+                assert upper[j - 1] >= term, (profile, j)
+
     def test_cum_log_lower(self):
         for spec in ("geometric:r=2", "power:a=2", "powlog:a=1,b=2"):
             fam = parse_sequence_spec(spec).family
@@ -225,7 +250,8 @@ class TestInvariants:
 
     def test_prefix_checks_match_term_loop(self):
         # validate and the omega0 check read one terms() array; a Python
-        # loop over its ratios is the reference
+        # loop over its ratios is the reference.  A powlog ratio is read
+        # from j = 3, past the clamped head t_1 = t_2 = t_3
         for spec in ("geometric:r=1.001", "geometric:r=2", "power:a=1.5", "power:a=2",
                      "powlog:a=1,b=2", "powlog:a=3,b=0", "powlog:a=1.5,b=0.5",
                      "explicit:[1,1,2]", "explicit:[1,2,4]"):
@@ -233,7 +259,8 @@ class TestInvariants:
                 seq = parse_sequence_spec(spec, j_cut=j_cut)
                 fam = seq.family
                 upto = len(fam.values) if isinstance(fam, ExplicitFamily) else j_cut
-                ratios = [t / j for j, t in enumerate(fam.terms(1, upto).tolist(), start=1)]
+                start = 3 if isinstance(fam, PowLogFamily) else 1
+                ratios = [t / j for j, t in enumerate(fam.terms(start, upto).tolist(), start=start)]
                 flat = not any(b < a * (1.0 - 1e-15) for a, b in zip(ratios, ratios[1:]))
                 assert seq.omega0_flag == flat, (spec, j_cut)
                 assert ZeroSequence(fam, j_cut).omega0_flag == seq.omega0_flag, (spec, j_cut)
