@@ -379,7 +379,7 @@ def sandwich_check(
     peak_ok = _interior_sup(rhs_table, y)
     if not peak_ok and big_table_cache is not None:
         # the max term of the n-th power sits near n * n(y)
-        need = n * seq.count_leq(y) + 64
+        need = n * w.zeros.count_leq(y) + 64
         if need <= K_ADAPT_CAP:
             K_big = max(256, 1 << (need - 1).bit_length())
             key = (n, K_big)

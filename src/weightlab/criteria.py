@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import SampledFunction
-from .sequences import DivergenceCertificate, ZeroSequence, index_terms
+from .sequences import ZERO_CHUNK, DivergenceCertificate, ZeroSequence, index_terms
 from .weights import WeightEvaluator, big_n_levels
 
 VERDICT_CONV = "convergent-certified"
@@ -129,7 +129,7 @@ def _finish(
         # converge; a trend must not overrule that
         verdict = VERDICT_INC
         cert = "converges analytically, but no finite tail bound closes it at this truncation"
-    elif div is not None and len(arr) and arr[-1] > 0.0:
+    elif div is not None:
         verdict = VERDICT_DIV
         thr = 0.0
         cert = div.reason
@@ -274,15 +274,15 @@ def _index_series(seq: ZeroSequence, k_max: int) -> dict:
     condition, from one pass over t_1..t_{k_max}.
 
     The terms are sequences.index_terms, made one condition's array at a
-    time; decimated accumulation (vectorized in chunks, fixed order).
+    time; decimated accumulation over ZERO_CHUNK-term pieces, streamed and
+    not kept, in fixed order.
     """
     fam = seq.family
-    chunk = 1 << 16
     acc = {"i": 0.0, "v": 0.0, "vi": 0.0}
     partial = {cond: [] for cond in acc}
     record_at = _record_points(k_max)
-    for start in range(1, k_max + 1, chunk):
-        stop = min(start + chunk - 1, k_max)
+    for start in range(1, k_max + 1, ZERO_CHUNK):
+        stop = min(start + ZERO_CHUNK - 1, k_max)
         jj = np.arange(start, stop + 1, dtype=float)
         tj = seq.terms(start, stop)
         rec = [k - start for k in record_at if start <= k <= stop]

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sampling import log_grid
-from .sequences import ExplicitFamily, ZeroSequence
+from .sequences import ZERO_CHUNK, ExplicitFamily, TermPrefix, ZeroSequence
 
 LN3 = math.log(3.0)
 
@@ -193,29 +193,32 @@ class ConcaveSeriesMajorant:
     The returned value is a lower bound; value+err an upper bound.  The
     cutoff is at most the sequence's j_cut, and an argument that needs
     more terms raises KEvalError; an explicit list has no such cap, since
-    its terms past the list are 0.
+    its terms past the list are 0.  The zeros are kept in a TermPrefix,
+    and the sums of their logs are extended in ZERO_CHUNK pieces counted
+    from index 1, so alpha(t) does not depend on the points evaluated
+    before.
     """
 
     sequence: ZeroSequence
     _cumlog: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._t = np.empty(0)  # t_1..t_K, kept for counting
-        self._cumlog = np.zeros(1)  # cumlog[k] = sum_{i<=k} ln t_i
+        self.zeros = TermPrefix(self.sequence)
+        self._cumlog = np.zeros(1)  # cumlog[k] = sum_{i<=k} ln t_i, finite t_i
         fam = self.sequence.family
         self._cap = math.inf if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
 
     def _ensure_cumlog(self, k: int) -> None:
-        have = len(self._cumlog) - 1
-        if k <= have:
-            return
-        k = min(max(k, 2 * have, 1024), self._cap)
-        tj = self.sequence.terms(have + 1, k)
-        self._t = np.concatenate([self._t, tj])
-        fin = np.isfinite(tj)
-        logs = np.where(fin, np.log(np.where(fin, tj, 1.0)), np.inf)
-        ext = self._cumlog[-1] + np.cumsum(np.asarray(logs, dtype=np.longdouble))
-        self._cumlog = np.concatenate([self._cumlog, np.asarray(ext, dtype=float)])
+        """Extend cumlog to index k, or to the last finite t_j, one
+        ZERO_CHUNK piece at a time: a piece's long-double sums start from
+        the float64 sum before it, at a fixed index."""
+        while len(self._cumlog) <= k:
+            have = len(self._cumlog) - 1
+            tj = self.zeros.finite(min(have + ZERO_CHUNK, self._cap))[have:]
+            if not len(tj):
+                return
+            ext = self._cumlog[-1] + np.cumsum(np.log(tj).astype(np.longdouble))
+            self._cumlog = np.concatenate([self._cumlog, np.asarray(ext, dtype=float)])
 
     # extra indices past the ratio-1/2 cutoff: the omitted tail is then at
     # most 2^-_EXTRA of the last kept term, keeping the sampled function
@@ -226,21 +229,22 @@ class ConcaveSeriesMajorant:
         if not (t > 0) or not math.isfinite(t):
             raise ValueError("need finite t > 0")
         x = 4.0 * t
-        n = int(self._t.searchsorted(2.0 * x, "right"))
-        if n == len(self._t):  # the kept t_j end at or below 2x
-            n = self.sequence.count_leq(2.0 * x)
+        n = self.zeros.count_leq(2.0 * x, self.sequence.term_cap)
         k_star = n + self._EXTRA
         if k_star + 1 > self._cap:
             raise KEvalError(
-                f"alpha({t:g}) needs {k_star + 1} inner-series terms, more than "
+                f"alpha({t:g}) needs at least {k_star + 1} inner-series terms, more than "
                 f"--j-cut {self.sequence.j_cut}"
             )
         self._ensure_cumlog(k_star + 1)
+        cum = self._cumlog[1 : k_star + 2]
+        if len(cum) < k_star + 1:  # no zero is left: the log sums are inf
+            cum = np.concatenate((cum, np.full(k_star + 1 - len(cum), math.inf)))
         lnx = math.log(x)
         # inner-series terms for k = 1..k_star (the empty product is the
         # "1 +" handled by log1p below)
         ks = np.arange(1, k_star + 1)
-        exponents = ks * lnx - self._cumlog[1 : k_star + 1]
+        exponents = ks * lnx - cum[:k_star]
         m = float(np.max(exponents))
         if math.isfinite(m):
             log_s = m + math.log(float(np.sum(np.exp(exponents - m))))
@@ -249,8 +253,8 @@ class ConcaveSeriesMajorant:
         log_1ps = _log1pexp(log_s)  # ln(1 + S_K)
         # tail: terms past k_star decay at ratio <= 1/2, so the remainder
         # is at most twice the next term; err = 2 ln(1 + tail/(1+S_K)).
-        if math.isfinite(self._cumlog[k_star + 1]):
-            log_next = (k_star + 1) * lnx - float(self._cumlog[k_star + 1])
+        if math.isfinite(cum[k_star]):
+            log_next = (k_star + 1) * lnx - float(cum[k_star])
             tail_over = 2.0 * math.exp(min(log_next - log_1ps, 700.0))
         else:
             tail_over = 0.0

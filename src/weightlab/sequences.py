@@ -57,6 +57,9 @@ class DivergenceCertificate:
 _TOP = 2.0 ** (sys.float_info.max_exp - 1)
 _ONE_BITS, _TOP_BITS = np.array([1.0, _TOP]).view(np.int64)
 _INNER = np.arange(1, 64)  # a search cell's inner points, in steps
+# zeros per piece of every pass over t_j: a kept prefix's fills, the
+# evaluator's log sums, the N profile and the index series
+ZERO_CHUNK = 2**15
 
 
 def _last_index(x: float) -> int:
@@ -476,13 +479,16 @@ class PowLogFamily(Family):
         j2 = max(j_from, 64)
         # kappa1: ln M >= kappa1 * u with u = j ln2, for j > j2;
         # the correction (a ln u + b lnln u + 2)/u decreases in u, so the
-        # value at u2 dominates.  Grow j2 until the correction is < 1/2.
+        # value at u2 dominates.  Grow j2 until the correction is < 1/2;
+        # past level 1023 no zero count exists, and there is no certificate.
         while True:
             u2 = (j2 + 1) * LN2
             corr = (self.a * math.log(u2) + self.b * math.log(math.log(u2)) + 2.0) / u2
             if corr < 0.5:
                 break
-            j2 *= 2
+            if j2 >= 1023:
+                return math.inf
+            j2 = min(2 * j2, 1023)
         total = sum(self._dyadic_terms_upper(profile, j_from + 1, j2))
         kappa1 = 1.0 - corr
         # P(2^j)/2^j for P = n: n_up(2^j)/2^j <= 1/((ln M)^a (lnln M)^b)
@@ -680,6 +686,47 @@ class ZeroSequence:
 
     def spec_string(self) -> str:
         return self.family.spec_string()
+
+
+class TermPrefix:
+    """The kept t_1, t_2, ... of a sequence, each enumerated once.
+
+    The prefix grows in place to a power of two in fixed pieces, 16, 16,
+    32, ... up to ZERO_CHUNK, then ZERO_CHUNK each, so an entry comes from
+    one terms() call whatever the order of the requests.  It stops at the
+    sequence's term_cap, or with the piece that holds its first inf.
+    """
+
+    def __init__(self, seq: ZeroSequence):
+        self.seq = seq
+        self.values = np.empty(0)
+        self.n_fin = 0  # entries before the first inf
+
+    def finite(self, j_max: int) -> np.ndarray:
+        """The finite t_1..t_{j_max}, first as t_j is nondecreasing: a view
+        of the prefix, which no later growth may outlive."""
+        t = self.values
+        have = len(t)
+        if have < j_max and self.n_fin == have:
+            grow = 1 << max(4, (max(j_max, 2 * have) - 1).bit_length())
+            new = min(self.seq.term_cap, grow)
+            t.resize(new, refcheck=False)
+            start = have
+            while start < new:
+                stop = min(new, max(16, 2 * start) if start < ZERO_CHUNK else start + ZERO_CHUNK)
+                t[start:stop] = self.seq.terms(start + 1, stop)
+                self.n_fin = start + int(np.searchsorted(t[start:stop], math.inf))
+                if self.n_fin < stop:
+                    t.resize(stop, refcheck=False)
+                    break
+                start = stop
+        return t[: min(j_max, self.n_fin)]
+
+    def count_leq(self, x: float, cap: float = math.inf) -> int:
+        """n(x), counted on the prefix when it reaches past x or holds cap
+        zeros (the count is then at least cap), else by the sequence."""
+        n = int(self.values.searchsorted(x, "right"))
+        return self.seq.count_leq(x) if n == len(self.values) < cap else n
 
 
 def _parse_kv(body: str, offset: int) -> dict:

@@ -18,9 +18,9 @@ ln|w(t)| inside [value, value + err].  Complex-argument sums can err
 either way; there |true - value| <= err.
 
 Accumulation is in fixed order, bit-deterministic and thread-count
-independent: one float64 sum per 2^18-term chunk of logs, one correctly
-rounded sum over the far blocks, Neumaier-compensated across the parts.
-An evaluator enumerates each t_j once, into a kept prefix.
+independent: one float64 sum per ZERO_CHUNK logs, one correctly rounded
+sum over the far blocks, Neumaier-compensated across the parts.  An
+evaluator enumerates each t_j once, into its TermPrefix.
 """
 
 from __future__ import annotations
@@ -31,18 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequences import ExplicitFamily, ZeroSequence
+from .sequences import ZERO_CHUNK, ExplicitFamily, TermPrefix, ZeroSequence
 
 NEG_INF = float("-inf")
-_CHUNK = 1 << 18
-_BLOCK = 1 << 15  # prefix entries filled per terms() call
 # the far-zero series: a zero is far from z once |z|/t_j <= _EPS; the
 # series keeps _ORDER terms (even, so a real point's cut series lies below
 # its sum), and power sums are kept per _SERIES_BLOCK zeros
 _EPS = 2.0**-6
 _ORDER = 8
 _SERIES_BLOCK = 1 << 12
-_SUM_GROUP = 4  # blocks per numpy call when the power sums are filled
 _SERIES_COEF = np.array([(-1.0) ** (k + 1) / k for k in range(1, _ORDER + 1)])
 
 
@@ -81,43 +78,20 @@ class WeightEvaluator:
     (t^2/2) * sum_{j>J} 1/t_j^2 <= tol (capped by sequence.j_cut); the
     actual certified bound at the chosen J, plus the far-zero series'
     remainder, is reported as err.  t_1..t_J of the largest J so far stay
-    in a prefix, with power sums for each of its complete blocks; sums of
-    logs run in scratch rows.
+    in the TermPrefix `zeros`, with power sums for each of its complete
+    blocks; sums of logs run in two scratch rows of ZERO_CHUNK entries.
     """
 
     sequence: ZeroSequence
     tol: float = 1e-12
 
     def __post_init__(self):
-        self._prefix = np.empty(0)
-        self._n_finite = 0  # entries of the prefix before its first inf
-        self._scratch = np.empty((2, _CHUNK))  # pages are touched on use
+        self.zeros = TermPrefix(self.sequence)
+        self._scratch = np.empty((2, ZERO_CHUNK))  # pages are touched on use
         # per complete block b of the prefix: s_b = 2^e <= its first zero,
         # and in column b the sums of (s_b/t_j)^k for k = 1.._ORDER+1
         self._scale = np.empty(0)
         self._powsums = np.empty((_ORDER + 1, 0))
-
-    def _finite_terms(self, j_max: int) -> np.ndarray:
-        """The finite t_1..t_{j_max}, first as t_j is nondecreasing: a view of
-        the prefix, grown in place to a power of two (no view outlives an
-        evaluation) in fixed pieces, 16, 16, 32, ... up to _BLOCK, then _BLOCK
-        each, so an entry comes from one terms() call whatever the growth."""
-        t = self._prefix
-        have = len(t)
-        if have < j_max and self._n_finite == have:
-            grow = 1 << max(4, (max(j_max, 2 * have) - 1).bit_length())
-            new = min(self.sequence.term_cap, grow)
-            t.resize(new, refcheck=False)
-            start = have
-            while start < new:
-                stop = min(new, max(16, 2 * start) if start < _BLOCK else start + _BLOCK)
-                t[start:stop] = self.sequence.terms(start + 1, stop)
-                self._n_finite = start + int(np.searchsorted(t[start:stop], math.inf))
-                if self._n_finite < stop:
-                    t.resize(stop, refcheck=False)
-                    break
-                start = stop
-        return t[: min(j_max, self._n_finite)]
 
     def _cutoff(self, point, x: float, bound) -> tuple[int, float]:
         """J and bound(J), bound(J) bounding what the zeros past J add: from
@@ -131,9 +105,7 @@ class WeightEvaluator:
         if not isinstance(seq.family, ExplicitFamily):
             if x == math.inf:
                 raise ValueError(f"ln|w| at {point!r} overflows float64 (8|z| = inf)")
-            n = int(self._prefix.searchsorted(x, "right"))
-            if n == len(self._prefix) < seq.j_cut:
-                n = seq.count_leq(x)
+            n = self.zeros.count_leq(x, seq.j_cut)
         return seq.cutoff(bound, self.tol, max(16, n), seq.j_cut)
 
     def _choose_cutoff(self, t: float) -> tuple[int, float]:
@@ -166,18 +138,18 @@ class WeightEvaluator:
     def _log_sum(self, z: complex, r: float, j_max: int, log_chunk) -> tuple[float, float]:
         """(value, series remainder bound) of ln|w(z)| over the finite
         t_1..t_{j_max}, r = |z|: (1/2) the sum of log_chunk(tj, scratch
-        rows) over _CHUNK-term chunks of the head and of the last incomplete
-        block, plus the series over the complete blocks between them; value
-        -inf when log_chunk returns None (an exact zero)."""
-        terms = self._finite_terms(j_max)
+        rows) over ZERO_CHUNK-term chunks of the head and of the last
+        incomplete block, plus the series over the complete blocks between
+        them; value -inf when log_chunk returns None (an exact zero)."""
+        terms = self.zeros.finite(j_max)
         b = _SERIES_BLOCK
         n = len(terms) // b  # complete blocks
         h = -(-int(terms.searchsorted(r / _EPS, "right")) // b) if n else 0  # head blocks
         runs = (terms,) if h >= n else (terms[: h * b], terms[n * b :])
         parts = []
         for run in runs:
-            for start in range(0, len(run), _CHUNK):
-                tj = run[start : start + _CHUNK]
+            for start in range(0, len(run), ZERO_CHUNK):
+                tj = run[start : start + ZERO_CHUNK]
                 # an overflow reaches the result as inf or nan, which callers reject
                 with np.errstate(over="ignore"):
                     logs = log_chunk(tj, self._scratch[:, : len(tj)])
@@ -206,10 +178,10 @@ class WeightEvaluator:
 
     def _fill_power_sums(self, terms: np.ndarray, n_blocks: int) -> None:
         """Extend the kept scales and power sums to the first n_blocks
-        complete blocks of terms, _SUM_GROUP blocks per numpy call.  Each
-        block's sums are row reductions over its own zeros, so they do not
-        depend on the grouping: a warm evaluator equals a fresh one bit for
-        bit."""
+        complete blocks of terms, ZERO_CHUNK zeros per numpy call in the
+        scratch rows.  Each block's sums are row reductions over its own
+        zeros, so they do not depend on the grouping: a warm evaluator
+        equals a fresh one bit for bit."""
         have = len(self._scale)
         if have >= n_blocks:
             return
@@ -217,9 +189,9 @@ class WeightEvaluator:
         tb = terms[have * b : n_blocks * b].reshape(-1, b)
         scale = np.ldexp(1.0, np.frexp(tb[:, 0])[1] - 1)  # 2^e <= each block's first zero
         sums = np.empty((_ORDER + 1, len(tb)))
-        x, p = np.empty((_SUM_GROUP, b)), np.empty((_SUM_GROUP, b))
-        for i in range(0, len(tb), _SUM_GROUP):
-            group = tb[i : i + _SUM_GROUP]
+        x, p = self._scratch.reshape(2, -1, b)
+        for i in range(0, len(tb), len(x)):
+            group = tb[i : i + len(x)]
             m = len(group)
             xg = np.divide(scale[i : i + m, None], group, out=x[:m])
             pg = p[:m]
@@ -290,15 +262,15 @@ def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
     ln t_j.  The summands ln t - ln t_j are nonnegative exactly while
     t_j <= t, so the sup over k <= cap = seq.term_cap is attained at
     k = min(n(t), cap), where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax
-    is 0 when N(t) = 0.  The sum runs in _CHUNK-term pieces, so a level's
-    value does not depend on the other levels."""
+    is 0 when N(t) = 0.  The sum runs in ZERO_CHUNK-term pieces, streamed
+    and not kept, so a level's value does not depend on the other levels."""
     cap = seq.term_cap
     ks = np.array([min(k, cap) for k in seq.count_leq(ts)], dtype=np.int64)
     cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per level
     done = 0.0
-    for start in range(1, int(ks.max(initial=0)) + 1, _CHUNK):
-        logs = np.cumsum(np.log(seq.terms(start, min(start + _CHUNK - 1, int(ks.max())))))
-        at = (ks >= start) & (ks < start + _CHUNK)
+    for start in range(1, int(ks.max(initial=0)) + 1, ZERO_CHUNK):
+        logs = np.cumsum(np.log(seq.terms(start, min(start + ZERO_CHUNK - 1, int(ks.max())))))
+        at = (ks >= start) & (ks < start + ZERO_CHUNK)
         cum[at] = done + logs[ks[at] - start]
         done += float(logs[-1])
     values = np.maximum(0.0, ks * np.log(ts) - cum)

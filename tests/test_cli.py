@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -105,6 +106,30 @@ class TestBasics:
         diags = json.loads(out)["diagnostics"]
         assert [diags[c]["verdict"] for c in ("ii", "iii", "iv")] == ["inconclusive"] * 3
         assert all(diags[c]["tail_bound"] is None for c in ("ii", "iii", "iv"))
+
+    @pytest.mark.parametrize("a, certified", [("40", ["ii"]), ("100", [])])
+    def test_omega6_powlog_tail_stops_at_level_1023(self, a, certified):
+        # the powlog msnq tail grows its bridge j2 until a correction falls
+        # below 1/2; where it has not by level 1023, the last level with a
+        # zero count, the tail is infinite: no certificate, no overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["criteria", "omega6", "--seq", f"powlog:a={a},b=0",
+                                    "--J", "25"])
+        assert code == 1
+        diags = json.loads(out)["diagnostics"]
+        for c in ("ii", "iii", "iv"):
+            want = "convergent-certified" if c in certified else "inconclusive"
+            assert diags[c]["verdict"] == want, c
+
+    def test_classify_divergence_certificate_with_zero_partial_sums(self):
+        # on powlog:a=1,b=2 the logratio and loglog_t sums are still 0 at
+        # k = 3; the analytic divergence certificate decides them anyway
+        code, out, _ = run_cli(["criteria", "classify", "--seq", "powlog:a=1,b=2",
+                                "--k-max", "3"])
+        assert code == 0
+        diags = json.loads(out)["diagnostics"]
+        assert {d["verdict"] for d in diags.values()} == {"divergent-trend"}
 
     def test_unknown_family_exits_2(self):
         code, _, _ = run_cli(["weight", "eval", "--seq", "foo:r=2", "--t", "1"])

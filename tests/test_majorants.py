@@ -26,6 +26,7 @@ from weightlab import (
     step_dyadic_tail,
 )
 from weightlab.majorants import c_k_direct, step_threshold_probe
+from weightlab.sequences import ZERO_CHUNK
 from weightlab.weights import CheckReport
 
 
@@ -275,6 +276,21 @@ class TestAlphaMajorant:
         m = ConcaveSeriesMajorant(parse_sequence_spec("geometric:r=2"))
         vals = [m.eval(float(t))[0] for t in log_grid(0.1, 1e4, 30)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "spec", ["powlog:a=1,b=2", "power:a=2", "geometric:r=2", "explicit:[0.5,1,3,3,40,1e4]"]
+    )
+    def test_value_does_not_depend_on_earlier_points(self, spec):
+        # warmed in ascending order, in descending order and on one far
+        # point first; on powlog, t = 1e6 reads past several ZERO_CHUNK pieces
+        seq = parse_sequence_spec(spec)
+        grid = [3.0, 3e3, 1e5, 1e6]
+        fresh = {t: ConcaveSeriesMajorant(seq).eval(t) for t in grid + [3e6]}
+        for order in (grid, grid[::-1], [3e6] + grid):
+            warm = ConcaveSeriesMajorant(seq)
+            assert [warm.eval(t) for t in order] == [fresh[t] for t in order], order
+        if spec.startswith("powlog"):
+            assert len(warm._cumlog) > 2 * ZERO_CHUNK
 
 
 class TestBetaMajorant:

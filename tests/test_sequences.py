@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from weightlab import (
     parse_sequence_spec,
 )
 from weightlab.criteria import profile_big_n, profile_n
-from weightlab.sequences import index_terms
+from weightlab.sequences import ZERO_CHUNK, TermPrefix, index_terms
 
 
 # 200 zeros from 1 to about 7.2, in runs of three equal ones
@@ -285,3 +286,33 @@ class TestInvariants:
             assert np.array_equal(seq.terms(k, 30_000), full[k - 1 :])
         js = range(1, 30_001, 7)
         assert np.array_equal([seq.term(j) for j in js], full[::7])
+
+
+class TestTermPrefix:
+    # first requests inside the ramp of small pieces, later ones past
+    # ZERO_CHUNK, a chunk boundary and the cap of 70,000
+    REQUESTS = [1, 17, 1024, 5_000, ZERO_CHUNK + 3, 2 * ZERO_CHUNK, 40_000, 100_000]
+
+    @pytest.mark.parametrize("spec", FOUR_FAMILIES + ["geometric:r=2"],
+                             ids=lambda s: s.split(":[")[0])
+    def test_matches_the_sequence(self, spec):
+        # geometric:r=2 overflows from t_1024 on, so its prefix ends in inf
+        seq = parse_sequence_spec(spec, j_cut=70_000)
+        zeros = TermPrefix(seq)
+        for j_max in random.Random(spec).sample(self.REQUESTS, len(self.REQUESTS)):
+            want = seq.terms(1, min(j_max, seq.term_cap))
+            want = want[np.isfinite(want)]
+            assert np.array_equal(zeros.finite(j_max), want), j_max
+            xs = [0.5 * want[0], *want[:: max(1, len(want) // 7)], 3.0 * min(want[-1], 1e300)]
+            for x in xs + [np.nextafter(x, math.inf) for x in xs]:
+                assert zeros.count_leq(x) == seq.count_leq(x), (j_max, x)
+
+    def test_cap(self):
+        # a prefix that holds all j_cut zeros counts at least j_cut without
+        # the sequence, and counts exactly without the cap
+        seq = parse_sequence_spec("powlog:a=1,b=2", j_cut=5_000)
+        zeros = TermPrefix(seq)
+        assert len(zeros.finite(10_000)) == 5_000
+        assert zeros.count_leq(1e9, cap=5_000) == 5_000
+        assert zeros.count_leq(1e9) == seq.count_leq(1e9) > 5_000
+        assert zeros.count_leq(1e3, cap=5_000) == seq.count_leq(1e3)

@@ -17,6 +17,7 @@ from weightlab import (
     scaling_inequality_check,
     strong_nqa_tail_check,
 )
+from weightlab.sequences import ZERO_CHUNK
 from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK, big_n_levels
 
 NEG_INF = float("-inf")
@@ -107,14 +108,14 @@ def _same(got, want):
 
 
 def _reference(seq, x):
-    """ln|w(x)| enumerated per point: terms() for each 2^18-term chunk, the
+    """ln|w(x)| enumerated per point: terms() for each ZERO_CHUNK-term chunk, the
     infinite entries masked out, then the same sums (x float or complex)."""
     w = WeightEvaluator(seq)
     real = isinstance(x, float)
     j_max, err = w._choose_cutoff(x) if real else w._complex_cutoff(x)
     total = comp = 0.0
-    for start in range(1, j_max + 1, 1 << 18):
-        tj = seq.terms(start, min(start + (1 << 18) - 1, j_max))
+    for start in range(1, j_max + 1, ZERO_CHUNK):
+        tj = seq.terms(start, min(start + ZERO_CHUNK - 1, j_max))
         tj = tj[np.isfinite(tj)]
         if len(tj) == 0:
             continue
@@ -184,16 +185,17 @@ class TestTermPrefix:
 
     @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2"])
     def test_across_a_chunk_boundary(self, spec):
-        seq = parse_sequence_spec(spec, j_cut=(1 << 18) + 5)
         ts = [2.0, 5e3, 1e7]
-        _warm_matches_fresh(seq, ts, self.ZS[1:3])
-        # the far zeros are summed by the series, not by logs: the values
-        # lie within its remainder and the summation's rounding of the
-        # all-log reference, and err adds the remainder to the tail bound
-        warm = WeightEvaluator(seq)
-        for x in ts + self.ZS[1:3]:
-            _assert_near_reference(warm, seq, x)
-        assert warm._powsums.shape[1] > 0  # some point had far blocks
+        for j_cut in (ZERO_CHUNK + 5, (1 << 18) + 5):
+            seq = parse_sequence_spec(spec, j_cut=j_cut)
+            _warm_matches_fresh(seq, ts, self.ZS[1:3])
+            # the far zeros are summed by the series, not by logs: the values
+            # lie within its remainder and the summation's rounding of the
+            # all-log reference, and err adds the remainder to the tail bound
+            warm = WeightEvaluator(seq)
+            for x in ts + self.ZS[1:3]:
+                _assert_near_reference(warm, seq, x)
+            assert warm._powsums.shape[1] > 0  # some point had far blocks
 
     @given(spec=st.sampled_from(["powlog:a=1,b=2", "power:a=2", "geometric:r=1.001", "explicit"]),
            kind=st.sampled_from(["real", "complex", "neg-imag"]),
@@ -224,7 +226,7 @@ class TestTermPrefix:
             with pytest.raises(ValueError, match="overflows float64"):
                 warm.eval_log_abs_omega_complex(z)
         # the prefix now ends in inf, and a finite point still matches
-        assert np.isinf(warm._prefix[-1])
+        assert np.isinf(warm.zeros.values[-1])
         got = warm.eval_log_abs_omega(1e150)
         assert math.isfinite(got[0]) and math.isfinite(got[1])
         assert got == _reference(seq, 1e150)
