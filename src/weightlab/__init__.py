@@ -34,7 +34,6 @@ from .coeffs import (
     sup_poly,
 )
 from .criteria import (
-    DyadicProfile,
     SeriesDiagnostic,
     criteria2_report,
     integral_cross_check,

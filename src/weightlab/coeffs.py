@@ -364,8 +364,11 @@ def sandwich_check(
     table is too short, a big table of degree K_big up to K_ADAPT_CAP is
     taken from coeff_table_log and kept in big_table_cache.  For larger t
     the weaker evaluator form n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) is
-    used, and the regime is "sup-capped".
+    used, and the regime is "sup-capped".  `w` must evaluate `seq`.
     """
+    if w.sequence.spec_string() != seq.spec_string():
+        raise ValueError(f"sandwich_check: the evaluator is of {w.sequence.spec_string()}, "
+                         f"the tables of {seq.spec_string()}")
     v_t, err_t = w.eval_log_abs_omega(t)
     y = math.sqrt(2.0) * t
     v_y, err_y = w.eval_log_abs_omega(y)

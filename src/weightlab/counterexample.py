@@ -432,22 +432,11 @@ def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
 
 def beta_self_referential(seq: ZeroSequence) -> BetaSpec:
     """beta(t) = n(2t) of the source: the canonical self-comparison."""
-    fam = seq.family
-
-    def fn(t: float) -> float:
-        return float(seq.count_leq(2.0 * t))
-
-    def tail(J: int) -> float:
-        # sum_{j>J} n(2^{j+1})/2^j = 2 sum n(2^{j+1})/2^{j+1}
-        #   <= 4 (n(T)/T + sum_{t_k>T} 1/t_k) at T = 2^{J+2}
-        T = 2.0 ** (J + 2)
-        nT = fam.count_leq(T)
-        return 4.0 * (nT / T + fam.inv_tail(nT))
-
     return BetaSpec(
         name="selfref",
-        fn=fn,
-        dyadic_tail=tail,
+        fn=lambda t: float(seq.count_leq(2.0 * t)),
+        # sum_{j>J} n(2^(j+1))/2^j = 2 sum_{j>J+1} n(2^j)/2^j
+        dyadic_tail=lambda J: 2.0 * seq.family.dyadic_nqa_tail("n", J + 1),
     )
 
 

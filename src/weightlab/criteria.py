@@ -13,15 +13,20 @@ Verdicts are three-valued and honest:
                         its tail bound is infinite (the certificate field
                         says so): no trend overrules that knowledge.
 
-Partial-sum arrays accumulate nonnegative terms only (clamped via the
-documented onset rules), so they are nondecreasing.
+A dyadic profile is the float array a_1..a_J of an increasing function
+at 2^1..2^J (profile_n, profile_big_n, profile_log_omega).  nqa_series and
+msnq_series take such an array with the certificates that close it, a
+family's dyadic_nqa_tail, dyadic_weighted_tail and dyadic_divergence, and
+return a SeriesDiagnostic.  Partial-sum arrays accumulate nonnegative
+terms only (clamped via the documented onset rules), so they are
+nondecreasing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,47 +37,6 @@ from .weights import WeightEvaluator, big_n_levels
 VERDICT_CONV = "convergent-certified"
 VERDICT_DIV = "divergent-trend"
 VERDICT_INC = "inconclusive"
-
-
-@dataclass
-class SeriesCertificates:
-    """Per-series analytic knowledge attached to a profile.
-
-    Tail callables take the absolute last accumulated index J and return a
-    certified upper bound for the series tail past J; divergence entries
-    are analytic witnesses that the series diverges.
-    """
-
-    nqa_tail: Optional[Callable[[int], float]] = None
-    msnq_tail: Optional[Callable[[int], float]] = None
-    msnq_div: Optional[DivergenceCertificate] = None
-
-
-@dataclass
-class DyadicProfile:
-    """Samples a_j = alpha(2^j) for j = j_min .. j_min+len-1."""
-
-    j_min: int
-    values: np.ndarray
-    source: str = ""
-    from_increasing: bool = False
-    certs: SeriesCertificates = field(default_factory=SeriesCertificates)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.j_min < 1:
-            raise ValueError("j_min must be >= 1")
-        if np.any(self.values < 0):
-            raise ValueError("profile values must be nonnegative")
-        if self.from_increasing and np.any(np.diff(self.values) < 0):
-            raise ValueError("profile flagged from-increasing but decreases")
-
-    @property
-    def j_max(self) -> int:
-        return self.j_min + len(self.values) - 1
-
-    def index_range(self):
-        return range(self.j_min, self.j_max + 1)
 
 
 @dataclass
@@ -151,119 +115,84 @@ def _finish(
     )
 
 
-def nqa_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
-    """Partial sums of sum a_j / 2^j."""
-    acc = 0.0
-    partial = []
-    for j, a in zip(p.index_range(), p.values):
-        acc += a / 2.0**j
-        partial.append(acc)
-    if tail is None and p.certs.nqa_tail is not None:
-        tail = p.certs.nqa_tail(p.j_max)
-    return _finish("nqa", partial, p.j_min, tail, None)
+def _profile_values(values, increasing: bool = False) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if np.any(a < 0):
+        raise ValueError("profile values must be nonnegative")
+    if increasing and np.any(np.diff(a) < 0):
+        raise ValueError("msnq series needs nondecreasing profile values")
+    return a
 
 
-def msnq_series(p: DyadicProfile, tail: Optional[float] = None) -> SeriesDiagnostic:
-    """Partial sums of sum (a_j/2^j) ln(2^j / a_{j+1}).
+def nqa_series(values, tail: Optional[float] = None) -> SeriesDiagnostic:
+    """Partial sums of sum_j a_j / 2^j over the profile values a_1..a_J,
+    closed by `tail`, a certified bound for the sum past J (or None)."""
+    a = _profile_values(values)
+    partial = list(np.cumsum(a / 2.0 ** np.arange(1.0, len(a) + 1)))
+    return _finish("nqa", partial, 1, tail, None)
+
+
+def msnq_series(values, tail: Optional[float] = None,
+                div: Optional[DivergenceCertificate] = None) -> SeriesDiagnostic:
+    """Partial sums of sum_j (a_j/2^j) ln(2^j / a_{j+1}) over the profile
+    values a_1..a_J of an increasing function, so j runs to J - 1.  `tail`
+    bounds the sum past J - 1 and `div` certifies divergence; either may
+    be None.
 
     Terms are accumulated from the first index where a_{j+1} <= 2^j (so
     the log is >= 0); later negative-log terms are skipped and counted.
     Zero a_j contributes zero (the 0 ln(1/0) = 0 convention).
     """
-    if not p.from_increasing:
-        raise ValueError("msnq series needs a profile from an increasing function")
-    if len(p.values) < 2:
-        return _finish("msnq", [], p.j_min, None, None)
+    a = _profile_values(values, increasing=True)
+    if len(a) < 2:
+        return _finish("msnq", [], 1, None, None)
     acc = 0.0
     partial = []
     onset = None
     skipped = 0
-    for i in range(len(p.values) - 1):
-        j = p.j_min + i
-        a_j, a_next = float(p.values[i]), float(p.values[i + 1])
+    for j in range(1, len(a)):
+        a_j, a_next = float(a[j - 1]), float(a[j])
         if onset is None:
             if a_next <= 2.0**j:
                 onset = j
             else:
                 skipped += 1
                 continue
-        if a_j == 0.0:
-            partial.append(acc)
-            continue
-        if a_next > 2.0**j:
+        if a_j and a_next > 2.0**j:
             skipped += 1
-            partial.append(acc)
-            continue
-        acc += (a_j / 2.0**j) * math.log(2.0**j / a_next)
+        elif a_j:
+            acc += (a_j / 2.0**j) * math.log(2.0**j / a_next)
         partial.append(acc)
     if onset is None:
-        return _finish("msnq", [], p.j_min, None, None, skipped)
-    if tail is None and p.certs.msnq_tail is not None:
-        tail = p.certs.msnq_tail(p.j_max - 1)
-    return _finish("msnq", partial, onset, tail, p.certs.msnq_div, skipped)
+        return _finish("msnq", [], 1, None, None, skipped)
+    return _finish("msnq", partial, onset, tail, div, skipped)
 
 
 # ---------------------------------------------------------------------------
-# profile constructors with family certificates
+# dyadic profiles: the values a_1..a_J at the levels 2^1..2^J
 
-def _family_certs(seq: ZeroSequence, profile: str) -> SeriesCertificates:
-    fam = seq.family
-
-    def nqa_tail(J: int) -> float:
-        # sum_{j>J} P(2^j)/2^j <= 2 int_T^inf P(t)/t^2 dt at T = 2^(J+1);
-        # for P = n the integral is n(T)/T + sum_{t_k > T} 1/t_k, and for
-        # P = N or ln|w| (N <= ln|w|) the closed form of
-        # int_T^inf ln(1+t^2/a^2)/t^2 dt gives
-        # ln|w|-majorant(T)/T + n(T)/T + (pi/2) sum_{t_k>T} 1/t_k.
-        T = 2.0 ** (J + 1)
-        nT = fam.count_leq(T)
-        if profile == "n":
-            return 2.0 * (nT / T + fam.inv_tail(nT))
-        g = fam._log_weight_majorant(J + 1, nT)
-        return 2.0 * (g / T + nT / T + 0.5 * math.pi * fam.inv_tail(nT))
-
-    # a family without a msnq certificate returns None at every J, which
-    # msnq_series reads as no tail
-    return SeriesCertificates(
-        nqa_tail=nqa_tail,
-        msnq_tail=lambda J: fam.dyadic_weighted_tail(profile, J),
-        msnq_div=fam.dyadic_divergence(profile),
-    )
+def profile_n(seq: ZeroSequence, j_max: int) -> np.ndarray:
+    """a_j = n(2^j) for j = 1..j_max, exact counts, as floats."""
+    return np.array(seq.count_leq(2.0 ** np.arange(1.0, j_max + 1)), dtype=float)
 
 
-def profile_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
-    """a_j = n(2^j), exact counts."""
-    return DyadicProfile(
-        j_min=1,
-        values=np.array(seq.count_leq(2.0 ** np.arange(1.0, j_max + 1)), dtype=float),
-        source=f"n-profile({seq.spec_string()})",
-        from_increasing=True,
-        certs=_family_certs(seq, "n"),
-    )
+def profile_big_n(seq: ZeroSequence, j_max: int) -> np.ndarray:
+    """a_j = N(2^j) = ln max(1, sup_k 2^jk/(t_1..t_k)) for j = 1..j_max."""
+    return big_n_levels(seq, 2.0 ** np.arange(1.0, j_max + 1))[0]
 
 
-def profile_big_n(seq: ZeroSequence, j_max: int) -> DyadicProfile:
-    """a_j = N(2^j) = ln max(1, sup_k 2^jk/(t_1..t_k))."""
-    return DyadicProfile(
-        j_min=1,
-        values=big_n_levels(seq, 2.0 ** np.arange(1.0, j_max + 1))[0],
-        source=f"N-profile({seq.spec_string()})",
-        from_increasing=True,
-        certs=_family_certs(seq, "N"),
-    )
-
-
-def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> DyadicProfile:
-    """a_j = truncated ln|w(2^j)| (one-sided lower values)."""
+def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> np.ndarray:
+    """a_j = truncated ln|w(2^j)| for j = 1..j_max: one-sided lower values.
+    ValueError names --J and the last level reached when ln|w| overflows."""
     w = WeightEvaluator(seq, tol=tol)
-    vals = [w.eval_log_abs_omega(2.0**j)[0] for j in range(1, j_max + 1)]
-    return DyadicProfile(
-        j_min=1,
-        values=np.array(vals),
-        source=f"lnw-profile({seq.spec_string()})",
-        from_increasing=True,
-        certs=_family_certs(seq, "lnw"),
-    )
+    vals = []
+    for j in range(1, j_max + 1):
+        try:
+            vals.append(w.eval_log_abs_omega(2.0**j)[0])
+        except ValueError as exc:
+            raise ValueError(f"--J {j_max} reaches past the ln|w| profile, which stops "
+                             f"at level {j - 1}: {exc}") from exc
+    return np.array(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +243,12 @@ def msnq_omega_conditions(seq: ZeroSequence, J: int, k_max: Optional[int] = None
                          "levels 1..J with J >= 2, and 2^1024 overflows float64")
     if k_max is None:
         k_max = int(min(seq.j_cut, max(1000, seq.count_leq(2.0 ** min(J, 40)))))
-    diags = {
-        **_index_series(seq, k_max),
-        "ii": msnq_series(profile_n(seq, J)),
-        "iii": msnq_series(profile_big_n(seq, J)),
-        "iv": msnq_series(profile_log_omega(seq, J)),
-    }
+    fam = seq.family
+    diags = _index_series(seq, k_max)
+    for cond, kind, profile in (("ii", "n", profile_n), ("iii", "N", profile_big_n),
+                                ("iv", "lnw", profile_log_omega)):
+        diags[cond] = msnq_series(profile(seq, J), fam.dyadic_weighted_tail(kind, J - 1),
+                                  fam.dyadic_divergence(kind))
     v14 = {diags[c].verdict for c in ("i", "ii", "iii", "iv")}
     v_all = {d.verdict for d in diags.values()}
     report = {

@@ -176,6 +176,23 @@ class Family:
     def index_series_divergence(self, cond: str) -> Optional[DivergenceCertificate]:
         return None
 
+    def dyadic_nqa_tail(self, profile: str, J: int) -> float:
+        """Certified bound for the nqa tail sum_{j>J} P(2^j)/2^j, profile P
+        in {"n", "N", "lnw"}.
+
+        sum_{j>J} P(2^j)/2^j <= 2 int_T^inf P(t)/t^2 dt at T = 2^(J+1);
+        for P = n the integral is n(T)/T + sum_{t_k > T} 1/t_k, and for
+        P = N or ln|w| (N <= ln|w|) the closed form of
+        int_T^inf ln(1+t^2/a^2)/t^2 dt gives
+        ln|w|-majorant(T)/T + n(T)/T + (pi/2) sum_{t_k>T} 1/t_k.
+        """
+        T = 2.0 ** (J + 1)
+        nT = self.count_leq(T)
+        if profile == "n":
+            return 2.0 * (nT / T + self.inv_tail(nT))
+        g = self._log_weight_majorant(J + 1, nT)
+        return 2.0 * (g / T + nT / T + 0.5 * math.pi * self.inv_tail(nT))
+
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> Optional[float]:
         """Certified tail of the msnq series sum_{j > j_from} (P(2^j)/2^j) w(j).
 
@@ -203,18 +220,27 @@ class Family:
         extra = 0.5 * t * t * self.inv_sq_tail(n)
         return head + extra
 
-    def _msnq_weight_bound(self, j: int, n_low: int) -> float:
-        """Upper bound for ln(2^j / P(2^(j+1))) from the exact count
-        n_low = n(2^(j+1)/e), clamped at 0: negative-log terms never enter
-        the diagnostics.
+    def _msnq_weight_bound(self, profile: str, j: int, n_low: int) -> float:
+        """Upper bound for ln(2^j / P(2^(j+1))) in a term with P(2^j) > 0,
+        from the exact count n_low = n(2^(j+1)/e), clamped at 0:
+        negative-log terms never enter the diagnostics.
 
         P(t) >= n(t/e) holds for P = n (n is nondecreasing), P = N (each
         factor t/t_k >= e contributes at least 1) and P = ln|w| (each zero
         t_k <= t/e contributes (1/2) ln(1 + t^2/t_k^2) >= (1/2) ln(1 + e^2)
-        > 1).  With no such zero the bound is j ln 2, which holds only
-        where P(2^(j+1)) >= 1.
+        > 1).  With no such zero, the first one still gives n(2^(j+1)) >= 1,
+        N(2^(j+1)) >= ln 2 (P(2^j) > 0 means t_1 < 2^j) and ln|w(2^(j+1))|
+        >= (1/2) ln(1 + 4^(j+1)/t_1^2).
         """
-        return max(0.0, j * LN2 - math.log(max(n_low, 1)))
+        if n_low >= 1 or profile == "n":
+            ln_p = math.log(max(n_low, 1))
+        elif profile == "N":
+            ln_p = math.log(LN2)
+        else:
+            # 2^(j+1)/t_1 < e here, and t_1^2 is finite wherever the
+            # ln|w| majorant of the same term is
+            ln_p = math.log(0.5 * math.log1p((2.0 ** (j + 1) / self.terms(1, 1)[0]) ** 2))
+        return max(0.0, j * LN2 - ln_p)
 
     def _dyadic_terms_upper(self, profile: str, j_from: int, j_to: int) -> list:
         """Upper bounds for the msnq-series terms at levels j_from..j_to,
@@ -227,7 +253,7 @@ class Family:
         out = []
         for j, n, n_low in zip(range(j_from, j_to + 1), counts, counts[len(levels):]):
             p_up = float(n) if profile == "n" else self._log_weight_majorant(j, n)
-            out.append(p_up / 2.0**j * self._msnq_weight_bound(j, n_low))
+            out.append(p_up / 2.0**j * self._msnq_weight_bound(profile, j, n_low))
         return out
 
 
@@ -463,10 +489,10 @@ class PowLogFamily(Family):
           n >= M = t/((ln t)^a (lnln t)^b) - 1, since t_(n+1) > t and
             n + 1 <= t (t_k >= 2k here), so t < (n+1) (ln t)^a (lnln t)^b;
           n <= t/((ln M)^a (lnln M)^b), since t_n <= t and n >= M.
-        With cum_log_lower and the msnq weight bound they give
-          P(2^j)/2^j <= lnw-majorant/2^j <= C1 (ln u)^(q0)/u^(a-eps-free form);
-        all slowly-varying correction factors are frozen at j2 where they
-        are monotone in the safe direction.
+        With cum_log_lower and the msnq weight bound they give the term
+        bound C (ln u)^(q-b) / u^a, q = 1 for n and 2 for N and ln|w|, with
+        every slowly varying factor frozen at j2, where it is monotone in
+        the safe direction.
         """
         if not self.msnq_convergent:
             return None

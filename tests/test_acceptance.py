@@ -42,10 +42,7 @@ from weightlab.coeffs import log_convexity_margins
 from weightlab.criteria import (
     VERDICT_CONV,
     VERDICT_DIV,
-    DyadicProfile,
     integral_cross_check,
-    profile_log_omega,
-    profile_n,
 )
 from weightlab.majorants import beta_dyadic_nqa_tail, step_threshold_probe
 from weightlab.sampling import SampledFunction
@@ -221,14 +218,10 @@ def test_criterion_7_majorant_chain():
         worst_concavity = max(worst_concavity, viol)
     conc_ok = worst_concavity <= 1e-9
 
-    beta_profile = DyadicProfile(
-        j_min=1,
-        values=np.array([bm.eval(2.0**j)[0] for j in range(1, 41)]),
-        source="beta-trace",
-        from_increasing=True,
-    )
+    beta_profile = np.array([bm.eval(2.0**j)[0] for j in range(1, 41)])
     diag = nqa_series(beta_profile, tail=beta_dyadic_nqa_tail(seq, lam, 40))
     ok = chain_ok and conc_ok and diag.verdict == VERDICT_CONV
+    ok &= bool(np.all(np.diff(beta_profile) >= 0))
     report(7, ok, f"ln|w| <= alpha < beta at 200 pts; worst relative concavity "
                   f"violation {worst_concavity:.2e} <= 1e-9; beta dyadic nqa "
                   f"{diag.verdict} (tail {diag.tail_bound:.3g})")
@@ -239,9 +232,8 @@ def test_criterion_8_negative_controls():
     probe = step_threshold_probe(st_fn)
     ok = probe["all_exactly_one"]
     vals = np.array([st_fn.value(2.0**j) for j in range(1, 61)])
-    p = DyadicProfile(j_min=1, values=vals, source="step", from_increasing=True)
-    diag = nqa_series(p, tail=step_dyadic_tail(st_fn, 60))
-    ok &= diag.verdict == VERDICT_CONV
+    diag = nqa_series(vals, tail=step_dyadic_tail(st_fn, 60))
+    ok &= diag.verdict == VERDICT_CONV and bool(np.all(np.diff(vals) >= 0))
     report(8, ok, f"f(t_k) ln t_k / t_k = {probe['products']} exactly 1 while "
                   f"dyadic nqa {diag.verdict}")
 

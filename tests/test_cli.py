@@ -97,6 +97,17 @@ class TestBasics:
         assert code == 2 and not out
         assert f"--J {J} is outside [2, 1023]" in err
 
+    def test_omega6_past_the_ln_w_profile_names_J(self):
+        # ln|w(2^513)| overflows float64 on geometric:r=2: the message names
+        # --J and the last level the ln|w| profile reaches
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(["criteria", "omega6", "--seq", "geometric:r=2",
+                                      "--J", "513"])
+            assert code == 2 and not out
+            assert "--J 513 reaches past the ln|w| profile, which stops at level 512" in err
+            assert run_cli(["criteria", "omega6", "--seq", "geometric:r=2", "--J", "512"])[0] == 0
+
     def test_omega6_with_an_unclosable_tail_is_inconclusive(self):
         # r = 2^(1/a - 1) is within 7e-8 of 1: no geometric tail bound
         # closes, so the dyadic msnq series have no certificate

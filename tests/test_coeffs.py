@@ -276,6 +276,12 @@ class TestSandwich:
         rep = sandwich_check(seq, 1, 1e30, WeightEvaluator(seq), tab)
         assert rep.passed and rep.details["regime"] == "sup-capped"
 
+    def test_evaluator_of_another_sequence_is_refused(self):
+        seq = parse_sequence_spec("geometric:r=2")
+        other = WeightEvaluator(parse_sequence_spec("power:a=2"))
+        with pytest.raises(ValueError, match=r"power:a=2.*geometric:r=2"):
+            sandwich_check(seq, 1, 10.0, other, coeff_table(seq, 1, 12))
+
     def test_big_tables_share_the_base_table(self):
         seq = parse_sequence_spec("power:a=2")
         cache = {}

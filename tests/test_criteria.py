@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weightlab import (
-    DyadicProfile,
     SampledFunction,
     ZeroSequence,
     criteria2_report,
@@ -23,17 +22,17 @@ from weightlab import (
 from weightlab.criteria import VERDICT_CONV, VERDICT_DIV, VERDICT_INC
 
 
-def profile_from_callable(fn, j_min, j_max, from_increasing=True):
-    """A dyadic profile a_j = fn(2^j) for j = j_min..j_max."""
-    vals = [float(fn(2.0**j)) for j in range(j_min, j_max + 1)]
-    return DyadicProfile(
-        j_min=j_min, values=np.array(vals), source="callable",
-        from_increasing=from_increasing,
-    )
+def profile_from_callable(fn, j_max):
+    """The dyadic profile a_j = fn(2^j) for j = 1..j_max."""
+    return np.array([float(fn(2.0**j)) for j in range(1, j_max + 1)])
 
 
-def plain_profile(values):
-    return DyadicProfile(j_min=1, values=np.array(values, float), from_increasing=True)
+def msnq_n_profile(seq, J):
+    """The msnq series of the n profile to level J, closed by the family's
+    tail and divergence certificate, as condition ii is."""
+    fam = seq.family
+    return msnq_series(profile_n(seq, J), fam.dyadic_weighted_tail("n", J - 1),
+                       fam.dyadic_divergence("n"))
 
 
 class TestNqaSeries:
@@ -41,21 +40,20 @@ class TestNqaSeries:
         # a_j = j: sum j/2^j = 2; family tail certifies
         geo = parse_sequence_spec("geometric:r=2")
         p = profile_n(geo, 40)
-        d = nqa_series(p)
+        d = nqa_series(p, tail=geo.family.dyadic_nqa_tail("n", 40))
         assert d.verdict == VERDICT_CONV
         assert d.partial_sums[-1] <= 2.0 <= d.partial_sums[-1] + d.tail_bound
         assert d.partial_sums[-1] == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_terms_divergent_trend(self):
         # a_j = 2^j gives terms identically 1
-        p = profile_from_callable(lambda t: t, 1, 40, from_increasing=True)
+        p = profile_from_callable(lambda t: t, 40)
         d = nqa_series(p)
         assert d.verdict == VERDICT_DIV
         assert d.partial_sums[-1] > d.threshold_used > 0
 
     def test_zero_profile_certified_with_tail(self):
-        p = plain_profile([0.0] * 10)
-        d = nqa_series(p, tail=0.0)
+        d = nqa_series([0.0] * 10, tail=0.0)
         assert d.verdict == VERDICT_CONV
         assert np.all(d.partial_sums == 0.0)
 
@@ -67,34 +65,30 @@ class TestNqaSeries:
 
 class TestMsnqSeries:
     def test_powlog_failing_family(self):
-        p = profile_n(parse_sequence_spec("powlog:a=1,b=2"), 60)
-        d = msnq_series(p)
+        d = msnq_n_profile(parse_sequence_spec("powlog:a=1,b=2"), 60)
         assert d.verdict == VERDICT_DIV
         assert d.certificate is not None
 
     def test_powlog_a3_certified(self):
-        p = profile_n(parse_sequence_spec("powlog:a=3,b=0"), 40)
-        d = msnq_series(p)
+        d = msnq_n_profile(parse_sequence_spec("powlog:a=3,b=0"), 40)
         assert d.verdict == VERDICT_CONV
         assert d.tail_bound is not None and math.isfinite(d.tail_bound)
 
     def test_zero_profile(self):
-        p = plain_profile([0.0] * 8)
-        d = msnq_series(p, tail=0.0)
+        d = msnq_series([0.0] * 8, tail=0.0)
         assert d.verdict == VERDICT_CONV
         assert np.all(d.partial_sums == 0.0)
 
     def test_onset_skips_oversized_values(self):
         # a_j = 2^(j+2) exceeds 2^j everywhere: no onset, inconclusive
-        p = profile_from_callable(lambda t: 4.0 * t, 1, 12, from_increasing=True)
+        p = profile_from_callable(lambda t: 4.0 * t, 12)
         d = msnq_series(p)
         assert d.verdict == VERDICT_INC
         assert d.skipped_terms > 0
 
-    def test_needs_increasing_flag(self):
-        p = DyadicProfile(j_min=1, values=np.array([1.0, 2.0]), from_increasing=False)
+    def test_decreasing_values_raise(self):
         with pytest.raises(ValueError):
-            msnq_series(p)
+            msnq_series(np.array([2.0, 1.0]))
 
 
 class TestProfiles:
@@ -106,14 +100,14 @@ class TestProfiles:
         # j_cut = 1000 the levels past about 2^14 reach the cap)
         seq = parse_sequence_spec(spec, j_cut=j_cut)
         want = [big_N(seq, 2.0**j)[0] for j in range(1, 31)]
-        assert profile_big_n(seq, 30).values.tolist() == want
+        assert profile_big_n(seq, 30).tolist() == want
         # the term-by-term sup of the partial sums of ln t - ln t_k is the
         # reference; the one pass sums in another order
         for j, got in zip(range(1, 17), want):
             lead = np.cumsum(j * math.log(2.0) - np.log(seq.terms(1, min(j_cut, 2 ** (j + 6)))))
             assert got == pytest.approx(max(0.0, lead.max()), rel=1e-12, abs=1e-12)
         counts = [float(seq.count_leq(2.0**j)) for j in range(1, 31)]
-        assert profile_n(seq, 30).values.tolist() == counts
+        assert profile_n(seq, 30).tolist() == counts
 
 
 class TestPositivePartDiff:
@@ -122,7 +116,7 @@ class TestPositivePartDiff:
 
         seq = parse_sequence_spec("powlog:a=1,b=2")
         p = profile_n(seq, 30)
-        b = np.maximum(np.diff(p.values), 0.0)
+        b = np.maximum(np.diff(p), 0.0)
         mult = dyadic_multiplicities(seq, 30)
         # (n(2^{j+1}) - n(2^j))^+ = multiplicity at level j+1
         assert list(b) == [float(v) for v in mult.n[1:30]]
@@ -220,13 +214,13 @@ class TestIntegralCrossCheck:
         # with the family tail supplied, the quadrature verdict agrees with
         # the dyadic diagnostic on the same profile
         seq = parse_sequence_spec("geometric:r=2")
-        p = profile_log_omega(seq, 20)
-        dyadic = nqa_series(p)
+        tail = seq.family.dyadic_nqa_tail("lnw", 20)
+        dyadic = nqa_series(profile_log_omega(seq, 20), tail=tail)
         w = WeightEvaluator(seq)
         grid = log_grid(1.0, 2.0**20, 2000)
         vals = np.array([w.eval_log_abs_omega(float(t))[0] for t in grid])
         f = SampledFunction(grid, np.maximum(vals, 1e-12))
-        rep = integral_cross_check(f, "nqa", tail=p.certs.nqa_tail(20))
+        rep = integral_cross_check(f, "nqa", tail=tail)
         assert rep["verdict"] == dyadic.verdict == VERDICT_CONV
         assert rep["grid_ok"]
 
@@ -236,4 +230,4 @@ class TestPermanence:
         # enlarging J never downgrades convergent-certified
         seq = parse_sequence_spec("geometric:r=2")
         for J in (10, 20, 40):
-            assert msnq_series(profile_n(seq, J)).verdict == VERDICT_CONV
+            assert msnq_n_profile(seq, J).verdict == VERDICT_CONV

@@ -14,7 +14,7 @@ from weightlab import (
     ZeroSequence,
     parse_sequence_spec,
 )
-from weightlab.criteria import profile_big_n, profile_n
+from weightlab.criteria import profile_big_n, profile_log_omega, profile_n
 from weightlab.sequences import ZERO_CHUNK, TermPrefix, index_terms
 
 
@@ -217,19 +217,26 @@ class TestTailBounds:
         # is a strictly harder comparison than against the true series
         assert bound >= 0.999 * brute
 
-    @pytest.mark.parametrize("spec", ["power:a=2", "powlog:a=3,b=0", "powlog:a=1,b=3"])
+    @pytest.mark.parametrize("spec", ["power:a=2", "powlog:a=3,b=0", "powlog:a=1,b=3",
+                                      "explicit:[1000]", "explicit:[4]", "geometric:r=3.5"])
     def test_dyadic_terms_bound_the_msnq_terms(self, spec):
         # from the exact counts n(2^j) and n(2^(j+1)/e), the bound at each
-        # level is at least the term (a_j/2^j) ln^+(2^j/a_(j+1)) of the n
-        # and the N profile
+        # level is at least the term (a_j/2^j) ln^+(2^j/a_(j+1)) of each
+        # profile.  The last three specs have no zero below 2^(j+1)/e at
+        # their first levels, where the weight bound falls back to the
+        # first zero's factor.  Their n profile is left out: there the
+        # bound can equal the term, and rounding puts it 2e-16 relative
+        # below (geometric:r=3.5 at j = 6)
+        profiles = ("n", "N", "lnw") if spec.startswith("pow") else ("N", "lnw")
         seq = parse_sequence_spec(spec)
         J = 30
-        for make, profile in ((profile_n, "n"), (profile_big_n, "N")):
-            a = make(seq, J).values
+        makers = {"n": profile_n, "N": profile_big_n, "lnw": profile_log_omega}
+        for profile in profiles:
+            a = makers[profile](seq, J)
             upper = seq.family._dyadic_terms_upper(profile, 1, J - 1)
             for j in range(1, J):
                 term = a[j - 1] / 2.0**j * max(0.0, math.log(2.0**j / a[j])) if a[j - 1] else 0.0
-                assert upper[j - 1] >= term, (profile, j)
+                assert upper[j - 1] >= term, (profile, j, upper[j - 1], term)
 
     def test_cum_log_lower(self):
         for spec in ("geometric:r=2", "power:a=2", "powlog:a=1,b=2"):
