@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import __version__
@@ -97,10 +98,11 @@ def h_weight_coeffs(p: dict):
     n, K = p["n"], p["K"]
     tab = coeff_table(seq, n, K, tol=p["tol"])
     conv = log_convexity_check(tab)
-    ident = []
-    for k in range(1, min(K - 1, p["k_identity"]) + 1):
-        r = inf_sup_identity(tab, k)
-        ident.append({"k": k, "rel_error": r.rel_error})
+    # a_k > 0 for k up to n times the count of finite zeros and 0 past it:
+    # the identity is asked for up to the last positive coefficient
+    last_positive = int((tab.log_a > -math.inf).sum()) - 1
+    ks = range(1, min(K - 1, p["k_identity"], last_positive) + 1)
+    ident = [{"k": r.k, "rel_error": r.rel_error} for r in inf_sup_identity(tab, ks)]
     report = {
         "command": "weight.coeffs",
         "seq": seq.spec_string(),

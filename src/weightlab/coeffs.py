@@ -7,7 +7,9 @@ e_k of the 1/t_j^2, come from a DP in np.longdouble that scales index k
 by the product of the k largest factors, so every multiplier is at most 1.
 The first K factors enter one at a time; the factors past K enter in
 blocks of up to BLOCK, each folded in as one product of the state with
-the block's polynomial.  The n-th power is a log-space convolution of
+the block's polynomial.  The polynomials of CHUNK blocks are formed
+together, as a balanced product tree whose levels each multiply adjacent
+pairs in one convolution.  The n-th power is a log-space convolution of
 that table, also in long double.  All terms are positive, so nothing
 cancels, and the rounding bound is read from np.finfo(np.longdouble).eps,
 never hard-coded: long double is plain float64 on some platforms.  The DP
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .sampling import zoom_max
 from .sequences import ExplicitFamily, ZeroSequence
@@ -78,7 +80,8 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     both at most 1, a block with polynomial q = prod_m (1 + s_m v) maps
     E_k to sum_i E_{k-i} W_{k,i} q_i, W_{k,i} = prod_{l=k-i+1..k} c_l
     times the offsets' power of two.  The last block is padded with
-    s = 0, an exact factor 1.  Between blocks (and every 16 head factors)
+    s = 0, an exact factor 1.  The q of CHUNK blocks come from one product
+    tree (_block_polys).  Between blocks (and every 16 head factors)
     an entry past fold_at = sqrt(max) is scaled into [1/2, 1) by a power
     of two, which goes into shift_k; B is small enough that (K+1)^B <=
     fold_at/4, so no entry and no W_{k,i} overflows within a block.  An
@@ -145,7 +148,9 @@ def _base_table(seq: ZeroSequence, K: int, tol: float) -> _BaseTable:
     # through the DP 1 rounding, and 8 to one that advances.  A block
     # gives B, from its sum of B + 1 terms, and 2B + 8i + 1 <= B + (B + 9)i
     # to one that advances by i >= 1: two products, 4i - 1 in W_{k,i} and
-    # 4i + B in q_i.  So E_k is within gamma_{top + n_blocks B + (B+9)k}.
+    # 4i + B in q_i, the product tree's count (at most 1 + min(i, 2^l) at
+    # level l, the padded terms exact).  So E_k is within
+    # gamma_{top + n_blocks B + (B+9)k}.
     per_advance = B + 9 if n_blocks else 8
     return _BaseTable(log_e, j_max, tail, top + n_blocks * B + per_advance * top, mag)
 
@@ -181,13 +186,30 @@ def _block_gains(c: np.ndarray, shift: np.ndarray, B: int) -> np.ndarray:
 
 def _block_polys(s: np.ndarray) -> np.ndarray:
     """Row b holds the coefficients of prod_m (1 + s[b, m] v), lowest power
-    first: each entry q_i is positive and at most C(B, i)."""
+    first: each entry q_i is positive and at most C(B, i).
+
+    A balanced product tree: B is padded to a power of two with s = 0, an
+    exact factor 1, and each level multiplies adjacent pairs of
+    polynomials of every row in one convolution.  q_0 = 1 exactly.  Level
+    l, whose factors have degree 2^l, adds at most 1 + min(i, 2^l)
+    roundings to q_i: one product and the sum, and a product with the
+    constant 1 or with a padded term is exact.  Over the ceil(log2 B)
+    levels that is at most 4i + B.
+    """
     nb, B = s.shape
-    q = np.zeros((nb, B + 1), dtype=s.dtype)
-    q[:, 0] = 1
-    for m in range(B):
-        q[:, 1 : m + 2] += s[:, m : m + 1] * q[:, : m + 1]
-    return q
+    q = np.zeros((nb, 1 << (B - 1).bit_length(), 2), dtype=s.dtype)
+    q[:, :, 0] = 1
+    q[:, :B, 1] = s
+    while q.shape[1] > 1:
+        d = q.shape[2] - 1
+        # the left factor between d zeros each side, read in windows of d + 1
+        # (as sliding_window_view would, without its checks)
+        pad = np.zeros((nb, q.shape[1] // 2, 3 * d + 1), dtype=s.dtype)
+        pad[:, :, d : 2 * d + 1] = q[:, 0::2]
+        windows = as_strided(pad, pad.shape[:2] + (2 * d + 1, d + 1), pad.strides + pad.strides[-1:],
+                             writeable=False)
+        q = np.einsum("bnij,bnj->bni", windows, q[:, 1::2, ::-1])
+    return q[:, 0, : B + 1]
 
 
 def _power_table(base: _BaseTable, n: int) -> CoeffTable:
@@ -295,40 +317,46 @@ class InfSupResult:
         return abs(math.expm1(self.log_lhs - self.log_rhs))
 
 
-def inf_sup_identity(table: CoeffTable, k: int) -> InfSupResult:
-    """Numerical check of min_{t>0} t^-k sup_p a_p t^p = a_k.
+def inf_sup_identity(table: CoeffTable, ks) -> list:
+    """Numerical check of min_{t>0} t^-k sup_p a_p t^p = a_k for each k in ks.
 
     The candidate minimizer t* = a_{k-1}/a_k (where the max term switches
     from index k-1 to k) is evaluated directly, and centres a 96-point grid
-    in ln t, +-3 wide, that zoom_max searches for the minimum.
+    in ln t, +-3 wide, that zoom_max searches for the minimum.  The ks are
+    searched together, one zoom_max row each.
     """
-    if not (1 <= k <= table.K - 1):
-        raise IdentityInapplicableError(f"k={k} outside [1, K-1]")
     la = table.log_a
-    if la[k] == NEG_INF or la[k - 1] == NEG_INF:
-        raise IdentityInapplicableError("identity inapplicable: zero coefficient")
-
+    for k in ks:
+        if not (1 <= k <= table.K - 1):
+            raise IdentityInapplicableError(f"k={k} outside [1, K-1]")
+        if la[k] == NEG_INF or la[k - 1] == NEG_INF:
+            raise IdentityInapplicableError("identity inapplicable: zero coefficient")
+    if not len(ks):
+        return []
+    k = np.asarray(ks, dtype=int)
     log_t_star = la[k - 1] - la[k]
     p = np.arange(table.K + 1)
 
     def neg_objective(log_t: np.ndarray) -> np.ndarray:
-        """k ln t - max_p (ln a_p + p ln t), the negated objective."""
-        return k * log_t - np.max(la + np.multiply.outer(log_t, p), axis=1)
+        """k ln t - max_p (ln a_p + p ln t), the negated objective, row by row."""
+        return k[:, None] * log_t - np.max(la + log_t[..., None] * p, axis=-1)
 
-    grid = np.linspace(log_t_star - 3.0, log_t_star + 3.0, 96)
-    at_star = -float(neg_objective(np.array([log_t_star]))[0])
-    best = min(-zoom_max(neg_objective, grid), at_star)
-    return InfSupResult(k=k, log_lhs=best, log_rhs=float(la[k]))
+    grid = np.linspace(log_t_star - 3.0, log_t_star + 3.0, 96, axis=-1)
+    at_star = -neg_objective(log_t_star[:, None])[:, 0]
+    found = -zoom_max(neg_objective, grid)
+    best = np.where(at_star < found, at_star, found)  # as min(found, at_star)
+    return [InfSupResult(k=int(kk), log_lhs=float(b), log_rhs=float(la[kk]))
+            for kk, b in zip(k, best)]
 
 
 def log_convexity_margins(table: CoeffTable) -> np.ndarray:
     """2 ln a_k - ln a_{k-1} - ln a_{k+1} for 1 <= k <= K-1 (nan where zero)."""
     la = table.log_a
-    out = np.full(table.K - 1, np.nan)
-    for k in range(1, table.K):
-        if la[k - 1] > NEG_INF and la[k] > NEG_INF and la[k + 1] > NEG_INF:
-            out[k - 1] = 2.0 * la[k] - la[k - 1] - la[k + 1]
-    return out
+    with np.errstate(invalid="ignore"):
+        margins = 2.0 * la[1:-1] - la[:-2] - la[2:]
+    zero = la == NEG_INF
+    margins[zero[:-2] | zero[1:-1] | zero[2:]] = np.nan
+    return margins
 
 
 def log_convexity_check(table: CoeffTable) -> CheckReport:

@@ -47,7 +47,7 @@ def log_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(np.log(lo), np.log(hi), n))
 
 
-def zoom_max(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> float:
+def zoom_max(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray):
     """The largest value of a vectorised f found by scanning xs and zooming.
 
     f is evaluated on the increasing grid xs, then on ZOOM_STAGES grids of
@@ -55,13 +55,27 @@ def zoom_max(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> float:
     so far (one cell at an end).  The result is the largest value
     evaluated, so it is a lower bound for the supremum of f on [xs[0],
     xs[-1]] whatever points the search picks.
+
+    An (r, n) array xs holds r independent searches, one per row, and f
+    maps an (r, m) grid to (r, m) values; the result is then the r maxima,
+    each bit-identical to the 1-D search of its row.  (Once one row's step
+    is 0, np.linspace builds every row as (i / 32) * width rather than
+    i * (width / 32); with ZOOM_POINTS - 1 = 32 both are one rounding of
+    the same number, short of widths below 32 times the smallest normal
+    float.)  A 1-D xs gives a float.
     """
     grid = np.asarray(xs, dtype=float)
     vals = f(grid)
-    best = float(np.max(vals))
+    best = np.max(vals, axis=-1)
     for _ in range(ZOOM_STAGES):
-        k = int(np.argmax(vals))
-        grid = np.linspace(grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], ZOOM_POINTS)
+        n = grid.shape[-1]
+        # each row's first index in the flat grid (0-d for one search)
+        first = np.arange(0, grid.size, n).reshape(grid.shape[:-1])
+        k = first + np.argmax(vals, axis=-1)
+        flat = grid.reshape(-1)
+        lo, hi = flat[np.maximum(k - 1, first)], flat[np.minimum(k + 1, first + n - 1)]
+        grid = np.linspace(lo, hi, ZOOM_POINTS).T
         vals = f(grid)
-        best = max(best, float(np.max(vals)))
-    return best
+        stage = np.max(vals, axis=-1)
+        best = np.where(stage > best, stage, best)  # as max(best, stage)
+    return best if grid.ndim > 1 else float(best)

@@ -57,6 +57,10 @@ class DivergenceCertificate:
 _TOP = 2.0 ** (sys.float_info.max_exp - 1)
 _ONE_BITS, _TOP_BITS = np.array([1.0, _TOP]).view(np.int64)
 _INNER = np.arange(1, 64)  # a search cell's inner points, in steps
+# an upper bound that underflows is this, never 0
+_TINY = math.ulp(0.0)
+# x and 1/x square to normal floats for 1/_SQ_SAFE <= x <= _SQ_SAFE
+_SQ_SAFE = 1e150
 # zeros per piece of every pass over t_j: a kept prefix's fills, the
 # evaluator's log sums, the N profile and the index series
 ZERO_CHUNK = 2**15
@@ -237,9 +241,10 @@ class Family:
         elif profile == "N":
             ln_p = math.log(LN2)
         else:
-            # 2^(j+1)/t_1 < e here, and t_1^2 is finite wherever the
-            # ln|w| majorant of the same term is
-            ln_p = math.log(0.5 * math.log1p((2.0 ** (j + 1) / self.terms(1, 1)[0]) ** 2))
+            # q = 2^(j+1)/t_1 < e here.  (1/2) ln(1 + q^2) >= q^2/4 for
+            # q^2 <= 2.5, taken in logs where q^2 would leave the normal range
+            q = 2.0 ** (j + 1) / self.terms(1, 1)[0]
+            ln_p = math.log(0.5 * math.log1p(q**2)) if q >= 1 / _SQ_SAFE else 2.0 * (math.log(q) - LN2)
         return max(0.0, j * LN2 - ln_p)
 
     def _dyadic_terms_upper(self, profile: str, j_from: int, j_to: int) -> list:
@@ -265,17 +270,28 @@ class GeometricFamily(Family):
             raise SequenceSpecError("geometric family needs r > 1")
         self.r = float(r)
         self._lnr = math.log(self.r)
+        self._r2 = self.r**2 if self.r <= _SQ_SAFE else math.inf
 
     def _at(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             return self.r**j
 
     def inv_tail(self, k_from: int) -> float:
-        # sum_{k > K} r^-k = r^-K / (r - 1), exact
-        return self.r ** (-k_from) / (self.r - 1.0)
+        return self._power_tail(1, k_from)
 
     def inv_sq_tail(self, k_from: int) -> float:
-        return self.r ** (-2 * k_from) / (self.r**2 - 1.0)
+        return self._power_tail(2, k_from)
+
+    def _power_tail(self, p: int, k_from: int) -> float:
+        """sum_{k > K} r^-pk = r^-pK / (r^p - 1), exact.  Where that
+        underflows, or r^p overflows, its logarithm -p(K+1) ln r -
+        ln(1 - r^-p) is exponentiated instead, and a result below the float
+        range is the smallest positive float."""
+        tail = self.r ** (-p * k_from) / ((self.r if p == 1 else self._r2) - 1.0)
+        if tail > 0:
+            return tail
+        log_tail = -p * (k_from + 1) * self._lnr - math.log(-math.expm1(-p * self._lnr))
+        return max(math.exp(log_tail), _TINY)
 
     def cum_log_lower(self, m: int) -> float:
         # exact: sum_{k<=m} k ln r = m(m+1) ln(r) / 2
@@ -301,7 +317,8 @@ class GeometricFamily(Family):
         r^2/(2(r^2-1)) since t_(n+1) > t forces r^-2n < r^2/t^2, so
         ln|w(2^j)| <= (j ln2/ln r + 1)(j + 0.5) ln2 + r^2/(2(r^2-1)).
         """
-        c_sq = self.r**2 / (2.0 * (self.r**2 - 1.0))
+        # 1/2 where r^2 overflows: r^2/(2(r^2-1)) rounds to it there
+        c_sq = self._r2 / (2.0 * (self._r2 - 1.0)) if self._r2 < math.inf else 0.5
         return (LN2 / self._lnr + 1.0 / j0) * (1.0 + 0.5 / j0) * LN2 + c_sq / j0**2
 
     def dyadic_weighted_tail(self, profile: str, j_from: int) -> float:
@@ -604,7 +621,10 @@ class ExplicitFamily(Family):
     def inv_sq_tail(self, k_from: int) -> float:
         if k_from >= len(self.values):
             return 0.0
-        return sum(1.0 / v**2 for v in self.values[k_from:])
+        # (1/v)^2 where v^2 may overflow; a term below the float range
+        # counts as the smallest positive float
+        return sum(1.0 / v**2 if v <= _SQ_SAFE else max((1.0 / v) ** 2, _TINY)
+                   for v in self.values[k_from:])
 
     def cum_log_lower(self, m: int) -> float:
         m = min(m, len(self.values))

@@ -96,10 +96,9 @@ def test_criterion_2_coefficient_laws():
                 if not rep.passed:
                     sandwich_fail += 1
             if n == 1:
-                for k in range(1, 21):
-                    r = inf_sup_identity(tab, k)
+                for r in inf_sup_identity(tab, range(1, 21)):
                     worst_infsup = max(worst_infsup, r.rel_error)
-                    assert r.rel_error < 1e-4, (spec, k, r.rel_error)
+                    assert r.rel_error < 1e-4, (spec, r.k, r.rel_error)
     elapsed = time.monotonic() - t0
     ok = sandwich_fail == 0 and worst_infsup < 1e-4 and elapsed < 60.0
     report(2, ok, f"log-convexity ok (worst margin {worst_conv:.2e}), sandwich "

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,41 @@ class TestBasics:
                                   "--n", "2", "--K", "40"])
         assert code == 2 and not out
         assert "J = 30000 factors" in err and "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        # r^2 overflows float64, and so does the one zero's square
+        ["criteria", "omega6", "--seq", "geometric:r=1e200"],
+        ["criteria", "omega6", "--seq", "explicit:[1e300]", "--J", "2"],
+    ])
+    def test_tails_past_the_float_range(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(argv)
+        assert code == 0 and not err
+        rep = json.loads(out)
+        assert rep["verdicts_agree_all_six"]
+        assert all(d["tail_bound"] > 0 for c, d in rep["diagnostics"].items() if c in ("ii", "iii", "iv"))
+
+    def test_coeffs_with_an_overflowing_ratio_exits_2(self):
+        # t_2 = r^2 = inf, and the table needs K + 1 = 41 factors
+        code, out, err = run_cli(["weight", "coeffs", "--seq", "geometric:r=1e200", "--K", "40"])
+        assert code == 2 and not out
+        assert err.startswith("error: geometric:r=1e+200: t_2 overflows float64")
+
+    @pytest.mark.parametrize("spec, log_a", [
+        ("explicit:[1,2]", [0.0, 0.5 * math.log(1.25), math.log(0.5)]),
+        ("explicit:[1e300]", [0.0, -math.log(1e300)]),
+    ])
+    def test_coeffs_of_a_short_list(self, spec, log_a):
+        # a_k = 0 past the list: the identity is checked up to the last
+        # positive coefficient, and the table is printed
+        code, out, err = run_cli(["weight", "coeffs", "--seq", spec, "--K", "4"])
+        assert code == 0 and not err
+        rep = json.loads(out)
+        assert rep["log_a"][len(log_a):] == ["-inf"] * (5 - len(log_a))
+        assert rep["log_a"][: len(log_a)] == pytest.approx(log_a, rel=1e-15, abs=1e-15)
+        assert [r["k"] for r in rep["inf_sup"]] == list(range(1, len(log_a)))
+        assert all(r["rel_error"] < 1e-12 for r in rep["inf_sup"])
 
     def test_eval_past_float_range_exits_2(self):
         code, out, err = run_cli(["weight", "eval", "--seq", "geometric:r=2", "--t", "1e200"])

@@ -21,7 +21,7 @@ from weightlab import (
     sandwich_check,
     sup_poly,
 )
-from weightlab.sampling import log_grid
+from weightlab.sampling import log_grid, zoom_max
 
 
 def exact_squared_coeffs(zeros, n, K):
@@ -132,6 +132,17 @@ class TestCoeffTable:
         tab = coeff_table(parse_sequence_spec(spec), n, 40)
         assert log_convexity_check(tab).passed
 
+    @pytest.mark.parametrize("spec, n, K", [("explicit:[1,2,3]", 2, 9), ("explicit:[1]", 1, 3),
+                                            ("geometric:r=2", 3, 40), ("powlog:a=1,b=2", 1, 1)])
+    def test_convexity_margins_match_the_loop(self, spec, n, K):
+        # the array expression against the loop over k it replaced: the
+        # same values bit for bit, and nan wherever a coefficient is 0
+        tab = coeff_table(parse_sequence_spec(spec), n, K)
+        la = tab.log_a
+        want = [2.0 * la[k] - la[k - 1] - la[k + 1] if min(la[k - 1 : k + 2]) > -math.inf else math.nan
+                for k in range(1, K)]
+        np.testing.assert_array_equal(coeffs.log_convexity_margins(tab), np.array(want, dtype=float))
+
     def test_geometric_has_every_coefficient(self):
         # a_k^2 of the infinite product is Euler's q^{k(k+1)/2} / (q;q)_k with
         # q = 1/4; a truncated table may sit below it, never above
@@ -181,21 +192,48 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("float_type", [np.longdouble, np.float64])
     @given(
-        st.lists(
-            st.floats(min_value=0.5, max_value=50.0), min_size=150, max_size=300
+        st.one_of(
+            st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=150, max_size=300),
+            st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=21, max_size=80),
         ).map(sorted),
         st.integers(min_value=1, max_value=20),
         st.integers(min_value=1, max_value=3),
     )
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_blocked_tail_against_mpmath(self, float_type, zeros, K, n):
         # J > K: the factors past K span two or more blocks and a partial
-        # one.  An explicit list omits nothing, so trunc_error_rel is the
-        # rounding bound alone
+        # one, or fewer than BLOCK of them make one block whose size is no
+        # power of two.  An explicit list omits nothing, so
+        # trunc_error_rel is the rounding bound alone
         with mock.patch.object(coeffs, "FLOAT", float_type):
             seq = ZeroSequence(ExplicitFamily(zeros), j_cut=5)
             tab = coeff_table(seq, n, K)
         assert_within_claim(tab, mp_log_a(seq, len(zeros), n, K))
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 5, 20, 33, 63, 64])
+    def test_block_polys_against_fractions(self, B):
+        # q = prod_m (1 + s_m v) from the product tree, against the exact
+        # product of the same long doubles: q_0 = 1, and each q_i within
+        # the (4i + B) eps the DP's rounding count grants it
+        rng = np.random.default_rng(B)
+        s = rng.uniform(0.0, 1.0, (3, B)).astype(coeffs.FLOAT)
+        s[0, 0] = 1.0
+        eps = Fraction(*np.finfo(coeffs.FLOAT).eps.as_integer_ratio())
+        for row, got in zip(s, coeffs._block_polys(s)):
+            want = [Fraction(1)]
+            for x in row:
+                x = Fraction(*x.as_integer_ratio())
+                want = [a + x * b for a, b in zip(want + [0], [0] + want)]
+            assert got[0] == 1
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert abs(Fraction(*g.as_integer_ratio()) - w) <= (4 * i + B) * eps * w, (B, i)
+
+    def test_tree_rounding_count_fits_the_budget(self):
+        # level l of the tree adds at most 1 + min(i, 2^l) roundings to q_i
+        for B in range(1, coeffs.BLOCK + 1):
+            levels = (B - 1).bit_length()
+            for i in range(1, B + 1):
+                assert sum(1 + min(i, 2**l) for l in range(levels)) <= 4 * i + B, (B, i)
 
     def test_float64_long_double(self, monkeypatch):
         # platforms where long double is plain float64
@@ -238,24 +276,54 @@ class TestSupPoly:
             sup_poly(tab, 0.0)
 
 
+def one_k_inf_sup(tab, k):
+    """(log_lhs, log_rhs) of the identity at one k, by a 1-D zoom_max search
+    of its own: the reference the batched search must equal bit for bit."""
+    la = tab.log_a
+    log_t_star = la[k - 1] - la[k]
+    p = np.arange(tab.K + 1)
+
+    def neg_objective(log_t):
+        return k * log_t - np.max(la + np.multiply.outer(log_t, p), axis=1)
+
+    grid = np.linspace(log_t_star - 3.0, log_t_star + 3.0, 96)
+    at_star = -float(neg_objective(np.array([log_t_star]))[0])
+    return min(-zoom_max(neg_objective, grid), at_star), float(la[k])
+
+
 class TestInfSup:
     def test_degenerate_table_errors(self):
         tab = coeff_table(ZeroSequence(ExplicitFamily([1.0]), j_cut=5), 1, 3)
         with pytest.raises(IdentityInapplicableError):
-            inf_sup_identity(tab, 2)  # a_2 = 0
+            inf_sup_identity(tab, [2])  # a_2 = 0
         with pytest.raises(IdentityInapplicableError):
-            inf_sup_identity(tab, 5)  # outside [1, K-1]
+            inf_sup_identity(tab, [5])  # outside [1, K-1]
 
     def test_two_zero_table(self):
         tab = coeff_table(ZeroSequence(ExplicitFamily([1.0, 2.0]), j_cut=5), 1, 2)
-        r = inf_sup_identity(tab, 1)
+        (r,) = inf_sup_identity(tab, [1])
         assert r.rel_error < 1e-10
 
     def test_geometric_high_resolution(self):
         tab = coeff_table(parse_sequence_spec("geometric:r=2"), 1, 8)
-        for k in range(1, 7):
-            r = inf_sup_identity(tab, k)
-            assert r.rel_error < 1e-4, (k, r.rel_error)
+        for r in inf_sup_identity(tab, range(1, 7)):
+            assert r.rel_error < 1e-4, (r.k, r.rel_error)
+
+    @pytest.mark.parametrize("spec", ["geometric:r=2", "power:a=2", "powlog:a=1,b=2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_equals_one_k_searches(self, spec, n):
+        tab = coeff_table(parse_sequence_spec(spec), n, 40)
+        ks = list(range(1, 9))
+        together = inf_sup_identity(tab, ks)
+        assert [r.k for r in together] == ks
+        for r in together:
+            assert (r.log_lhs, r.log_rhs) == one_k_inf_sup(tab, r.k), r.k
+            (alone,) = inf_sup_identity(tab, [r.k])
+            assert (r.log_lhs, r.log_rhs) == (alone.log_lhs, alone.log_rhs), r.k
+
+    def test_no_k(self):
+        tab = coeff_table(parse_sequence_spec("geometric:r=2"), 1, 1)
+        assert inf_sup_identity(tab, []) == []
 
 
 class TestSandwich:

@@ -306,6 +306,37 @@ class TestZoomMax:
     def test_all_minus_inf(self):
         assert zoom_max(lambda x: np.full(len(x), NEG_INF), np.linspace(0.0, 1.0, 9)) == NEG_INF
 
+    def test_rows_equal_one_dimensional_searches(self):
+        # peaks inside, at an end and between grid points, and a grid that
+        # has collapsed to one float, which moves numpy's linspace to its
+        # zero-step formula for every row: each row, and each 1-D search,
+        # must match the scalar loop
+        peaks = np.array([0.3137, -1.0, 1e-3 / 3, 0.7])
+        rows = np.stack([np.linspace(-1.0, 1.0, 19)] * 3 + [np.full(19, 0.7)])
+
+        def bump(x, peak):
+            return -np.abs(np.sin(7 * x) * (x - peak))
+
+        got = zoom_max(lambda x: bump(x, peaks[:, None]), rows)
+        assert got.shape == (4,)
+        for row, peak, g in zip(rows, peaks, got):
+            want = _scalar_zoom_max(lambda x: bump(x, peak), row)
+            assert g == want == zoom_max(lambda x: bump(x, peak), row), peak
+
+
+def _scalar_zoom_max(f, xs):
+    """zoom_max as a loop of scalar steps over one grid: the reference its
+    1-D and row searches must equal bit for bit."""
+    grid = np.asarray(xs, dtype=float)
+    vals = f(grid)
+    best = float(np.max(vals))
+    for _ in range(ZOOM_STAGES):
+        k = int(np.argmax(vals))
+        grid = np.linspace(grid[max(0, k - 1)], grid[min(len(grid) - 1, k + 1)], ZOOM_POINTS)
+        vals = f(grid)
+        best = max(best, float(np.max(vals)))
+    return best
+
 
 def _golden_minmod(model, t, radius, scan_density, iters=48):
     """minmod_sup as a dense scan plus golden-section refinement, the

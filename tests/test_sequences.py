@@ -163,6 +163,27 @@ class TestTailBounds:
             assert fam.inv_tail(K) >= brute
             assert fam.inv_sq_tail(K) >= brute_sq
 
+    @pytest.mark.parametrize("r, K", [(1.00001, 37_300_000), (1.5, 2000), (1e200, 1), (1e300, 5)])
+    def test_geometric_tails_past_the_float_range(self, r, K):
+        # r^-pK underflows, or r^2 overflows: the bound is read from its
+        # logarithm, and one below the float range is the smallest positive
+        # float, never 0.  Each is the exact tail to within rounding
+        from mpmath import mp, mpf
+
+        fam = GeometricFamily(r)
+        tiny = math.ulp(0.0)
+        with mp.workprec(100):
+            for p, got in ((1, fam.inv_tail(K)), (2, fam.inv_sq_tail(K))):
+                want = mpf(r) ** (-p * K) / (mpf(r) ** p - 1)
+                assert got > 0, p
+                assert want * (1 - 1e-9) - tiny <= got <= want * (1 + 1e-9) + tiny, (p, got, want)
+
+    def test_explicit_sq_tail_of_huge_zeros(self):
+        # (1/v)^2 where v^2 overflows; 1/(1e300)^2 is below the float range
+        fam = ExplicitFamily([1e160, 1e300])
+        assert fam.inv_sq_tail(0) == 1e-160**2 + math.ulp(0.0)
+        assert fam.inv_sq_tail(1) == math.ulp(0.0)
+
     @pytest.mark.parametrize("spec", [
         "geometric:r=2", "power:a=2", "powlog:a=3,b=0", "power:a=1.5", "powlog:a=1,b=3",
         pytest.param(EXPLICIT_40, id="explicit-40"),
