@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .sampling import zoom_max
-from .sequences import ExplicitFamily, ZeroSequence
+from .sequences import ExplicitFamily, TermPrefix, ZeroSequence
 from .weights import WeightEvaluator, CheckReport
 
 NEG_INF = float("-inf")
@@ -392,11 +392,13 @@ def sandwich_check(
     table is too short, a big table of degree K_big up to K_ADAPT_CAP is
     taken from coeff_table_log and kept in big_table_cache.  For larger t
     the weaker evaluator form n v(t) <= (1/2) ln2 + n (v+err)(sqrt2 t) is
-    used, and the regime is "sup-capped".  `w` must evaluate `seq`.
+    used, and the regime is "sup-capped".  `w` must evaluate `seq`: the
+    two must have the same key.
     """
-    if w.sequence.spec_string() != seq.spec_string():
-        raise ValueError(f"sandwich_check: the evaluator is of {w.sequence.spec_string()}, "
-                         f"the tables of {seq.spec_string()}")
+    if w.sequence.key != seq.key:
+        # (parameters, j_cut): two sequences may print the same spec string
+        raise ValueError(f"sandwich_check: the evaluator is of {w.sequence.spec_string()} "
+                         f"{w.sequence.key[1:]}, the tables of {seq.spec_string()} {seq.key[1:]}")
     v_t, err_t = w.eval_log_abs_omega(t)
     y = math.sqrt(2.0) * t
     v_y, err_y = w.eval_log_abs_omega(y)
@@ -410,7 +412,7 @@ def sandwich_check(
     peak_ok = _interior_sup(rhs_table, y)
     if not peak_ok and big_table_cache is not None:
         # the max term of the n-th power sits near n * n(y)
-        need = n * w.zeros.count_leq(y) + 64
+        need = n * TermPrefix.of(seq).count_leq(y) + 64
         if need <= K_ADAPT_CAP:
             K_big = max(256, 1 << (need - 1).bit_length())
             key = (n, K_big)

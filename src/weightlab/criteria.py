@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .sampling import SampledFunction
-from .sequences import ZERO_CHUNK, DivergenceCertificate, ZeroSequence, index_terms
+from .sequences import ZERO_CHUNK, DivergenceCertificate, TermPrefix, ZeroSequence, index_terms
 from .weights import WeightEvaluator, big_n_levels
 
 VERDICT_CONV = "convergent-certified"
@@ -203,17 +203,22 @@ def _index_series(seq: ZeroSequence, k_max: int) -> dict:
     condition, from one pass over t_1..t_{k_max}.
 
     The terms are sequences.index_terms, made one condition's array at a
-    time; decimated accumulation over ZERO_CHUNK-term pieces, streamed and
-    not kept, in fixed order.
+    time; decimated accumulation over ZERO_CHUNK-term pieces, in fixed
+    order.  t_j comes from the TermPrefix as far as it holds finite zeros,
+    and past that (past term_cap, or from the first inf on) from
+    seq.terms, streamed and not kept.
     """
     fam = seq.family
+    kept = TermPrefix.of(seq).finite(k_max)
     acc = {"i": 0.0, "v": 0.0, "vi": 0.0}
     partial = {cond: [] for cond in acc}
     record_at = _record_points(k_max)
     for start in range(1, k_max + 1, ZERO_CHUNK):
         stop = min(start + ZERO_CHUNK - 1, k_max)
         jj = np.arange(start, stop + 1, dtype=float)
-        tj = seq.terms(start, stop)
+        tj = kept[start - 1 : stop]
+        if len(tj) < len(jj):
+            tj = np.concatenate((tj, seq.terms(start + len(tj), stop)))
         rec = [k - start for k in record_at if start <= k <= stop]
         for cond in acc:
             csum = np.cumsum(index_terms(cond, tj, jj))

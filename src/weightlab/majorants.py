@@ -19,7 +19,9 @@ With d the lcm of the denominators of c_1..c_{k+2}, n_j = d c_j and
 N_m = n_1...n_m, and since 1/(p! q!) - 1/((p-1)!(q+1)!) =
 C(k+1, p)(k+1-2p)/(k+1)!, the numerators over (k+1)! d^(k+2) > 0 are
 
-    S_k: sum_{p=1..k} C(k+1, p)(k+1-2p) N_{p+1} N_{k+1-p}
+    S_k: sum_{p=1..k} C(k+1, p)(k+1-2p) N_{p+1} N_{k+1-p}, which, as
+         the terms p and k+1-p have opposite weights, is
+         sum_{p <= (k+1)/2} C(k+1, p)(k+1-2p) N_p N_{k+1-p} (n_{p+1} - n_{k+2-p})
     C_k: (k+1)(n_1 - n_{k+2}) N_{k+1} + the S_k numerator
     C_k straight from its double sum (the independent check):
          (k+1) sum_{p=0..k} C(k, p)(N_{p+1} N_{k+1-p} - N_{p+2} N_{k-p})
@@ -78,10 +80,10 @@ def _integer_form(c: RationalSeq, k: int) -> tuple[int, list, list]:
     return d, n, N
 
 
-def _s_num(N: list, k: int) -> int:
-    """(k+1)! d^(k+2) S_k."""
-    return sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p + 1] * N[k + 1 - p]
-               for p in range(1, k + 1))
+def _s_num(n: list, N: list, k: int) -> int:
+    """(k+1)! d^(k+2) S_k, its terms p and k+1-p paired."""
+    return sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p] * N[k + 1 - p] * (n[p] - n[k + 1 - p])
+               for p in range(1, (k + 1) // 2 + 1))
 
 
 def _c_num(n: list, N: list, k: int, s_num: int) -> int:
@@ -104,8 +106,8 @@ def s_k_value(c: RationalSeq, k: int) -> Fraction:
     """Exact S_k; requires c_1..c_{k+2} (matching the C_k companion)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    d, _, N = _integer_form(c, k)
-    return _value(_s_num(N, k), d, k)
+    d, n, N = _integer_form(c, k)
+    return _value(_s_num(n, N, k), d, k)
 
 
 def c_k_value(c: RationalSeq, k: int) -> Fraction:
@@ -113,7 +115,7 @@ def c_k_value(c: RationalSeq, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     d, n, N = _integer_form(c, k)
-    return _value(_c_num(n, N, k, _s_num(N, k)), d, k)
+    return _value(_c_num(n, N, k, _s_num(n, N, k)), d, k)
 
 
 def c_k_direct(c: RationalSeq, k: int) -> Fraction:
@@ -148,7 +150,7 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
         seq = RationalSeq(tuple(vals))
         d, n, N = _integer_form(seq, k_max)
         for k in range(1, k_max + 1):
-            s = _s_num(N, k)
+            s = _s_num(n, N, k)
             ck = _c_num(n, N, k, s)
             checked += 1
             if trial == 0 and k <= 4:
@@ -193,17 +195,16 @@ class ConcaveSeriesMajorant:
     The returned value is a lower bound; value+err an upper bound.  The
     cutoff is at most the sequence's j_cut, and an argument that needs
     more terms raises KEvalError; an explicit list has no such cap, since
-    its terms past the list are 0.  The zeros are kept in a TermPrefix,
-    and the sums of their logs are extended in ZERO_CHUNK pieces counted
-    from index 1, so alpha(t) does not depend on the points evaluated
-    before.
+    its terms past the list are 0.  The zeros are read from the process's
+    TermPrefix of the sequence, and the sums of their logs are kept here,
+    extended in ZERO_CHUNK pieces counted from index 1, so alpha(t) does
+    not depend on the points evaluated before.
     """
 
     sequence: ZeroSequence
     _cumlog: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.zeros = TermPrefix(self.sequence)
         self._cumlog = np.zeros(1)  # cumlog[k] = sum_{i<=k} ln t_i, finite t_i
         fam = self.sequence.family
         self._cap = math.inf if isinstance(fam, ExplicitFamily) else self.sequence.j_cut
@@ -214,7 +215,7 @@ class ConcaveSeriesMajorant:
         the float64 sum before it, at a fixed index."""
         while len(self._cumlog) <= k:
             have = len(self._cumlog) - 1
-            tj = self.zeros.finite(min(have + ZERO_CHUNK, self._cap))[have:]
+            tj = TermPrefix.of(self.sequence).finite(min(have + ZERO_CHUNK, self._cap))[have:]
             if not len(tj):
                 return
             ext = self._cumlog[-1] + np.cumsum(np.log(tj).astype(np.longdouble))
@@ -229,7 +230,7 @@ class ConcaveSeriesMajorant:
         if not (t > 0) or not math.isfinite(t):
             raise ValueError("need finite t > 0")
         x = 4.0 * t
-        n = self.zeros.count_leq(2.0 * x, self.sequence.term_cap)
+        n = TermPrefix.of(self.sequence).count_leq(2.0 * x, self.sequence.term_cap)
         k_star = n + self._EXTRA
         if k_star + 1 > self._cap:
             raise KEvalError(

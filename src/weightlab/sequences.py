@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .tails import (
+    TINY,
     inv_log_pow_tail,
     inv_loglog_pow_tail,
     log_pow_integral,
@@ -57,13 +58,16 @@ class DivergenceCertificate:
 _TOP = 2.0 ** (sys.float_info.max_exp - 1)
 _ONE_BITS, _TOP_BITS = np.array([1.0, _TOP]).view(np.int64)
 _INNER = np.arange(1, 64)  # a search cell's inner points, in steps
-# an upper bound that underflows is this, never 0
-_TINY = math.ulp(0.0)
 # x and 1/x square to normal floats for 1/_SQ_SAFE <= x <= _SQ_SAFE
 _SQ_SAFE = 1e150
 # zeros per piece of every pass over t_j: a kept prefix's fills, the
 # evaluator's log sums, the N profile and the index series
 ZERO_CHUNK = 2**15
+# the evaluator's far-zero series keeps SERIES_ORDER terms (even, so a
+# real point's cut series lies below its sum); a TermPrefix keeps the sums
+# of t_j^-k, k = 1..SERIES_ORDER+1, per SERIES_BLOCK zeros
+SERIES_BLOCK = 1 << 12
+SERIES_ORDER = 8
 
 
 def _last_index(x: float) -> int:
@@ -91,7 +95,10 @@ def index_terms(cond: str, tj: np.ndarray, jj: np.ndarray) -> np.ndarray:
 
 
 class Family:
-    """Base class: exact enumeration plus certified tail bounds."""
+    """Base class: exact enumeration plus certified tail bounds.  Each
+    family sets params, the tuple of exact floats that define its t_j."""
+
+    params: tuple
 
     # the first index at which omega0_flag reads t_j/j
     _ratio_from = 1
@@ -269,6 +276,7 @@ class GeometricFamily(Family):
         if not (r > 1.0) or not math.isfinite(r):
             raise SequenceSpecError("geometric family needs r > 1")
         self.r = float(r)
+        self.params = (self.r,)
         self._lnr = math.log(self.r)
         self._r2 = self.r**2 if self.r <= _SQ_SAFE else math.inf
 
@@ -291,7 +299,7 @@ class GeometricFamily(Family):
         if tail > 0:
             return tail
         log_tail = -p * (k_from + 1) * self._lnr - math.log(-math.expm1(-p * self._lnr))
-        return max(math.exp(log_tail), _TINY)
+        return max(math.exp(log_tail), TINY)
 
     def cum_log_lower(self, m: int) -> float:
         # exact: sum_{k<=m} k ln r = m(m+1) ln(r) / 2
@@ -342,6 +350,7 @@ class PowerFamily(Family):
         if not (a > 1.0) or not math.isfinite(a):
             raise SequenceSpecError("power family needs a > 1")
         self.a = float(a)
+        self.params = (self.a,)
 
     def _at(self, j: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
@@ -401,6 +410,7 @@ class PowLogFamily(Family):
             )
         self.a = float(a)
         self.b = float(b)
+        self.params = (self.a, self.b)
         # first index from which t_k >= k, i.e. (ln k)^a (lnln k)^b >= 1;
         # k = 16 has ln k > 1 and lnln k > 1, so it is at most 16
         k = np.arange(1.0, 17.0)
@@ -603,6 +613,7 @@ class ExplicitFamily(Family):
                     f"non-monotone explicit list: t_{i+1} < t_{i}", i
                 )
         self.values = vals
+        self.params = tuple(vals)
         self._padded = np.array(vals + [math.inf])
         self._index_onset = len(vals)  # every index-series term is summed
 
@@ -623,7 +634,7 @@ class ExplicitFamily(Family):
             return 0.0
         # (1/v)^2 where v^2 may overflow; a term below the float range
         # counts as the smallest positive float
-        return sum(1.0 / v**2 if v <= _SQ_SAFE else max((1.0 / v) ** 2, _TINY)
+        return sum(1.0 / v**2 if v <= _SQ_SAFE else max((1.0 / v) ** 2, TINY)
                    for v in self.values[k_from:])
 
     def cum_log_lower(self, m: int) -> float:
@@ -730,23 +741,61 @@ class ZeroSequence:
         j = min(cap, max(j, at_least))
         return j, bound(j)
 
+    @property
+    def key(self) -> tuple:
+        """The exact identity of the sequence: its family's class and float
+        parameters, and j_cut.  spec_string() is no identity: it prints
+        parameters to 6 significant digits."""
+        return (type(self.family), self.family.params, self.j_cut)
+
     def spec_string(self) -> str:
         return self.family.spec_string()
 
 
 class TermPrefix:
-    """The kept t_1, t_2, ... of a sequence, each enumerated once.
+    """The process's kept t_1, t_2, ... of one sequence, each enumerated
+    once, and the power sums of its complete SERIES_BLOCK blocks.
 
-    The prefix grows in place to a power of two in fixed pieces, 16, 16,
-    32, ... up to ZERO_CHUNK, then ZERO_CHUNK each, so an entry comes from
-    one terms() call whatever the order of the requests.  It stops at the
-    sequence's term_cap, or with the piece that holds its first inf.
+    TermPrefix.of(seq) is the way in.  It returns the table held for
+    seq.key, or drops the held table and starts a new one, so the process
+    holds the table of one sequence.  Readers (the evaluators, the concave
+    majorant, the N profile and the index series) ask for it in every call
+    and keep no reference, so sequences in turn evict each other.
+
+    - An entry depends only on (sequence, index).  The prefix grows in
+      place to a power of two in fixed pieces, 16, 16, 32, ... up to
+      ZERO_CHUNK, then ZERO_CHUNK each, so an entry comes from one terms()
+      call whatever the order of the requests; and a block's power sums
+      are reductions over its own zeros.  No result depends on which
+      reader came first.
+    - A view from finite() must not outlive the call that took it: growth
+      resizes the prefix in place, and any reader of the sequence grows it.
+    - A table is for one thread.
+
+    The prefix stops at the sequence's term_cap, or with the piece that
+    holds its first inf.
     """
+
+    _held: Optional["TermPrefix"] = None
 
     def __init__(self, seq: ZeroSequence):
         self.seq = seq
         self.values = np.empty(0)
         self.n_fin = 0  # entries before the first inf
+        # per complete block b: s_b = 2^e <= its first zero, and in column b
+        # the sums of (s_b/t_j)^k for k = 1..SERIES_ORDER+1
+        self.scale = np.empty(0)
+        self.powsums = np.empty((SERIES_ORDER + 1, 0))
+
+    @classmethod
+    def of(cls, seq: ZeroSequence) -> "TermPrefix":
+        """The process's table of seq: the held one when it is of seq.key,
+        else a new one, built after the held one is dropped."""
+        held = cls._held
+        if held is None or (held.seq is not seq and held.seq.key != seq.key):
+            held = cls._held = None  # the old table is freed before the new one grows
+            held = cls._held = cls(seq)
+        return held
 
     def finite(self, j_max: int) -> np.ndarray:
         """The finite t_1..t_{j_max}, first as t_j is nondecreasing: a view
@@ -773,6 +822,32 @@ class TermPrefix:
         zeros (the count is then at least cap), else by the sequence."""
         n = int(self.values.searchsorted(x, "right"))
         return self.seq.count_leq(x) if n == len(self.values) < cap else n
+
+    def power_sums(self, n_blocks: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, powsums), extended to the first n_blocks complete blocks,
+        which finite() must hold already; ZERO_CHUNK zeros per numpy call in
+        the caller's scratch, two rows of ZERO_CHUNK entries.  A block's
+        sums are row reductions over its own zeros, so they do not depend
+        on the grouping."""
+        have = len(self.scale)
+        if have < n_blocks:
+            b = SERIES_BLOCK
+            tb = self.values[have * b : n_blocks * b].reshape(-1, b)
+            scale = np.ldexp(1.0, np.frexp(tb[:, 0])[1] - 1)  # 2^e <= each block's first zero
+            sums = np.empty((SERIES_ORDER + 1, len(tb)))
+            x, p = scratch.reshape(2, -1, b)
+            for i in range(0, len(tb), len(x)):
+                group = tb[i : i + len(x)]
+                m = len(group)
+                xg = np.divide(scale[i : i + m, None], group, out=x[:m])
+                pg = p[:m]
+                np.copyto(pg, xg)
+                np.add.reduce(pg, axis=1, out=sums[0, i : i + m])
+                for k in range(1, SERIES_ORDER + 1):
+                    np.add.reduce(np.multiply(pg, xg, out=pg), axis=1, out=sums[k, i : i + m])
+            self.scale = np.concatenate((self.scale, scale))
+            self.powsums = np.concatenate((self.powsums, sums), axis=1)
+        return self.scale, self.powsums
 
 
 def _parse_kv(body: str, offset: int) -> dict:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 
+# an upper bound that underflows is this, never 0
+TINY = math.ulp(0.0)
+
 
 def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> float:
     """Upper bound for sum_{j >= j_from} coeff * j^p * ln(j)^q * x^j.
@@ -20,7 +23,9 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
     term times 1/(1 - ratio).  If the ratio at j_from is >= 1 the start
     index is advanced until it drops below 1 (it tends to x < 1).  If it
     is still >= 1 after 10,000 steps (x very close to 1), the result is
-    +inf: no finite bound, so no certificate.
+    +inf: no finite bound, so no certificate.  A summand that underflows is
+    read from its logarithm, and one below the float range is TINY, so a
+    positive tail is never 0.
     """
     if coeff == 0.0:
         return 0.0
@@ -28,7 +33,11 @@ def poly_geom_tail(coeff: float, p: float, q: float, x: float, j_from: int) -> f
         raise ValueError("poly_geom_tail: invalid parameters")
 
     def summand(j: int) -> float:
-        return coeff * j**p * math.log(j) ** q * x**j
+        term = coeff * j**p * math.log(j) ** q * x**j
+        if term > 0:
+            return term
+        log_term = math.log(coeff) + p * math.log(j) + q * math.log(math.log(j)) + j * math.log(x)
+        return max(math.exp(log_term), TINY)
 
     j = j_from
     head = 0.0

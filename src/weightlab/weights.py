@@ -7,8 +7,8 @@ family's tail bound sets J (capped by j_cut), in two ways:
   and the last incomplete block, by the log of each factor;
 - the complete blocks past the head by the power series
   ln|1 + iz/t_j| = Re sum_k (-1)^(k+1) (iz/t_j)^k / k, cut after
-  k = _ORDER, from sums of t_j^-k that the evaluator computes once per
-  block.  What the cut omits is at most
+  k = _ORDER, from sums of t_j^-k computed once per block.  What the cut
+  omits is at most
   |z|^(K+1) sum_j t_j^-(K+1) / ((K+1)(1 - _EPS)), K = _ORDER.
 
 err is the bound on the zeros past J plus that remainder.  At a real
@@ -19,8 +19,9 @@ either way; there |true - value| <= err.
 
 Accumulation is in fixed order, bit-deterministic and thread-count
 independent: one float64 sum per ZERO_CHUNK logs, one correctly rounded
-sum over the far blocks, Neumaier-compensated across the parts.  An
-evaluator enumerates each t_j once, into its TermPrefix.
+sum over the far blocks, Neumaier-compensated across the parts.  The
+zeros and the blocks' power sums are kept on the process's TermPrefix of
+the sequence, which every evaluator of it shares.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sequences import SERIES_BLOCK as _SERIES_BLOCK
+from .sequences import SERIES_ORDER as _ORDER
 from .sequences import ZERO_CHUNK, ExplicitFamily, TermPrefix, ZeroSequence
 
 NEG_INF = float("-inf")
-# the far-zero series: a zero is far from z once |z|/t_j <= _EPS; the
-# series keeps _ORDER terms (even, so a real point's cut series lies below
-# its sum), and power sums are kept per _SERIES_BLOCK zeros
+# the far-zero series: a zero is far from z once |z|/t_j <= _EPS; it keeps
+# _ORDER terms, from the power sums the TermPrefix keeps per _SERIES_BLOCK
+# zeros
 _EPS = 2.0**-6
-_ORDER = 8
-_SERIES_BLOCK = 1 << 12
 _SERIES_COEF = np.array([(-1.0) ** (k + 1) / k for k in range(1, _ORDER + 1)])
 
 
@@ -77,21 +78,16 @@ class WeightEvaluator:
     The enumeration length at argument t is the smallest J with
     (t^2/2) * sum_{j>J} 1/t_j^2 <= tol (capped by sequence.j_cut); the
     actual certified bound at the chosen J, plus the far-zero series'
-    remainder, is reported as err.  t_1..t_J of the largest J so far stay
-    in the TermPrefix `zeros`, with power sums for each of its complete
-    blocks; sums of logs run in two scratch rows of ZERO_CHUNK entries.
+    remainder, is reported as err.  The zeros and their power sums are read
+    from TermPrefix.of(sequence) in every call; sums of logs run in two
+    scratch rows of ZERO_CHUNK entries.
     """
 
     sequence: ZeroSequence
     tol: float = 1e-12
 
     def __post_init__(self):
-        self.zeros = TermPrefix(self.sequence)
         self._scratch = np.empty((2, ZERO_CHUNK))  # pages are touched on use
-        # per complete block b of the prefix: s_b = 2^e <= its first zero,
-        # and in column b the sums of (s_b/t_j)^k for k = 1.._ORDER+1
-        self._scale = np.empty(0)
-        self._powsums = np.empty((_ORDER + 1, 0))
 
     def _cutoff(self, point, x: float, bound) -> tuple[int, float]:
         """J and bound(J), bound(J) bounding what the zeros past J add: from
@@ -105,7 +101,7 @@ class WeightEvaluator:
         if not isinstance(seq.family, ExplicitFamily):
             if x == math.inf:
                 raise ValueError(f"ln|w| at {point!r} overflows float64 (8|z| = inf)")
-            n = self.zeros.count_leq(x, seq.j_cut)
+            n = TermPrefix.of(seq).count_leq(x, seq.j_cut)
         return seq.cutoff(bound, self.tol, max(16, n), seq.j_cut)
 
     def _choose_cutoff(self, t: float) -> tuple[int, float]:
@@ -118,7 +114,8 @@ class WeightEvaluator:
         """(value, err): value <= ln|w(t)| <= value + err.
 
         ln|w(t)| = (1/2) sum_j ln(1 + t^2/t_j^2); the tail past J is
-        bounded by (t^2/2) sum_{j>J} 1/t_j^2 since ln(1+x) <= x.  Raises
+        bounded by (t^2/2) sum_{j>J} 1/t_j^2 since ln(1+x) <= x.  A factor
+        whose t^2/t_j^2 overflows is -2 ln t_j + ln(t_j^2 + t^2).  Raises
         ValueError when float64 overflow leaves value or err non-finite.
         """
         t = _check_finite_real(t)
@@ -132,16 +129,24 @@ class WeightEvaluator:
             r = np.divide(t, tj, out=rows[0])
             return np.log1p(np.multiply(r, r, out=r), out=r)
 
-        value, rem = self._log_sum(complex(t, 0.0), t, j_max, log_chunk)
+        def scaled_log(tj):
+            return np.log(tj * tj + t * t) - 2.0 * np.log(tj)
+
+        value, rem = self._log_sum(complex(t, 0.0), t, j_max, log_chunk, scaled_log)
         return _finite_result(t, value, err + rem)
 
-    def _log_sum(self, z: complex, r: float, j_max: int, log_chunk) -> tuple[float, float]:
+    def _log_sum(self, z: complex, r: float, j_max: int, log_chunk, scaled_log
+                 ) -> tuple[float, float]:
         """(value, series remainder bound) of ln|w(z)| over the finite
         t_1..t_{j_max}, r = |z|: (1/2) the sum of log_chunk(tj, scratch
         rows) over ZERO_CHUNK-term chunks of the head and of the last
         incomplete block, plus the series over the complete blocks between
-        them; value -inf when log_chunk returns None (an exact zero)."""
-        terms = self.zeros.finite(j_max)
+        them; value -inf when log_chunk returns None (an exact zero).  In a
+        chunk whose sum comes out non-finite, scaled_log(tj) recomputes the
+        non-finite logs (a zero far below |z|); other chunks take no extra
+        pass."""
+        zeros = TermPrefix.of(self.sequence)
+        terms = zeros.finite(j_max)
         b = _SERIES_BLOCK
         n = len(terms) // b  # complete blocks
         h = -(-int(terms.searchsorted(r / _EPS, "right")) // b) if n else 0  # head blocks
@@ -153,54 +158,33 @@ class WeightEvaluator:
                 # an overflow reaches the result as inf or nan, which callers reject
                 with np.errstate(over="ignore"):
                     logs = log_chunk(tj, self._scratch[:, : len(tj)])
-                if logs is None:
-                    return NEG_INF, 0.0
-                parts.append(0.5 * float(np.sum(logs)))
+                    if logs is None:
+                        return NEG_INF, 0.0
+                    part = float(np.sum(logs))
+                    if not math.isfinite(part):
+                        bad = ~np.isfinite(logs)
+                        logs[bad] = scaled_log(tj[bad])
+                        part = float(np.sum(logs))
+                parts.append(0.5 * part)
         if h >= n:
             return _compensated_sum(parts), 0.0
-        far, rem = self._series(z, r, terms, h, n)
+        far, rem = self._series(z, r, zeros, h, n)
         return _compensated_sum(parts + [far]), rem
 
-    def _series(self, z: complex, r: float, terms: np.ndarray, lo: int, hi: int
+    def _series(self, z: complex, r: float, zeros: TermPrefix, lo: int, hi: int
                 ) -> tuple[float, float]:
         """Re sum_{k <= _ORDER} (-1)^(k+1) (iz)^k P_k / k, P_k the sum of
-        t_j^-k over the complete blocks lo..hi-1 of terms, and the bound
+        t_j^-k over the complete blocks lo..hi-1 of zeros, and the bound
         r^(K+1) P_(K+1) / ((K+1)(1 - _EPS)) on what the cut omits.  Block b
         enters as (iz/s_b)^k times its scaled sums, |iz/s_b| < 2 _EPS, so
         nothing overflows; the blocks' values are summed correctly rounded."""
-        self._fill_power_sums(terms, hi)
-        w = (1j * z) / self._scale[lo:hi]
+        scale, powsums = zeros.power_sums(hi, self._scratch)
+        w = (1j * z) / scale[lo:hi]
         pw = np.cumprod(np.broadcast_to(w, (_ORDER + 1, hi - lo)), axis=0)  # w^1..w^(K+1)
-        sums = self._powsums[:, lo:hi]
+        sums = powsums[:, lo:hi]
         value = math.fsum(np.sum(_SERIES_COEF[:, None] * pw[:_ORDER].real * sums[:_ORDER], axis=0))
         rem = math.fsum(np.abs(pw[_ORDER]) * sums[_ORDER]) / ((_ORDER + 1) * (1.0 - _EPS))
         return value, rem
-
-    def _fill_power_sums(self, terms: np.ndarray, n_blocks: int) -> None:
-        """Extend the kept scales and power sums to the first n_blocks
-        complete blocks of terms, ZERO_CHUNK zeros per numpy call in the
-        scratch rows.  Each block's sums are row reductions over its own
-        zeros, so they do not depend on the grouping: a warm evaluator
-        equals a fresh one bit for bit."""
-        have = len(self._scale)
-        if have >= n_blocks:
-            return
-        b = _SERIES_BLOCK
-        tb = terms[have * b : n_blocks * b].reshape(-1, b)
-        scale = np.ldexp(1.0, np.frexp(tb[:, 0])[1] - 1)  # 2^e <= each block's first zero
-        sums = np.empty((_ORDER + 1, len(tb)))
-        x, p = self._scratch.reshape(2, -1, b)
-        for i in range(0, len(tb), len(x)):
-            group = tb[i : i + len(x)]
-            m = len(group)
-            xg = np.divide(scale[i : i + m, None], group, out=x[:m])
-            pg = p[:m]
-            np.copyto(pg, xg)
-            np.add.reduce(pg, axis=1, out=sums[0, i : i + m])
-            for k in range(1, _ORDER + 1):
-                np.add.reduce(np.multiply(pg, xg, out=pg), axis=1, out=sums[k, i : i + m])
-        self._scale = np.concatenate((self._scale, scale))
-        self._powsums = np.concatenate((self._powsums, sums), axis=1)
 
     def _complex_cutoff(self, z: complex) -> tuple[int, float]:
         """J and two-sided tail bound for the complex log-sum.
@@ -219,8 +203,9 @@ class WeightEvaluator:
     def eval_log_abs_omega_complex(self, z: complex) -> tuple[float, float]:
         """(value, err) with |ln|w(z)| - value| <= err; -inf at an exact zero.
 
-        |1 + iz/t_j|^2 = (1 - Im z/t_j)^2 + (Re z/t_j)^2.  Any other
-        non-finite value or err (float64 overflow) raises ValueError.
+        |1 + iz/t_j|^2 = (1 - Im z/t_j)^2 + (Re z/t_j)^2, or, where that
+        overflows, t_j^-2 ((t_j - Im z)^2 + (Re z)^2).  Any other non-finite
+        value or err (float64 overflow) raises ValueError.
         """
         z = complex(z)
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -237,7 +222,10 @@ class WeightEvaluator:
             np.add(np.multiply(sq, sq, out=sq), np.multiply(sq_a, sq_a, out=sq_a), out=sq)
             return None if np.any(sq == 0.0) else np.log(sq, out=sq)
 
-        value, rem = self._log_sum(z, math.hypot(a, b), j_max, log_chunk)
+        def scaled_log(tj):
+            return np.log((tj - b) ** 2 + a * a) - 2.0 * np.log(tj)
+
+        value, rem = self._log_sum(z, math.hypot(a, b), j_max, log_chunk, scaled_log)
         return (NEG_INF, 0.0) if value == NEG_INF else _finite_result(z, value, err + rem)
 
     def eval_log_omega_neg_imag(self, r: float) -> tuple[float, float]:
@@ -262,16 +250,19 @@ def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
     ln t_j.  The summands ln t - ln t_j are nonnegative exactly while
     t_j <= t, so the sup over k <= cap = seq.term_cap is attained at
     k = min(n(t), cap), where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax
-    is 0 when N(t) = 0.  The sum runs in ZERO_CHUNK-term pieces, streamed
-    and not kept, so a level's value does not depend on the other levels."""
+    is 0 when N(t) = 0.  The sum runs over the TermPrefix in ZERO_CHUNK-term
+    pieces from j = 1, so a level's value does not depend on the other
+    levels."""
     cap = seq.term_cap
     ks = np.array([min(k, cap) for k in seq.count_leq(ts)], dtype=np.int64)
+    k_top = int(ks.max(initial=0))
+    tj = TermPrefix.of(seq).finite(k_top)  # t_j <= t is finite for j <= k
     cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per level
     done = 0.0
-    for start in range(1, int(ks.max(initial=0)) + 1, ZERO_CHUNK):
-        logs = np.cumsum(np.log(seq.terms(start, min(start + ZERO_CHUNK - 1, int(ks.max())))))
-        at = (ks >= start) & (ks < start + ZERO_CHUNK)
-        cum[at] = done + logs[ks[at] - start]
+    for start in range(0, k_top, ZERO_CHUNK):
+        logs = np.cumsum(np.log(tj[start : start + ZERO_CHUNK]))
+        at = (ks > start) & (ks <= start + ZERO_CHUNK)
+        cum[at] = done + logs[ks[at] - start - 1]
         done += float(logs[-1])
     values = np.maximum(0.0, ks * np.log(ts) - cum)
     return values, np.where(values > 0.0, ks, 0).tolist()

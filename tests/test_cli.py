@@ -269,6 +269,31 @@ class TestFloatRange:
         assert json.loads(out)["multiplicities"] == [1] * 1023
 
 
+    @pytest.mark.parametrize("argv", [
+        ["weight", "eval", "--seq", "explicit:[1e-300,1e300]", "--t", "2"],
+        ["weight", "checks", "--seq", "explicit:[1e-300,1e300]"],
+        ["criteria", "omega6", "--seq", "explicit:[1e-300,1e300]"],
+    ], ids=["eval", "checks", "omega6"])
+    def test_a_zero_far_below_the_argument(self, argv):
+        # (t/t_1)^2 overflows, and those factors take the scaled form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(argv)
+        assert code in (0, 1), err
+        if argv[1] == "eval":
+            v = json.loads(out)["points"][0]["log_abs_omega"]
+            assert v == pytest.approx(math.log(2.0) + 300.0 * math.log(10.0), rel=1e-12)
+
+    def test_index_tails_past_the_float_range_are_positive(self):
+        # the index-series summands of r = 1e200 underflow; their tails are
+        # read from logarithms and floored at the smallest positive float
+        code, out, _ = run_cli(["criteria", "omega6", "--seq", "geometric:r=1e200"])
+        assert code == 0
+        tails = {c: d["tail_bound"] for c, d in json.loads(out)["diagnostics"].items()}
+        assert sorted(tails) == ["i", "ii", "iii", "iv", "v", "vi"]
+        assert all(t > 0 for t in tails.values()), tails
+
+
 class TestContradictCommand:
     def test_contradict_writes_csv_and_json(self, tmp_path):
         csv_path = tmp_path / "rows.csv"

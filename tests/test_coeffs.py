@@ -350,6 +350,16 @@ class TestSandwich:
         with pytest.raises(ValueError, match=r"power:a=2.*geometric:r=2"):
             sandwich_check(seq, 1, 10.0, other, coeff_table(seq, 1, 12))
 
+    def test_evaluator_of_a_twin_spec_string_is_refused(self):
+        # powlog:a=1.0000001,b=2 prints as powlog:a=1,b=2, but its t_1000
+        # differs from that of powlog:a=1,b=2 in the 6th digit
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        twin = parse_sequence_spec("powlog:a=1.0000001,b=2")
+        assert twin.spec_string() == seq.spec_string()
+        assert abs(twin.term(1000) / seq.term(1000) - 1.0) > 1e-7
+        with pytest.raises(ValueError, match=r"1\.0000001"):
+            sandwich_check(seq, 1, 10.0, WeightEvaluator(twin), coeff_table(seq, 1, 12))
+
     def test_big_tables_share_the_base_table(self):
         seq = parse_sequence_spec("power:a=2")
         cache = {}

@@ -19,7 +19,8 @@ from weightlab import (
     profile_n,
     WeightEvaluator,
 )
-from weightlab.criteria import VERDICT_CONV, VERDICT_DIV, VERDICT_INC
+from weightlab.criteria import VERDICT_CONV, VERDICT_DIV, VERDICT_INC, _record_points
+from weightlab.sequences import index_terms
 
 
 def profile_from_callable(fn, j_max):
@@ -133,6 +134,19 @@ class TestOmegaSix:
         rep = msnq_omega_conditions(parse_sequence_spec("powlog:a=1,b=2"), 20)
         assert rep["diagnostics"]["i"].verdict == VERDICT_DIV
         assert rep["verdicts_agree_i_to_iv"]
+
+    def test_index_series_past_j_cut(self):
+        # k_max past j_cut: the zeros past j_cut are read from the sequence,
+        # finite, with the sums of a pass that streams every zero
+        seq = parse_sequence_spec("power:a=2", j_cut=1_000)
+        k = 5_000
+        diags = msnq_omega_conditions(seq, 12, k_max=k)["diagnostics"]
+        tj, jj = seq.terms(1, k), np.arange(1.0, k + 1)
+        at = np.array(_record_points(k)) - 1
+        for cond in ("i", "v", "vi"):
+            want = np.cumsum(index_terms(cond, tj, jj))[at]
+            assert np.array_equal(diags[cond].partial_sums, want), cond
+            assert want[-1] > want[np.searchsorted(at, 999)]
 
     def test_powlog_a3_msnq_certified(self):
         rep = msnq_omega_conditions(parse_sequence_spec("powlog:a=3,b=0"), 20)

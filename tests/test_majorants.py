@@ -25,6 +25,7 @@ from weightlab import (
     step_counterexample,
     step_dyadic_tail,
 )
+import weightlab.majorants as majorants
 from weightlab.majorants import c_k_direct, step_threshold_probe
 from weightlab.sequences import ZERO_CHUNK
 from weightlab.weights import CheckReport
@@ -196,6 +197,20 @@ class TestCombinatorialCore:
         for k in range(1, len(vals) - 1):
             assert s_k_value(c, k) >= 0
             assert c_k_value(c, k) >= 0
+
+    def test_paired_s_k_matches_the_unpaired_sum(self):
+        # _s_num pairs the terms p and k+1-p of the S_k numerator; the plain
+        # sum over p = 1..k agrees on 200 random sweep sequences, k <= 60
+        rng = random.Random(23)
+        for _ in range(200):
+            vals = [Fraction(rng.randint(1, 8), rng.randint(1, 4))]
+            for _ in range(61):
+                vals.append(vals[-1] * rng.choice(majorants._SWEEP_FACTORS))
+            _, n, N = majorants._integer_form(RationalSeq(tuple(vals)), 60)
+            for k in range(1, 61):
+                unpaired = sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p + 1] * N[k + 1 - p]
+                               for p in range(1, k + 1))
+                assert majorants._s_num(n, N, k) == unpaired, k
 
     def test_sweep(self):
         rep = s_k_nonneg_sweep(trials=20, k_max=12, rng_seed=7)

@@ -1,16 +1,20 @@
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from weightlab import (
+    ConcaveSeriesMajorant,
     ExplicitFamily,
     GeometricFamily,
     PowLogFamily,
     PowerFamily,
     SequenceSpecError,
+    WeightEvaluator,
     ZeroSequence,
     parse_sequence_spec,
 )
@@ -178,6 +182,23 @@ class TestTailBounds:
                 assert got > 0, p
                 assert want * (1 - 1e-9) - tiny <= got <= want * (1 + 1e-9) + tiny, (p, got, want)
 
+    @pytest.mark.parametrize("coeff, p, q, x, j0", [
+        (460.5, 1, 0, 1e-200, 1001), (1.0, 0, 1, 1e-200, 3), (1.0, 2, 1, 1e-120, 4),
+        (1e300, 0, 0, 1e-110, 3)])
+    def test_poly_geom_tail_past_the_float_range(self, coeff, p, q, x, j0):
+        # the summands underflow: the tail is read from the first one's
+        # logarithm, and one below the float range is the smallest positive
+        # float, never 0; each is the exact tail to within rounding
+        from mpmath import mp, mpf
+
+        from weightlab.tails import poly_geom_tail
+
+        got = poly_geom_tail(coeff, p, q, x, j0)
+        with mp.workprec(100):
+            want = mp.nsum(lambda j: coeff * j**p * mp.log(j) ** q * mpf(x) ** j, [j0, mp.inf])
+        tiny = math.ulp(0.0)
+        assert 0 < got and want * (1 - 1e-9) - tiny <= got <= want * 1.01 + tiny, (got, want)
+
     def test_explicit_sq_tail_of_huge_zeros(self):
         # (1/v)^2 where v^2 overflows; 1/(1e300)^2 is below the float range
         fam = ExplicitFamily([1e160, 1e300])
@@ -344,3 +365,37 @@ class TestTermPrefix:
         assert zeros.count_leq(1e9, cap=5_000) == 5_000
         assert zeros.count_leq(1e9) == seq.count_leq(1e9) > 5_000
         assert zeros.count_leq(1e3, cap=5_000) == seq.count_leq(1e3)
+
+
+class TestSharedTable:
+    # each pair prints one spec string: %g keeps 6 significant digits
+    TWINS = [("powlog:a=1,b=2", "powlog:a=1.0000001,b=2"),
+             ("explicit:[1,2,3]", "explicit:[1,2,3.0000001]")]
+
+    @pytest.mark.parametrize("specs", TWINS, ids=lambda p: p[0].split(":")[0])
+    def test_one_spec_string_two_tables(self, specs):
+        one, two = (parse_sequence_spec(s) for s in specs)
+        assert one.spec_string() == two.spec_string() and one.key != two.key
+        zeros = [TermPrefix.of(seq).finite(2_000).copy() for seq in (one, two)]
+        assert not np.array_equal(*zeros)
+        logs = [WeightEvaluator(seq).eval_log_abs_omega(2.0)[0] for seq in (one, two)]
+        assert logs[0] != logs[1]
+
+    def test_the_key_is_the_exact_sequence(self):
+        seq = parse_sequence_spec("power:a=2")
+        assert parse_sequence_spec("power:a=2.0").key == seq.key
+        assert TermPrefix.of(parse_sequence_spec("power:a=2")) is TermPrefix.of(seq)
+        assert ZeroSequence(seq.family, j_cut=1_000).key != seq.key
+        assert parse_sequence_spec("powlog:a=2,b=0").key != parse_sequence_spec("power:a=2").key
+
+    def test_one_table_at_a_time(self):
+        # every reader asks for the table in each call and keeps none, so a
+        # request for another sequence frees the one held before
+        held = []
+        for spec in ("power:a=2", "geometric:r=2", EXPLICIT_40):
+            seq = parse_sequence_spec(spec)
+            WeightEvaluator(seq).eval_log_abs_omega(1e3)
+            ConcaveSeriesMajorant(seq).eval(10.0)
+            held.append(weakref.ref(TermPrefix.of(seq)))
+        gc.collect()
+        assert [ref() is not None for ref in held] == [False, False, True]

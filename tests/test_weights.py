@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from weightlab import (
+    ConcaveSeriesMajorant,
     WeightEvaluator,
     ZeroSequence,
     ExplicitFamily,
@@ -17,7 +18,7 @@ from weightlab import (
     scaling_inequality_check,
     strong_nqa_tail_check,
 )
-from weightlab.sequences import ZERO_CHUNK
+from weightlab.sequences import ZERO_CHUNK, TermPrefix
 from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK, big_n_levels
 
 NEG_INF = float("-inf")
@@ -159,17 +160,59 @@ def _assert_near_reference(w, seq, x):
     assert err_ref <= err <= err_ref + bound, (x, err, err_ref)
 
 
+def _drop_table():
+    """Drop the process's table, so that the next reader starts from none."""
+    TermPrefix._held = None
+
+
+def _fresh(seq, method, x):
+    """The value at x of a fresh evaluator on a fresh table."""
+    _drop_table()
+    return getattr(WeightEvaluator(seq), method)(x)
+
+
 def _warm_matches_fresh(seq, ts, zs):
-    """A warm evaluator agrees exactly with a fresh one per point, whether
-    its prefix grows along an ascending grid or all at once."""
+    """A warm evaluator agrees exactly with a fresh one on a fresh table per
+    point, whether its table grows along an ascending grid or all at once."""
+    points = [("eval_log_abs_omega", t) for t in ts] + [("eval_log_abs_omega_complex", z) for z in zs]
+    want = [_fresh(seq, method, x) for method, x in points]
     for order in (1, -1):
+        _drop_table()
         warm = WeightEvaluator(seq)
-        for t in ts[::order]:
-            got = warm.eval_log_abs_omega(t)
-            assert _same(got, WeightEvaluator(seq).eval_log_abs_omega(t)), (t, got)
-        for z in zs[::order]:
-            got = warm.eval_log_abs_omega_complex(z)
-            assert _same(got, WeightEvaluator(seq).eval_log_abs_omega_complex(z)), (z, got)
+        for (method, x), expect in list(zip(points, want))[::order]:
+            got = getattr(warm, method)(x)
+            assert _same(got, expect), (x, got)
+
+
+class TestZerosFarBelowTheArgument:
+    # (t/t_j)^2 overflows for t_j below about |z| 1e-154; those factors are
+    # recomputed in the scaled form, and ln|w(2)| = ln(2e300) + O(1e-600)
+    SEQ = "explicit:[1e-300,1e300]"
+    WANT = math.log(2.0) + 300.0 * math.log(10.0)
+
+    @pytest.mark.parametrize("method, x", [
+        ("eval_log_abs_omega", 2.0),
+        ("eval_log_abs_omega_complex", 2.0 + 0j),
+        ("eval_log_abs_omega_complex", 2j),
+        ("eval_log_omega_neg_imag", 2.0),
+    ])
+    def test_two_zeros(self, method, x):
+        v, err = getattr(WeightEvaluator(parse_sequence_spec(self.SEQ)), method)(x)
+        assert v == pytest.approx(self.WANT, rel=1e-12) and err == 0.0
+
+    @pytest.mark.parametrize("x", [2.0, 3.0 - 4.0j, -7.0j, 5.0j])
+    def test_ordinary_zeros_beside_them(self, x):
+        # only the overflowing factors change form: the others keep theirs
+        zeros = [1e-300, 1e-200, 0.5, 1.0, 3.0, 3.0, 40.0, 1e300]
+        seq = ZeroSequence(ExplicitFamily(zeros), j_cut=10)
+        w = WeightEvaluator(seq)
+        v, err = (w.eval_log_abs_omega(x) if isinstance(x, float)
+                  else w.eval_log_abs_omega_complex(x))
+        with mp.workprec(200):
+            z = mp.mpc(x)
+            want = sum(mp.log(abs(1 + 1j * z / mpf(t))) for t in zeros)
+        assert err == 0.0
+        assert v == pytest.approx(float(want), rel=1e-12)
 
 
 class TestTermPrefix:
@@ -183,6 +226,32 @@ class TestTermPrefix:
         seq = parse_sequence_spec(spec, j_cut=70_000)
         _warm_matches_fresh(seq, self.GRID, self.ZS)
 
+    def test_alternating_sequences_match_fresh_objects(self):
+        # two sequences in turn evict each other's table at every call; the
+        # evaluators and majorants still give the bits of fresh objects that
+        # visit the points in reverse order, one sequence at a time
+        seqs = [parse_sequence_spec(s, j_cut=70_000) for s in ("powlog:a=1,b=2", "power:a=2")]
+        calls = ([("real", t) for t in (0.7, 41.0, 900.0, 2.5e4, 1e7)]
+                 + [("complex", z) for z in self.ZS]
+                 + [("alpha", t) for t in (0.3, 12.0, 2e3, 1e4)])
+
+        def call(objs, kind, x):
+            w, m = objs
+            return {"real": w.eval_log_abs_omega, "complex": w.eval_log_abs_omega_complex,
+                    "alpha": m.eval}[kind](x)
+
+        objs = [(WeightEvaluator(s), ConcaveSeriesMajorant(s)) for s in seqs]
+        alternating = [{}, {}]
+        for kind, x in calls:
+            for k in (0, 1):
+                alternating[k][kind, x] = call(objs[k], kind, x)
+        for k, seq in enumerate(seqs):
+            _drop_table()
+            fresh = (WeightEvaluator(seq), ConcaveSeriesMajorant(seq))
+            for kind, x in calls[::-1]:
+                got = call(fresh, kind, x)
+                assert _same(got, alternating[k][kind, x]), (seq.spec_string(), kind, x, got)
+
     @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2"])
     def test_across_a_chunk_boundary(self, spec):
         ts = [2.0, 5e3, 1e7]
@@ -195,7 +264,7 @@ class TestTermPrefix:
             warm = WeightEvaluator(seq)
             for x in ts + self.ZS[1:3]:
                 _assert_near_reference(warm, seq, x)
-            assert warm._powsums.shape[1] > 0  # some point had far blocks
+            assert TermPrefix.of(seq).powsums.shape[1] > 0  # some point had far blocks
 
     @given(spec=st.sampled_from(["powlog:a=1,b=2", "power:a=2", "geometric:r=1.001", "explicit"]),
            kind=st.sampled_from(["real", "complex", "neg-imag"]),
@@ -226,7 +295,7 @@ class TestTermPrefix:
             with pytest.raises(ValueError, match="overflows float64"):
                 warm.eval_log_abs_omega_complex(z)
         # the prefix now ends in inf, and a finite point still matches
-        assert np.isinf(warm.zeros.values[-1])
+        assert np.isinf(TermPrefix.of(seq).values[-1])
         got = warm.eval_log_abs_omega(1e150)
         assert math.isfinite(got[0]) and math.isfinite(got[1])
         assert got == _reference(seq, 1e150)
