@@ -19,8 +19,8 @@ contradiction experiment must clear an a-priori rounding bound of both
 partial sums.
 
 ln|f| has one evaluator, CounterexampleModel.log_abs_f_offsets, for real
-and complex points alike: the scans, the Schwarz and domination samples and
-eval_log_abs_f all go through it, all levels of a point at once.
+and complex points, all levels at once and a centre per point if need be:
+the scans, the samples, eval_log_abs_f and minmod_sups' interval ends.
 """
 
 from __future__ import annotations
@@ -93,19 +93,25 @@ class CounterexampleModel:
         self._n, self._base = rows[:, 0:1], rows[:, 1:2]
         self._half_n = self._n * 0.5
         self._inv_base = 1.0 / self._base  # 2^-i, exact
+        self._rows = np.arange(len(self._levels))[:, None]
 
     # -- the even function f -------------------------------------------------
     def eval_log_abs_f(self, z: complex) -> float:
         """ln|f(z)| = sum_j n_j ln|1 - (z/2^j)^2|: log_abs_f_offsets at t = 0."""
         return float(self.log_abs_f_offsets(0.0, np.array([complex(z)]))[0])
 
-    def log_abs_f_offsets(self, t: float, offsets) -> np.ndarray:
+    def log_abs_f_offsets(self, t, offsets, window=None) -> np.ndarray:
         """ln|f(t + x)| for an array of real or complex offsets x, t >= 0.
 
-        One code path serves both: a real x is the case Im x = 0, where
+        t and the window, which picks each level's form, are both one value
+        for all offsets or both one per offset (default: max|x| over all
+        offsets).  A value depends only on its own t, x and window, so a
+        point in a batch gets what a call with its centre alone gives.
+
+        One code path serves real and complex x: a real x is the case Im x = 0, where
         every form below reduces to real arithmetic, and moduli of complex
         numbers are taken by hypot.  f is even, and at t = 0 the result is
-        exactly even in x.  Levels whose zero the window max|x| can approach
+        exactly even in x.  Levels whose zero the window can approach
         use the factored form |1 - (s/2^i)^2| = |(2^i - t) - x| |2^i + s|/4^i,
         s = t + x, each distance scaled by 2^-i (exactly) before its log.
         2^i - t is one rounding of the exact difference, exact by Sterbenz's
@@ -117,52 +123,75 @@ class CounterexampleModel:
         overflow, the remote form is taken as -2 ln r + 0.5 log1p(r^4 -
         2 Re(1/q)), r = 2^i/|s|.  Both remote forms see s only through |s|
         and cos(2 arg s).  All levels are evaluated at once, OFFSET_BLOCK
-        points at a time, and summed in level order.
+        points at a time, and summed in level order.  A form is computed on
+        the rows it serves in some column of the block, and only written to
+        its own entries; the others get inputs that keep them finite.
         """
         x = np.asarray(offsets)
-        window = float(np.max(np.abs(x))) if len(x) else 0.0
-        if not (math.isfinite(t) and math.isfinite(window)):
+        window = np.abs(x).max(initial=0.0) if window is None else window
+        t, window = tw = np.array([t, window], float).reshape(2, -1)
+        if not np.isfinite(tw).all():
             raise ValueError("ln|f| needs finite points")
-        base, inv = self._base, self._inv_base
+        per_point = len(t) > 1
+        base, inv, rows = self._base, self._inv_base, self._rows
+        # one column per point, or one for all.  The near levels, 2^i in [(t - window)/1.5,
+        # 2(t + window)], are rows [first, last): the rounded test is monotone on each side of t
         d = base - t
-        # the near levels are consecutive rows: 2^i in [(t - window)/1.5, 2(t + window)]
-        near = np.flatnonzero(np.abs(d) <= 0.5 * base + window)
-        lo, hi = (near[0], near[-1] + 1) if len(near) else (len(d), len(d))
+        near = np.abs(d) <= 0.5 * base + window
+        first = np.minimum.reduce(np.where(near, rows, len(base)), axis=0, initial=len(base))
+        last = first + near.sum(axis=0)
         # the levels whose |q| can pass 2^500 are the first rows, 2^i < |s| 2^-250.
         # Those below the near rows take the 1/q form: there t exceeds the
         # window, so |s| > 1.5 2^i (elsewhere the near rows start at row 0)
-        big = int(np.searchsorted(base[:, 0], (t + window) * 2.0**-250))
-        huge = min(big, lo)
+        big = np.searchsorted(base[:, 0], (t + window) * 2.0**-250)
+        huge = np.minimum(big, first)
+        spans = np.array([big, huge, first, last]).tolist()
         s = t + x
         size = np.abs(s)
         unit = s / np.maximum(size, np.finfo(float).tiny)
         cos2x2 = 2.0 * np.real(unit * unit)  # 2 cos(2 arg s): 2 on the real axis
         out = np.zeros(len(x))
+
+        def rows_in(r0, r1, lo, hi):  # each column's rows lo <= i < hi among rows r0..r1-1
+            return (rows[r0:r1] >= lo) & (rows[r0:r1] < hi) if per_point else True
+
         with np.errstate(divide="ignore"):
             for k in range(0, len(x), OFFSET_BLOCK):
                 block = slice(k, k + OFFSET_BLOCK)
+                col = block if per_point else slice(None)
+                if per_point or not k:  # one shared column serves every block alike
+                    r0, h1, n0, n1 = (g(v[col]) for g, v in zip((min, max, min, max), spans))
                 # row 0 stays zero, so the sequential accumulate adds the
                 # levels to 0.0 one by one, exactly as a per-level loop would
-                terms = np.zeros((len(d) + 1, len(size[block])))
+                m = len(size[block])
+                terms = np.zeros((len(base) + 1, m))
                 # |q| = (|s|/2^i)^2 and Re q = |q| cos(2 arg s); log1p's
-                # argument |1 - q|^2 - 1 never rounds below -1
-                q = size[block] * inv[big:]
+                # argument |1 - q|^2 - 1 never rounds below -1.  Rows below
+                # a column's big take q = 0, a zero term
+                q = size[block] * inv[r0:]
+                if per_point:
+                    q *= rows[r0:] >= big[col]
                 q *= q
-                terms[1 + big :] = self._half_n[big:] * np.log1p(q * q - q * cos2x2[block])
-                if huge:
-                    r = base[:huge] / size[block]
+                terms[1 + r0 :] = self._half_n[r0:] * np.log1p(q * q - q * cos2x2[block])
+                if h1:  # other columns' entries take r = 1/2
+                    mask = rows_in(0, h1, 0, huge[col])
+                    r = np.divide(base[:h1], size[block], out=np.full((h1, m), 0.5), where=mask)
                     v = r * r
-                    terms[1 : 1 + huge] = self._half_n[:huge] * (
-                        np.log1p(v * v - v * cos2x2[block]) - 4.0 * np.log(r)
-                    )
-                left = np.log(np.abs(d[lo:hi] - x[block]) * inv[lo:hi])
-                right = np.log(np.abs(base[lo:hi] + s[block]) * inv[lo:hi])
-                terms[1 + lo : 1 + hi] = self._n[lo:hi] * (left + right)
+                    np.multiply(self._half_n[:h1], np.log1p(v * v - v * cos2x2[block])
+                                - 4.0 * np.log(r), out=terms[1 : 1 + h1], where=mask)
+                if n0 < n1:
+                    left = np.log(np.abs(d[n0:n1, col] - x[block]) * inv[n0:n1])
+                    right = np.log(np.abs(base[n0:n1] + s[block]) * inv[n0:n1])
+                    np.multiply(self._n[n0:n1], left + right, out=terms[1 + n0 : 1 + n1],
+                                where=rows_in(n0, n1, first[col], last[col]))
                 out[block] = np.add.accumulate(terms, axis=0)[-1]
         return out
 
-    def sup_at_ends(self, lo: float, hi: float) -> bool:
+    def sup_at_ends(self, lo, hi):
         """True when the supremum of ln|f| on [lo, hi] provably lies at an end.
+
+        lo and hi are the ends of one interval or of many: one bool per
+        interval, from one pass over (level, interval) pairs.
 
         That is certified when [lo, hi] holds exactly one zero z = 2^i and
         ln|f| decreases on [lo, z) and increases on (z, hi]; a side is
@@ -174,24 +203,29 @@ class CounterexampleModel:
         contribute negative terms, and a level l below adds at most
         2 n_l lo/(lo^2 - 4^l), since s/(s^2 - 4^l) decreases past 2^l.  Each
         side holds when the level-i bound exceeds twice the sum of the
-        others; the factor 2 absorbs the rounding of the bounds.  The
-        differences of squares are formed as products, which stay finite up
-        to MAX_MODEL_LEVEL.
+        others; the factor 2 absorbs the rounding of the bounds, and of any
+        order in which their terms are added.  The differences of squares
+        are formed as products, which stay finite up to MAX_MODEL_LEVEL.
         """
         base, n = self._base[:, 0], self._n[:, 0]
-        i = int(np.searchsorted(base, lo))  # base[:i] < lo <= base[i:]
-        if int(np.searchsorted(base, hi, side="right")) != i + 1:
-            return False
+        lo, hi = np.array([lo, hi], float).reshape(2, -1)
+        i = np.searchsorted(base, lo)  # base[:i] < lo <= base[i:]
+        one = np.searchsorted(base, hi, side="right") == i + 1
+        lo, hi, i = lo[one], hi[one], i[one]
         z, ni = base[i], n[i]
-        above, below = base[i + 1 :], base[:i]
-        rises = falls = True
-        if hi > z:
-            pull_down = np.sum(n[i + 1 :] * (2.0 * hi) / ((above - hi) * (above + hi)))
-            rises = ni / (hi - z) > 2.0 * pull_down
-        if lo < z:
-            pull_up = np.sum(n[:i] * (2.0 * lo) / ((lo - below) * (lo + below)))
-            falls = ni * (2.0 * lo) / ((z - lo) * (z + lo)) > 2.0 * pull_up
-        return bool(rises and falls)
+        # (level l, interval k) pairs, level-major: bincount adds in level order
+        l, k = np.nonzero(self._rows > i)
+        pull_down = np.bincount(k, n[l] * (2.0 * hi[k]) / ((base[l] - hi[k]) * (base[l] + hi[k])),
+                                minlength=len(i))
+        l, k = np.nonzero(self._rows < i)
+        pull_up = np.bincount(k, n[l] * (2.0 * lo[k]) / ((lo[k] - base[l]) * (lo[k] + base[l])),
+                              minlength=len(i))
+        # an empty side holds: its test divides by 1 and is overruled
+        rises = (hi <= z) | (ni / np.where(hi > z, hi - z, 1.0) > 2.0 * pull_down)
+        falls = (lo >= z) | (ni * (2.0 * lo) / np.where(lo < z, (z - lo) * (z + lo), 1.0)
+                             > 2.0 * pull_up)
+        one[one] = rises & falls
+        return one
 
     # -- the dyadic weight ---------------------------------------------------
     def ln_w0_real(self, t: float) -> float:
@@ -203,42 +237,57 @@ class CounterexampleModel:
                 total += 0.5 * nj * math.log1p(t * t / 4.0**j)
         return total
 
-    def ln_w0_dyadic(self, m: int) -> float:
-        """ln of the weight at 2^m: every log1p argument 4^(m-j) is exact."""
-        return self.ln_w0_real(2.0**m)
+    def ln_w0_dyadic(self, m):
+        """ln of the weight at 2^m, for one level m or an array of levels:
+        one (levels x m) pass, summed from 0.0 in level order.  Every log1p
+        argument 4^(m-j) is exact, where np.log1p agrees with math.log1p, so
+        each value is ln_w0_real(2.0**m) bit for bit."""
+        m = np.asarray(m)
+        terms = np.zeros((len(self._levels) + 1, m.size))
+        exps = 2 * (m.reshape(-1) - np.array(self._levels, int)[:, None])
+        terms[1:] = self._half_n * np.log1p(np.ldexp(1.0, exps))
+        out = np.add.accumulate(terms, axis=0)[-1]
+        return out if m.ndim else float(out[0])
 
 
-def minmod_sup(
-    model: CounterexampleModel,
-    t: float,
-    radius: float,
-    scan_density: int = 2048,
-    *,
-    at_least: Optional[float] = None,
-) -> float:
-    """Lower bound for sup ln|f(s)| over real s in [t-radius, t+radius].
+def minmod_sups(model: CounterexampleModel, ts, radii, scan_density: int = 2048, *,
+                at_least=None) -> np.ndarray:
+    """Lower bounds for sup ln|f(s)| over real s in [t-radius, t+radius],
+    one per (t, radius) pair.
 
-    The interval is clipped to (0, inf); an empty clipped interval is a
-    domain error.  Its two ends are evaluated first.  Where
-    model.sup_at_ends certifies that the supremum lies at an end, the
-    larger end value is returned.  Otherwise zoom_max searches a dense scan
-    in offset coordinates.  Either way the result is a value evaluated, so
-    a lower bound.  A caller that asks only whether the supremum reaches
-    at_least gets the first end value that does, without a search.
+    Each interval is clipped to (0, inf); an empty clipped interval is a
+    domain error.  One log_abs_f_offsets call evaluates the ends of all
+    intervals, each end with its own centre and its scan's window, so it
+    gets the value its own scan would; one sup_at_ends call certifies them.
+    A certified interval gets the larger end value; the others are searched
+    one by one by zoom_max over a dense scan in offset coordinates.  Either
+    way the result is a value evaluated, so a lower bound.  Where the caller
+    asks only whether the supremum reaches at_least (one threshold, or one
+    per interval), an end value that does is returned without a search.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    lo = t - radius
-    hi = t + radius
-    if hi <= 0:
+    t, radius = np.asarray(ts, float), np.asarray(radii, float)
+    if np.any(radius <= 0) or scan_density < 1:
+        raise ValueError("radius and scan density must be positive")
+    lo, hi = t - radius, t + radius
+    if np.any(hi <= 0):
         raise ValueError("scan interval lies outside (0, inf)")
-    lo = max(lo, hi * 1e-12 if lo <= 0 else lo)
-    xs = np.linspace(lo - t, hi - t, scan_density)
-    # the window is the full scan's, so these are the scan's end values
-    best = float(np.max(model.log_abs_f_offsets(t, xs[[0, -1]])))
-    if (at_least is not None and best >= at_least) or model.sup_at_ends(lo, hi):
-        return best
-    return zoom_max(lambda x: model.log_abs_f_offsets(t, x), xs)
+    lo = np.where(lo <= 0, hi * 1e-12, lo)
+    # the first and last points of each scan, linspace(lo - t, hi - t, scan_density)
+    a, b = lo - t, (hi if scan_density > 1 else lo) - t
+    window = np.repeat(np.maximum(np.abs(a), np.abs(b)), 2)
+    ends = model.log_abs_f_offsets(np.repeat(t, 2), np.stack([a, b], axis=1).reshape(-1), window)
+    best = np.max(ends.reshape(-1, 2), axis=1)
+    done = model.sup_at_ends(lo, hi) | (False if at_least is None else best >= at_least)
+    for k in np.flatnonzero(~done):
+        xs = np.linspace(a[k], b[k], scan_density)
+        best[k] = zoom_max(lambda x: model.log_abs_f_offsets(t[k], x), xs)
+    return best
+
+
+def minmod_sup(model: CounterexampleModel, t: float, radius: float, scan_density: int = 2048,
+               *, at_least: Optional[float] = None) -> float:
+    """minmod_sups for the one interval [t-radius, t+radius]."""
+    return float(minmod_sups(model, [t], [radius], scan_density, at_least=at_least)[0])
 
 
 def domination_check(
@@ -585,14 +634,14 @@ def contradiction_experiment(
     lhs = rhs_w = rhs_b = 0.0
     lhs_c = 0.0  # sum of c_j = n_j/2^j over the left terms
     partials = []
-    for j in range(j0, J + 1):
+    w_all = model.ln_w0_dyadic(np.arange(j0 + 1, J + 2)).tolist()
+    for j, w_next in zip(range(j0, J + 1), w_all):
         b = beta(2.0**j)
         nj = model.mult.n[j - 1]
         two_j = 2.0**j
         if b <= two_j:
             lhs += nj / two_j * math.log(two_j / b)
             lhs_c += nj / two_j
-        w_next = model.ln_w0_dyadic(j + 1)
         rhs_w += 2.0 * w_next / two_j
         rhs_b += b / two_j
         partials.append((j, nj, b, w_next, lhs, rhs_w + rhs_b))
@@ -606,10 +655,11 @@ def contradiction_experiment(
     rows: List[ContradictionRow] = []
     witness = None
     schwarz_violations = 0
-    for j, nj, bj, w_next, lhs_p, rhs_p in partials:
+    sups = minmod_sups(model, [2.0**p[0] for p in partials], [p[2] for p in partials],
+                       scan_density).tolist()
+    for (j, nj, bj, w_next, lhs_p, rhs_p), mm in zip(partials, sups):
         if witness is None and lhs_p > rhs_upper + allowance:
             witness = j
-        mm = minmod_sup(model, 2.0**j, bj, scan_density=scan_density)
         srhs = 2.0 * w_next + nj * math.log(bj / 2.0**j)
         slack = 1e-9 * (1.0 + abs(srhs))
         margin = srhs + slack - mm
@@ -656,25 +706,14 @@ def minmod_radius_scan(model: CounterexampleModel, rho: WeightEvaluator, t_grid)
     """
     ts = [float(t) for t in t_grid]
     log_rho = [rho.eval_log_abs_omega(t)[0] for t in ts]
-    results = []
-    for c in SCAN_C_GRID:
-        for cp in SCAN_C_PRIME_GRID:
-            fails = []
-            for t, v in zip(ts, log_rho):
-                r = c * v + cp
-                if r <= 0:
-                    fails.append(t)
-                    continue
-                m = minmod_sup(model, t, r, scan_density=SCAN_DENSITY, at_least=-r)
-                if not m >= -r:
-                    fails.append(t)
-            results.append(
-                {
-                    "c": c,
-                    "c_prime": cp,
-                    "failures": fails,
-                    "n_checked": len(ts),
-                    "all_pass": not fails,
-                }
-            )
+    pairs = [(c, cp) for c in SCAN_C_GRID for cp in SCAN_C_PRIME_GRID]
+    # every (pair, point) whose radius is positive, searched in one batch
+    todo = [(p, k, c * v + cp) for p, (c, cp) in enumerate(pairs)
+            for k, v in enumerate(log_rho) if c * v + cp > 0]
+    radii = np.array([r for _, _, r in todo])
+    sups = minmod_sups(model, [ts[k] for _, k, _ in todo], radii, SCAN_DENSITY, at_least=-radii)
+    passed = {(p, k) for (p, k, _), ok in zip(todo, sups >= -radii) if ok}
+    fails = [[t for k, t in enumerate(ts) if (p, k) not in passed] for p in range(len(pairs))]
+    results = [{"c": c, "c_prime": cp, "failures": f, "n_checked": len(ts), "all_pass": not f}
+               for (c, cp), f in zip(pairs, fails)]
     return {"grid": results, "any_failures": any(r["failures"] for r in results)}

@@ -17,6 +17,7 @@ from weightlab import (
     domination_check,
     dyadic_multiplicities,
     minmod_sup,
+    minmod_sups,
     named_beta,
     parse_sequence_spec,
     schwarz_bound_check,
@@ -383,14 +384,20 @@ class TestMinmodSup:
         sizes = []
         offsets = model.log_abs_f_offsets
 
-        def counting(t, xs):
+        def counting(t, xs, *window):
             sizes.append(len(xs))
-            return offsets(t, xs)
+            return offsets(t, xs, *window)
 
         model.log_abs_f_offsets = counting
         # one zero, 2^20, inside: the certificate settles it from the ends
         minmod_sup(model, 2.0**20, 0.5, scan_density=512)
         assert sizes == [2]
+        # N certified intervals, one zero each: one call evaluates all 2N ends
+        sizes.clear()
+        ts = 2.0 ** np.arange(5, 25)
+        got = minmod_sups(model, ts, 0.01 * ts, scan_density=512)
+        assert sizes == [2 * len(ts)]
+        assert list(got) == [minmod_sup(model, t, 0.01 * t, scan_density=512) for t in ts]
         # two zeros, 2^19 and 2^20, inside: the ends, the scan, the zoom
         sizes.clear()
         minmod_sup(model, 3.0 * 2.0**18, 2.0**18 + 1.0, scan_density=512)
@@ -492,6 +499,175 @@ class TestMinmodSup:
             minmod_sup(m, -5.0, 1.0)
         with pytest.raises(ValueError):
             minmod_sup(m, 2.0, 0.0)
+        with pytest.raises(ValueError):
+            minmod_sup(m, 2.0, 0.5, scan_density=0)
+
+
+# a multiplicity profile with empty levels: j_max <= 80
+PROFILE = st.integers(1, 80).flatmap(
+    lambda j: st.lists(st.one_of(st.just(0), st.integers(1, 10**6)), min_size=j, max_size=j)
+)
+
+
+@st.composite
+def intervals(draw, j_max):
+    """(t, radius) at a zero 2^j or between zeros: radii that clip at 0,
+    radii below the float spacing of 2^j, narrow ones and wide ones over
+    several zeros."""
+    j = draw(st.integers(1, j_max))
+    t = 2.0**j * draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+    kind = draw(st.sampled_from(["clip", "tiny", "narrow", "wide"]))
+    if kind == "clip":
+        return t, t * draw(st.floats(1.0, 4.0))
+    if kind == "tiny":
+        return t, t * 2.0**-60 * draw(st.floats(0.01, 1.0))
+    if kind == "narrow":
+        return t, t * 10.0 ** -draw(st.floats(1.0, 12.0))
+    return t, t * draw(st.floats(0.5, 0.99))
+
+
+class TestBatchInvariance:
+    """A batch gives each interval, and each point, the value it gets alone."""
+
+    @given(data=st.data(), mult=PROFILE, at_least=st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_minmod_sups_equal_one_interval_calls(self, data, mult, at_least):
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
+        pairs = data.draw(st.lists(intervals(len(mult)), min_size=1, max_size=12))
+        ts, rs = (np.array(v) for v in zip(*pairs))
+        bars = -rs if at_least else None
+        got = minmod_sups(model, ts, rs, 64, at_least=bars)
+        for k, (t, r) in enumerate(pairs):
+            want = minmod_sup(model, t, r, 64, at_least=None if bars is None else bars[k])
+            assert got[k] == want, (t, r, got[k], want)
+
+    @given(data=st.data(), mult=PROFILE)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_per_point_centres_equal_one_centre_calls(self, data, mult):
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
+        pairs = data.draw(st.lists(intervals(len(mult)), min_size=1, max_size=90))
+        ts = np.array([t for t, _ in pairs])
+        windows = np.array([r for _, r in pairs])
+        share = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(pairs),
+                                            max_size=len(pairs))))
+        for xs in (windows * share, windows * share * (0.6 + 0.8j)):
+            got = model.log_abs_f_offsets(ts, xs, windows)
+            for k in range(len(pairs)):
+                # the window of a one-centre call is the largest |offset| it gets
+                alone = model.log_abs_f_offsets(ts[k], np.array([xs[k], windows[k]]))[0]
+                assert got[k] == alone, (ts[k], xs[k], windows[k])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_per_point_centres_past_q_2_500(self):
+        # one batch mixes columns whose low levels take the 1/q form
+        # (|s| > 2^251 times their zero) with columns that take none; the
+        # other forms must not be formed on those rows, where q^2 overflows
+        model = _powlog_model(300)
+        rng = np.random.default_rng(3)
+        ts = np.repeat([0.0, 3.0, 2.0**30, 2.0**252, 2.0**280, 1.3 * 2.0**299], 30)
+        windows = ts * rng.choice([1e-3, 0.3, 1.0], len(ts)) + rng.uniform(0.0, 4.0, len(ts))
+        xs = windows * rng.uniform(-1.0, 1.0, len(ts))
+        got = model.log_abs_f_offsets(ts, xs, windows)
+        # the same points in another order, so other columns share their blocks
+        perm = rng.permutation(len(ts))
+        again = np.empty(len(ts))
+        again[perm] = model.log_abs_f_offsets(ts[perm], xs[perm], windows[perm])
+        for k in range(len(ts)):
+            alone = model.log_abs_f_offsets(ts[k], np.array([xs[k], windows[k]]))[0]
+            assert got[k] == alone == again[k], (ts[k], xs[k])
+
+    @given(mult=PROFILE)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_schwarz_caps_equal_the_level_loop(self, mult):
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
+        ms = np.arange(1, len(mult) + 2)
+        assert model.ln_w0_dyadic(ms).tolist() == [model.ln_w0_real(2.0**m) for m in ms]
+        assert model.ln_w0_dyadic(len(mult)) == model.ln_w0_real(2.0 ** len(mult))
+
+
+def _sup_at_ends_one(model, lo, hi):
+    """The end certificate for one interval, each sum added by np.sum."""
+    base, n = model._base[:, 0], model._n[:, 0]
+    i = int(np.searchsorted(base, lo))
+    if int(np.searchsorted(base, hi, side="right")) != i + 1:
+        return False
+    z, ni = base[i], n[i]
+    above, below = base[i + 1 :], base[:i]
+    rises = falls = True
+    if hi > z:
+        pull_down = np.sum(n[i + 1 :] * (2.0 * hi) / ((above - hi) * (above + hi)))
+        rises = ni / (hi - z) > 2.0 * pull_down
+    if lo < z:
+        pull_up = np.sum(n[:i] * (2.0 * lo) / ((lo - below) * (lo + below)))
+        falls = ni * (2.0 * lo) / ((z - lo) * (z + lo)) > 2.0 * pull_up
+    return bool(rises and falls)
+
+
+class TestEndCertificate:
+    @given(
+        mult=st.lists(st.integers(0, 1000), min_size=2, max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_certified_ends_hold_against_mpmath(self, mult, data):
+        # intervals around a zero z = 2^(level+1), one end far out or both
+        # hugging z; wherever the batch certifies, a 400-point scan at 50
+        # digits finds nothing above the larger end value
+        from mpmath import mp, mpf
+
+        mult[-1] = max(mult[-1], 1)
+        model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
+        share = st.one_of(st.floats(1e-9, 0.999), st.floats(0.05, 9.0).map(lambda d: 10.0**-d))
+        ends = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            z = 2.0 ** data.draw(st.integers(1, len(mult)))
+            ends.append((z * (1.0 - 0.5 * data.draw(share)), z * (1.0 + data.draw(share))))
+        lo, hi = (np.array(v) for v in zip(*ends))
+        certified = model.sup_at_ends(lo, hi)
+        assert certified.tolist() == [_sup_at_ends_one(model, a, b) for a, b in ends]
+        with mp.workdps(50):
+            for (a, b), ok in zip(ends, certified):
+                if not ok:
+                    continue
+                vals = [mp.fsum(ni * mp.log(abs(1 - (s / mpf(2) ** i) ** 2))
+                                for i, ni in enumerate(mult, start=1) if ni)
+                        for s in mp.linspace(mpf(a), mpf(b), 400)]
+                top = max(vals[0], vals[-1])
+                assert max(vals) <= top + mpf(1e-12) * max(1, abs(top)), (a, b)
+
+    def test_no_flip_on_golden_and_benchmark_inputs(self):
+        # every interval the golden and README commands and the benchmark's
+        # counterexample runs certify: the batched certificate, whose sums add
+        # in level order, decides each as np.sum's pairwise order does
+        import random
+
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        rho = WeightEvaluator(parse_sequence_spec("geometric:r=2"), tol=1e-6)
+        checked = 0
+        runs = [(30, "contradict", ["const:0.001"]), (60, "contradict",
+                [b.name for b in shipped_beta_family(seq)]), (20, "scan", [(2.0, 256.0, 6)]),
+                (40, "scan", [(2.0, 65536.0, 32)]),
+                (60, "scan", [(round(2.0 + 2.0 * random.Random(f"counterexample:{s}").random(), 6),
+                               65536.0, 16) for s in range(1, 21)])]
+        for j_max, kind, args in runs:
+            model = CounterexampleModel(dyadic_multiplicities(seq, j_max))
+            seen = []
+
+            def recording(lo, hi, model=model, seen=seen):
+                seen.append((lo, hi))
+                return CounterexampleModel.sup_at_ends(model, lo, hi)
+
+            model.sup_at_ends = recording
+            for a in args:
+                if kind == "contradict":
+                    contradiction_experiment(model, named_beta(a, seq), scan_density=128)
+                else:
+                    minmod_radius_scan(model, rho, log_grid(*a))
+            for lo, hi in seen:
+                got = CounterexampleModel.sup_at_ends(model, lo, hi).tolist()
+                assert got == [_sup_at_ends_one(model, a, b) for a, b in zip(lo, hi)]
+                checked += len(lo)
+        assert checked > 2000
 
 
 class TestDomination:
