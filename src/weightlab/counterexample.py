@@ -25,6 +25,7 @@ the scans, the samples, eval_log_abs_f and minmod_sups' interval ends.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -460,11 +461,14 @@ def beta_weight_trace(c: float, c_prime: float, r: float = 2.0) -> BetaSpec:
     log_weight_quadratic), so the dyadic tail is a poly/2^j closed form.
     """
     fam = GeometricFamily(r)
-    seq = ZeroSequence(family=fam, j_cut=4096)
-    w = WeightEvaluator(seq, tol=1e-12)
+
+    @functools.cache
+    def weight() -> WeightEvaluator:
+        # built on first use: a radius looked up by name is often not this one
+        return WeightEvaluator(ZeroSequence(family=fam, j_cut=4096), tol=1e-12)
 
     def fn(t: float) -> float:
-        return c * w.eval_log_abs_omega(t)[0] + c_prime
+        return c * weight().eval_log_abs_omega(t)[0] + c_prime
 
     def tail(J: int) -> float:
         from .tails import poly_geom_tail

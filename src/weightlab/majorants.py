@@ -26,7 +26,9 @@ C(k+1, p)(k+1-2p)/(k+1)!, the numerators over (k+1)! d^(k+2) > 0 are
     C_k straight from its double sum (the independent check):
          (k+1) sum_{p=0..k} C(k, p)(N_{p+1} N_{k+1-p} - N_{p+2} N_{k-p})
 
-so signs and equalities are decided on the numerators alone.
+so signs and equalities are decided on the numerators alone.  Every
+product there is N_a N_b with a + b = k+1 (S_k) or k+2 (the double sum),
+so a sweep forms each one once and both sums read it.
 """
 
 from __future__ import annotations
@@ -80,9 +82,17 @@ def _integer_form(c: RationalSeq, k: int) -> tuple[int, list, list]:
     return d, n, N
 
 
-def _s_num(n: list, N: list, k: int) -> int:
-    """(k+1)! d^(k+2) S_k, its terms p and k+1-p paired."""
-    return sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p] * N[k + 1 - p] * (n[p] - n[k + 1 - p])
+def _product_row(N: list, m: int) -> list:
+    """[N_a N_(m-a) for a = 0..m]: the row is symmetric, so each product is
+    formed once and read from both ends."""
+    half = [N[a] * N[m - a] for a in range(m // 2 + 1)]
+    return half + half[(m - 1) // 2 :: -1]
+
+
+def _s_num(n: list, row: list, k: int) -> int:
+    """(k+1)! d^(k+2) S_k, its terms p and k+1-p paired; row is
+    _product_row(N, k+1)."""
+    return sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * row[p] * (n[p] - n[k + 1 - p])
                for p in range(1, (k + 1) // 2 + 1))
 
 
@@ -91,10 +101,10 @@ def _c_num(n: list, N: list, k: int, s_num: int) -> int:
     return (k + 1) * (n[0] - n[k + 1]) * N[k + 1] + s_num
 
 
-def _c_direct_num(N: list, k: int) -> int:
-    """(k+1)! d^(k+2) C_k straight from its double sum."""
-    return (k + 1) * sum(math.comb(k, p) * (N[p + 1] * N[k + 1 - p] - N[p + 2] * N[k - p])
-                         for p in range(k + 1))
+def _c_direct_num(row: list, k: int) -> int:
+    """(k+1)! d^(k+2) C_k straight from its double sum; row is
+    _product_row(N, k+2)."""
+    return (k + 1) * sum(math.comb(k, p) * (row[p + 1] - row[p + 2]) for p in range(k + 1))
 
 
 def _value(num: int, d: int, k: int) -> Fraction:
@@ -107,7 +117,7 @@ def s_k_value(c: RationalSeq, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     d, n, N = _integer_form(c, k)
-    return _value(_s_num(n, N, k), d, k)
+    return _value(_s_num(n, _product_row(N, k + 1), k), d, k)
 
 
 def c_k_value(c: RationalSeq, k: int) -> Fraction:
@@ -115,13 +125,13 @@ def c_k_value(c: RationalSeq, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     d, n, N = _integer_form(c, k)
-    return _value(_c_num(n, N, k, _s_num(n, N, k)), d, k)
+    return _value(_c_num(n, N, k, _s_num(n, _product_row(N, k + 1), k)), d, k)
 
 
 def c_k_direct(c: RationalSeq, k: int) -> Fraction:
     """Independent expansion of C_k straight from its double-sum definition."""
     d, _, N = _integer_form(c, k)
-    return _value(_c_direct_num(N, k), d, k)
+    return _value(_c_direct_num(_product_row(N, k + 2), k), d, k)
 
 
 _SWEEP_FACTORS = (Fraction(1), Fraction(9, 10), Fraction(3, 4), Fraction(1, 2))
@@ -149,8 +159,13 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
             vals.append(vals[-1] * rng.choice(_SWEEP_FACTORS))
         seq = RationalSeq(tuple(vals))
         d, n, N = _integer_form(seq, k_max)
+        # S_k reads the products N_a N_b with a + b = k+1, and the direct
+        # C_k those with a + b = k+2, which S_(k+1) reads next: each
+        # product is formed once per trial
+        row = _product_row(N, 2)
         for k in range(1, k_max + 1):
-            s = _s_num(n, N, k)
+            s_row, row = row, _product_row(N, k + 2)
+            s = _s_num(n, s_row, k)
             ck = _c_num(n, N, k, s)
             checked += 1
             if trial == 0 and k <= 4:
@@ -163,7 +178,7 @@ def s_k_nonneg_sweep(trials: int, k_max: int, rng_seed: int) -> dict:
             if ck < 0:
                 violations.append({"trial": trial, "k": k, "kind": "C",
                                    "value": str(_value(ck, d, k))})
-            if ck != _c_direct_num(N, k):
+            if ck != _c_direct_num(row, k):
                 violations.append({"trial": trial, "k": k, "kind": "C-mismatch"})
     return {
         "trials": trials,

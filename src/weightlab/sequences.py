@@ -58,6 +58,20 @@ class DivergenceCertificate:
 _TOP = 2.0 ** (sys.float_info.max_exp - 1)
 _ONE_BITS, _TOP_BITS = np.array([1.0, _TOP]).view(np.int64)
 _INNER = np.arange(1, 64)  # a search cell's inner points, in steps
+# the search's cells after eight rounds: 1023 * 2^52 bit patterns split 64
+# ways eight times, 16,368 each.  The ninth round splits a cell at steps of
+# ceil(16,368/64) = 256 patterns, 3e-14 to 6e-14 of the index; its points
+# about a cell's start, from the last one of the cell before (-240) to the
+# second one of the cell after:
+_CELL = int(_TOP_BITS - _ONE_BITS) >> 48
+_NINTH = np.concatenate(([63 * 256 - _CELL], 256 * np.arange(64), [_CELL, _CELL + 256]))
+# below 2^45 one index spans at least 256 bit patterns, a ninth-round step
+_INT_SEED = 2.0**44
+# a seed's four bracket ends about the estimate: three candidate cells
+_AROUND = np.arange(-2.0, 2.0)
+_LO_HI = np.array([-1, 0])
+_SPAN_BITS = np.array([_ONE_BITS, _TOP_BITS])
+_LN_MAX = math.log(sys.float_info.max)
 # x and 1/x square to normal floats for 1/_SQ_SAFE <= x <= _SQ_SAFE
 _SQ_SAFE = 1e150
 # zeros per piece of every pass over t_j: a kept prefix's fills, the
@@ -113,17 +127,58 @@ class Family:
         """t_j for j in [j_from, j_to]."""
         return self._at(np.arange(j_from, j_to + 1, dtype=float))
 
+    def _index_estimate(self, t: np.ndarray) -> Optional[np.ndarray]:
+        """A float index x with t_x close to each threshold t >= t_1, from
+        the family's closed form, or None.  count_leq checks what it
+        brackets, so the estimate needs no error bound."""
+        return None
+
+    def _seed(self, flat: np.ndarray, first: float) -> tuple[np.ndarray, np.ndarray]:
+        """count_leq's first cells: a verified bracket about the family's
+        estimate, else [1, 2^1023].
+
+        Below 2^44 the candidates are [m, m+1] for the three integers m
+        about the estimate: a closed cell.  Past it they are the three
+        cells of the search's ninth round about it, from which the search
+        goes on exactly as from [1, 2^1023].  Either way the search from
+        [1, 2^1023] would reach the same count: t at the checked ends is on
+        the right side of the threshold, and t is nondecreasing over steps
+        of a ninth-round cell (240 or 256 bit patterns): float rounding in
+        _at moves t by far less than a cell's relative step of 3e-14 or
+        more.
+        """
+        x = self._index_estimate(np.maximum(flat, first))
+        if x is None:
+            return np.full(flat.shape, _ONE_BITS), np.full(flat.shape, _TOP_BITS)
+        p = np.floor(x) + 1.0  # the first index past the estimate
+        ends = (p + _AROUND).view(np.int64)
+        far = p[:, 0] > _INT_SEED
+        if far.any():
+            cell, within = np.divmod(x[far].view(np.int64) - _ONE_BITS, _CELL)
+            ends[far] = _ONE_BITS + cell * _CELL + _NINTH[within // 256 + np.arange(len(_AROUND))]
+        ends = np.minimum(np.maximum(ends, _ONE_BITS), _TOP_BITS)
+        # the search's rule: the cell ends at the first end past the
+        # threshold; it holds the threshold if the first end does not pass
+        # it and the last does
+        ok = self._at(np.floor(ends.view(float))) <= flat
+        got = ok[:, :1] > ok[:, -1:]  # t at x(lo) <= threshold < t at x(hi)
+        at = np.arange(0, ends.size, len(_AROUND)) + ok.argmin(axis=1)
+        cells = np.where(got, ends.ravel()[at[:, None] + _LO_HI], _SPAN_BITS)
+        return cells[:, :1], cells[:, 1:]
+
     def count_leq(self, t):
         """Exact n(t) = #{j : t_j <= t}: an int for one threshold, a list of
         ints for an array of them.  Each count n has t_n <= t < t_{n+1}.
 
         The search runs over the bit patterns b of the floats x in
         [1, 2^1023], which order like the floats, and reads t at the
-        integer floor(x), so t is nondecreasing in b.  Each step splits
-        every cell [lo, hi] into 64 and keeps the part before the first
-        inner point where t exceeds the threshold.  A cell is closed once
-        its two indices are adjacent integers, or adjacent floats past
-        2^53; further steps keep the lower index of a closed cell.
+        integer floor(x), so t is nondecreasing in b.  It starts from a
+        verified closed-form bracket (_seed), or from [1, 2^1023] where
+        there is none.  Each step splits every cell [lo, hi] into 64 and
+        keeps the part before the first inner point where t exceeds the
+        threshold.  A cell is closed once its two indices are adjacent
+        integers, or adjacent floats past 2^53; further steps keep the
+        lower index of a closed cell.
         """
         flat = np.array(t, dtype=float).reshape(-1, 1)
         if np.isnan(flat).any():
@@ -135,8 +190,7 @@ class Family:
                 "index bracket 2^1024 no longer converts to a float"
             )
         below = flat < first  # no zero, and a cell closed from the start
-        lo = np.full(flat.shape, _ONE_BITS)  # t at x(lo) <= threshold < t at x(hi)
-        hi = np.full(flat.shape, _TOP_BITS)
+        lo, hi = self._seed(flat, first)
         while True:
             x_lo = np.floor(lo.view(float))
             if ((hi - lo == 1) | (np.floor(hi.view(float)) - x_lo == 1) | below).all():
@@ -284,6 +338,9 @@ class GeometricFamily(Family):
         with np.errstate(over="ignore"):
             return self.r**j
 
+    def _index_estimate(self, t: np.ndarray) -> np.ndarray:
+        return np.log(t) / self._lnr
+
     def inv_tail(self, k_from: int) -> float:
         return self._power_tail(1, k_from)
 
@@ -356,6 +413,9 @@ class PowerFamily(Family):
         with np.errstate(over="ignore"):
             return j**self.a
 
+    def _index_estimate(self, t: np.ndarray) -> np.ndarray:
+        return t ** (1.0 / self.a)
+
     def inv_tail(self, k_from: int) -> float:
         # sum_{k>K} k^-a <= integral_K^inf x^-a dx = K^(1-a)/(a-1), K >= 1
         k = max(k_from, 1)
@@ -420,6 +480,12 @@ class PowLogFamily(Family):
         below = slice(0, self._k_geq_index - 1)
         self._neg_log = np.cumsum(np.concatenate(
             ([0.0], np.minimum(0.0, np.log(tk[below]) - np.log(k[below])))))
+        # count_leq's estimate: t_1..t_4096, and ln t_x = y + a ln y + b lnln y
+        # at y = ln x from ln 4096 to the float range's top in steps of 1/4
+        self._first_zeros = self._at(np.arange(1.0, 4097.0))
+        self._y_grid = np.arange(math.log(4096.0), _LN_MAX + 0.5, 0.25)
+        ly = np.log(self._y_grid)
+        self._ln_t_grid = self._y_grid + self.a * ly + self.b * np.log(ly)
 
     # the clamped head t_1 = t_2 = t_3 makes t_j/j fall up to j = 3
     _ratio_from = 3
@@ -434,6 +500,25 @@ class PowLogFamily(Family):
             lm **= self.b
             out *= lm
         return out
+
+    def _index_estimate(self, t: np.ndarray) -> np.ndarray:
+        """The count itself below t_4096.  Past it, the root y of
+        g(y) = y + a ln y + b lnln y - ln t (ln t_x at x = e^y) read off the
+        grid, then one Newton step in y, and one in x on _at itself, which
+        takes the estimate past the rounding of y."""
+        a, b, head = self.a, self.b, self._first_zeros
+        x = head.searchsorted(t, "right").astype(float)
+        far = t >= head[-1]
+        if far.any():
+            tf = t[far]
+            L = np.log(tf)
+            y = np.interp(L, self._ln_t_grid, self._y_grid)
+            ly = np.log(y)
+            slope = 1.0 + (a + b / ly) / y  # g'(y), the log-derivative of t_x
+            y -= (y + a * ly + b * np.log(ly) - L) / slope
+            xf = np.floor(np.exp(y))
+            x[far] = xf * (1.0 + (tf / self._at(xf) - 1.0) / slope)
+        return x
 
     # -- tail bounds --------------------------------------------------------
     def inv_tail(self, k_from: int) -> float:
@@ -621,8 +706,13 @@ class ExplicitFamily(Family):
         return self._padded[np.minimum(j, len(self.values) + 1).astype(np.intp) - 1]
 
     def count_leq(self, t):
-        # the +inf past the list are no zeros, so n(inf) is the list's length
-        return super().count_leq(np.minimum(t, sys.float_info.max))
+        """n(t), one search of the list; the +inf past it are no zeros, and
+        neither is a listed inf, so n(inf) counts the finite values."""
+        flat = np.minimum(np.ravel(t), sys.float_info.max)
+        if np.isnan(flat).any():
+            raise ValueError("zero count n(t) needs a number, got nan")
+        counts = self._padded.searchsorted(flat, "right").tolist()
+        return counts if np.ndim(t) else counts[0]
 
     def inv_tail(self, k_from: int) -> float:
         if k_from >= len(self.values):

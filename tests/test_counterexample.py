@@ -759,6 +759,23 @@ class TestContradiction:
         assert rep.witness_index is None
         assert rep.schwarz_violations == 0
 
+    def test_named_beta_builds_only_the_radius_it_reads(self, monkeypatch):
+        # the trace radius builds its geometric sequence on first use, and
+        # once; looking up another radius by name builds no sequence
+        built = []
+        post_init = ZeroSequence.__post_init__
+        monkeypatch.setattr(ZeroSequence, "__post_init__",
+                            lambda self: (built.append(self.spec_string()), post_init(self)))
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        built.clear()
+        assert named_beta("const:0.001", seq)(8.0) == 0.001
+        assert built == []
+        trace = named_beta("trace", seq)
+        assert built == []
+        first = trace(8.0)
+        assert trace(8.0) == first and trace(16.0) > first
+        assert built == ["geometric:r=2"]
+
     def test_inadmissible_beta_rejected(self, model60):
         linear = BetaSpec("linear", lambda t: 2.0 * t, lambda J: math.inf)
         with pytest.raises(ValueError):

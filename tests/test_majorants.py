@@ -210,7 +210,7 @@ class TestCombinatorialCore:
             for k in range(1, 61):
                 unpaired = sum(math.comb(k + 1, p) * (k + 1 - 2 * p) * N[p + 1] * N[k + 1 - p]
                                for p in range(1, k + 1))
-                assert majorants._s_num(n, N, k) == unpaired, k
+                assert majorants._s_num(n, majorants._product_row(N, k + 1), k) == unpaired, k
 
     def test_sweep(self):
         rep = s_k_nonneg_sweep(trials=20, k_max=12, rng_seed=7)

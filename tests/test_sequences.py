@@ -1,11 +1,13 @@
 import gc
 import math
 import random
+import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weightlab import (
     ConcaveSeriesMajorant,
@@ -19,7 +21,7 @@ from weightlab import (
     parse_sequence_spec,
 )
 from weightlab.criteria import profile_big_n, profile_log_omega, profile_n
-from weightlab.sequences import ZERO_CHUNK, TermPrefix, index_terms
+from weightlab.sequences import ZERO_CHUNK, Family, TermPrefix, index_terms
 
 
 # 200 zeros from 1 to about 7.2, in runs of three equal ones
@@ -36,6 +38,39 @@ SPECS = st.one_of(
     .map(lambda ab: f"powlog:a={ab[0]!r},b={ab[1]!r}"),
     st.just(EXPLICIT_200),
 )
+
+
+# the families and lists whose counts must equal the unseeded search
+SEEDED_SPECS = ["powlog:a=1,b=1.0001", "powlog:a=1,b=2", "powlog:a=1,b=5",
+                "powlog:a=1.0001,b=0", "powlog:a=3,b=0", "geometric:r=1.0001",
+                "geometric:r=2", "geometric:r=1e100", "power:a=1.0001", "power:a=2",
+                "explicit:[0.5,1,1,1,2.5,2.5,7,1e300]", "explicit:[3,3]"]
+THRESHOLD_KINDS = ["at", "above", "below", "past 2^53", "under t_1", "plateau", "top"]
+
+
+def _threshold(fam, kind, u):
+    """A threshold of the given kind, placed by u in [0, 1]: at t_j, one
+    float above or below it (j up to 2^1023, or past 2^53), below t_1, at
+    the first zeros (t_1 = t_2 = t_3 on powlog), or just below t(2^1023)."""
+    t1 = fam.terms(1, 1)[0]
+    if kind == "under t_1":
+        return t1 * (2.0 * u - 1.0)
+    if kind == "plateau":
+        return [math.nextafter(t1, 0.0), t1, math.nextafter(t1, math.inf)][min(int(3 * u), 2)]
+    if kind == "top":
+        return math.nextafter(min(fam._at(np.array([2.0**1023]))[0], sys.float_info.max), 0.0)
+    j = math.floor(2.0 ** (53.0 + 10.0 * u if kind == "past 2^53" else 1022.0 * u))
+    tj = float(fam._at(np.array([float(j)]))[0])
+    return {"above": math.nextafter(tj, math.inf), "below": math.nextafter(tj, 0.0)}.get(kind, tj)
+
+
+def _unseeded_count(fam, t):
+    """The reference count: the search from [1, 2^1023], with the family's
+    estimate patched out; a list is counted by the same search."""
+    if isinstance(fam, ExplicitFamily):
+        t = np.minimum(t, sys.float_info.max)
+    with mock.patch.object(fam, "_index_estimate", lambda t: None):
+        return Family.count_leq(fam, t)
 
 
 class TestGrammar:
@@ -138,12 +173,31 @@ class TestCounting:
         assert [seq.count_leq(t) for t in ts] == want
         assert seq.count_leq(ts) == want
 
-    @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2", "explicit:[1,2,3]"])
+    @pytest.mark.parametrize("spec", ["powlog:a=1,b=2", "power:a=2", "explicit:[1,2,3]",
+                                      "geometric:r=2"])
     def test_nan_has_no_count(self, spec):
         # every comparison with nan is false, so a bisection would return
         # its first bracket (1, or the list's length) instead of failing
         with pytest.raises(ValueError, match="nan"):
             parse_sequence_spec(spec).count_leq(math.nan)
+        with pytest.raises(ValueError, match="nan"):
+            parse_sequence_spec(spec).count_leq(np.array([2.0, math.nan]))
+
+    @given(st.sampled_from(SEEDED_SPECS),
+           st.lists(st.tuples(st.sampled_from(THRESHOLD_KINDS), st.floats(0.0, 1.0)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_count_equals_the_unseeded_search(self, spec, draws):
+        # the search from the family's verified bracket returns what the
+        # search from [1, 2^1023] returns, one threshold or an array
+        fam = parse_sequence_spec(spec).family
+        last = fam._at(np.array([2.0**1023]))[0]
+        ts = [t for t in (_threshold(fam, kind, u) for kind, u in draws)
+              if math.isfinite(t) and t < last]
+        assume(ts)
+        want = _unseeded_count(fam, np.array(ts))
+        assert fam.count_leq(np.array(ts)) == want
+        assert [fam.count_leq(t) for t in ts] == want
 
     def test_explicit_infinite_tail(self):
         fam = ExplicitFamily([1.0, 2.0, 3.0])
