@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ from .majorants import (
     step_counterexample,
     step_threshold_probe,
 )
-from .reports import CONTRADICTION_COLUMNS, json_text, write_csv
+from .reports import CONTRADICTION_COLUMNS, json_text, write_csv, write_report
 from .sampling import log_grid
 from .sequences import SequenceSpecError, parse_sequence_spec
 from .weights import (
@@ -199,7 +200,22 @@ def h_majorant_beta(p: dict):
     return report, None, above
 
 
+# The sweep's work in units of about 6 us (2-core Xeon, Python 3.11): a
+# trial costs about k_max (1 + (k_max/40)^4) units, its big-integer
+# products growing like k_max^5 (measured for k_max = 1..250).  The budget
+# is about 12 s there; --trials 100 --k-max 200 would take 75 s.
+SK_SWEEP_BUDGET = 2_000_000
+
+
 def h_majorant_sk_sweep(p: dict):
+    trials, k_max = p["trials"], p["k_max"]
+    work = trials * k_max * (40**4 + k_max**4) // 40**4
+    if work > SK_SWEEP_BUDGET:
+        raise ConfigError(
+            f"majorant sk-sweep: --trials {trials} at --k-max {k_max} is about "
+            f"{work:,} units of work, past the budget of {SK_SWEEP_BUDGET:,}; "
+            "lower --trials or --k-max"
+        )
     rep = s_k_nonneg_sweep(trials=p["trials"], k_max=p["k_max"], rng_seed=p["seed"])
     rep["command"] = "majorant.sk-sweep"
     return rep, None, rep["passed"]
@@ -365,13 +381,13 @@ def run_command(command: str, params: dict) -> int:
     report, rows, passed = COMMANDS[command][0](p)
     text = json_text(report)
     if p["json"]:
-        with open(p["json"], "w", newline="") as fp:
-            fp.write(text)
+        write_report(p["json"], text)
     else:
         sys.stdout.write(text)
     if p["csv"] and rows is not None:
-        with open(p["csv"], "w", newline="") as fp:
-            write_csv(fp, CONTRADICTION_COLUMNS, rows)
+        buf = io.StringIO()
+        write_csv(buf, CONTRADICTION_COLUMNS, rows)
+        write_report(p["csv"], buf.getvalue())
     return 0 if passed else 1
 
 

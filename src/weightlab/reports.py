@@ -3,13 +3,16 @@
 JSON: sorted keys, two-space indent, LF line endings, floats via the
 shortest round-trip repr (Python's default).  CSV: fixed column order,
 LF endings, repr floats.  No timestamps anywhere, so identical inputs
-produce byte-identical files.
+produce byte-identical files.  A report file is written whole by
+write_report.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from typing import IO, Iterable
 
 
@@ -64,3 +67,22 @@ def write_csv(fp: IO[str], columns: Iterable[str], rows: Iterable) -> None:
     fp.write(",".join(cols) + "\n")
     for row in rows:
         fp.write(",".join(_cell(getattr(row, c)) for c in cols) + "\n")
+
+
+def write_report(path: str, text: str) -> None:
+    """Write `text` to `path`, replacing an existing regular file by a new one.
+
+    A regular file is unlinked first, never truncated: ext4 flushes a file
+    that is truncated and written again when it is closed (auto_da_alloc),
+    and the next truncation waits for that write-back.  A hard link to the
+    old file keeps the old contents.  Any other path is opened as given: a
+    missing file is created, and a device, FIFO or symlink is written
+    through.  Errors come from the open, as for a plain write.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:
+        pass  # missing, or not ours to unlink: the open below decides
+    with open(path, "w", newline="") as fp:
+        fp.write(text)

@@ -177,8 +177,8 @@ class Family:
         there is none.  Each step splits every cell [lo, hi] into 64 and
         keeps the part before the first inner point where t exceeds the
         threshold.  A cell is closed once its two indices are adjacent
-        integers, or adjacent floats past 2^53; further steps keep the
-        lower index of a closed cell.
+        integers, or adjacent floats past 2^53; each round takes only the
+        rows whose cells are still open.
         """
         flat = np.array(t, dtype=float).reshape(-1, 1)
         if np.isnan(flat).any():
@@ -191,14 +191,22 @@ class Family:
             )
         below = flat < first  # no zero, and a cell closed from the start
         lo, hi = self._seed(flat, first)
-        while True:
-            x_lo = np.floor(lo.view(float))
-            if ((hi - lo == 1) | (np.floor(hi.view(float)) - x_lo == 1) | below).all():
-                break
+        x_lo = np.floor(lo.view(float))
+        live = ~below & (hi - lo != 1) & (np.floor(hi.view(float)) - x_lo != 1)
+        rows = np.flatnonzero(live)  # the rows whose cells are open
+        lo, hi, flat = lo[rows], hi[rows], flat[rows]
+        while rows.size:
             step = (hi - lo + 63) >> 6
             ok = self._at(np.floor((lo + step * _INNER).view(float))) <= flat
             c = ok.cumprod(axis=1).sum(axis=1, keepdims=True)
             lo, hi = lo + step * c, np.minimum(hi, lo + step * (c + 1))
+            x = np.floor(lo.view(float))
+            shut = ((hi - lo == 1) | (np.floor(hi.view(float)) - x == 1))[:, 0]
+            if shut.any():
+                # a closed cell leaves the search with its lower index
+                x_lo[rows[shut]] = x[shut]
+                live = ~shut
+                rows, lo, hi, flat = rows[live], lo[live], hi[live], flat[live]
         counts = [0 if z else _last_index(x) for z, x in zip(below.flat, x_lo.flat)]
         return counts if np.ndim(t) else counts[0]
 

@@ -364,15 +364,18 @@ def strong_nqa_tail_check(seq: ZeroSequence, K: int) -> tuple[float, CheckReport
     stabilized), the report flags "sufficient condition not certified".
     """
     tail_K = seq.family.inv_tail(K)
-    terms = seq.terms(1, K)
-    finite = np.isfinite(terms)
-    inv = np.zeros(K)
-    inv[finite] = 1.0 / terms[finite]
-    # suffix sums of 1/t_j for j = k..K, plus the certified tail
-    suffix = np.cumsum(inv[::-1])[::-1] + tail_K
-    with np.errstate(invalid="ignore"):
-        ratios = terms * suffix / np.arange(1, K + 1)
-    ratios = np.where(finite, ratios, 0.0)
+    terms = seq.terms(1, K).tolist()
+    # t_k sum_{j>=k} 1/t_j = s_k + t_k tail_K with s_k = sum_{j=k..K} t_k/t_j
+    # from the quotients t_k/t_(k+1) <= 1: s_k = 1 + (t_k/t_(k+1)) s_(k+1).
+    # No 1/t_j is formed, so a subnormal zero does not overflow.
+    ratios = np.zeros(K)
+    s, t_next = 0.0, math.inf
+    for k in range(K, 0, -1):
+        t_k = terms[k - 1]
+        if math.isfinite(t_k):
+            s = 1.0 + t_k / t_next * s
+            ratios[k - 1] = (s + t_k * tail_K) / k
+        t_next = t_k
     c_min = float(np.max(ratios))
     k_at = int(np.argmax(ratios)) + 1
     half = float(np.max(ratios[: max(1, K // 2)]))

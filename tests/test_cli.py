@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -199,6 +200,12 @@ class TestBasics:
         )
         assert code == 0
         assert json.loads(out)["passed"]
+
+    def test_sk_sweep_past_the_work_budget_exits_2(self):
+        # the default 100 trials at --k-max 200 would take over a minute
+        code, out, err = run_cli(["majorant", "sk-sweep", "--k-max", "200"])
+        assert code == 2 and not out
+        assert "--trials" in err
 
     def test_step(self):
         code, out, _ = run_cli(["majorant", "step"])
@@ -462,6 +469,45 @@ class TestDeterminism:
         run_cli(base + ["--csv", str(c2), "--json", str(j2)])
         assert c1.read_bytes() == c2.read_bytes()
         assert j1.read_bytes() == j2.read_bytes()
+
+
+class TestReportFiles:
+    ARGV = ["cx", "contradict", "--seq", "powlog:a=1,b=2", "--j-max", "30",
+            "--scan-density", "64"]
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = self.ARGV + ["--csv", str(csv_path), "--json", str(json_path)]
+        assert run_cli(argv)[0] == 0
+        first = csv_path.read_bytes(), json_path.read_bytes()
+        # the open handles keep the first inodes from being reused
+        with open(csv_path, "rb") as old_csv, open(json_path, "rb") as old_json:
+            assert run_cli(argv)[0] == 0
+            assert (csv_path.read_bytes(), json_path.read_bytes()) == first
+            for old, path in ((old_csv, csv_path), (old_json, json_path)):
+                assert os.fstat(old.fileno()).st_ino != os.stat(path).st_ino
+                assert old.read() == path.read_bytes()
+
+    def test_devnull_stays_a_device(self):
+        code, out, _ = run_cli(self.ARGV + ["--json", os.devnull])
+        assert code == 0 and not out
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        _, want, _ = run_cli(self.ARGV)
+        assert run_cli(self.ARGV + ["--json", str(link)])[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == want
+
+    def test_missing_directory_exits_2(self, tmp_path):
+        path = tmp_path / "absent" / "rows.csv"
+        code, _, err = run_cli(self.ARGV + ["--csv", str(path)])
+        assert code == 2
+        assert "No such file or directory" in err and str(path) in err
+        assert not path.parent.exists()
 
 
 class TestEntryPoint:

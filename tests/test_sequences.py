@@ -199,6 +199,24 @@ class TestCounting:
         assert fam.count_leq(np.array(ts)) == want
         assert [fam.count_leq(t) for t in ts] == want
 
+    def test_search_rounds_take_only_open_rows(self, monkeypatch):
+        # of the 60 dyadic counts of powlog, the seed closes all but a few;
+        # the search's rounds (63 inner points per row) take only those
+        fam = parse_sequence_spec("powlog:a=1,b=2").family
+        ts = 2.0 ** np.arange(1, 61)
+        want = fam.count_leq(ts)
+        rows = []
+        at = fam._at
+
+        def spy(j):
+            if j.ndim == 2 and j.shape[1] == 63:
+                rows.append(j.shape[0])
+            return at(j)
+
+        monkeypatch.setattr(fam, "_at", spy)
+        assert fam.count_leq(ts) == want
+        assert rows and max(rows) < 20
+
     def test_explicit_infinite_tail(self):
         fam = ExplicitFamily([1.0, 2.0, 3.0])
         assert fam.count_leq(10.0) == 3

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -433,6 +434,16 @@ class TestStrongNqaTail:
         c2, rep2 = strong_nqa_tail_check(seq, K=2000)
         assert c2 > c1  # keeps growing
         assert not rep2.details["certified"]
+
+    @pytest.mark.parametrize("spec", ["explicit:[1e-320]", "explicit:[5e-324,1]"])
+    def test_subnormal_zeros(self, spec):
+        # 1/t_1 overflows, but (t_1/1)(1/t_1 + ...) is exactly 1: the sums
+        # are formed from quotients t_k/t_j <= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_min, rep = strong_nqa_tail_check(parse_sequence_spec(spec), K=200)
+        assert c_min == 1.0
+        assert rep.passed and rep.details["argmax_k"] == 1
 
     def test_explicit_three_zeros(self):
         seq = ZeroSequence(family=ExplicitFamily([1.0, 2.0, 4.0]), j_cut=10)
