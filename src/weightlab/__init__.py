@@ -68,7 +68,6 @@ from .counterexample import (
     domination_check,
     dyadic_multiplicities,
     minmod_sup,
-    minmod_sups,
     named_beta,
     schwarz_bound_check,
     shipped_beta_family,

@@ -20,7 +20,8 @@ partial sums.
 
 ln|f| has one evaluator, CounterexampleModel.log_abs_f_offsets, for real
 and complex points, all levels at once and a centre per point if need be:
-the scans, the samples, eval_log_abs_f and minmod_sups' interval ends.
+the scans, the samples, and the interval ends of every minmod_sup call; a
+single point z is log_abs_f_offsets(0.0, [z]).
 """
 
 from __future__ import annotations
@@ -97,10 +98,6 @@ class CounterexampleModel:
         self._rows = np.arange(len(self._levels))[:, None]
 
     # -- the even function f -------------------------------------------------
-    def eval_log_abs_f(self, z: complex) -> float:
-        """ln|f(z)| = sum_j n_j ln|1 - (z/2^j)^2|: log_abs_f_offsets at t = 0."""
-        return float(self.log_abs_f_offsets(0.0, np.array([complex(z)]))[0])
-
     def log_abs_f_offsets(self, t, offsets, window=None) -> np.ndarray:
         """ln|f(t + x)| for an array of real or complex offsets x, t >= 0.
 
@@ -251,10 +248,10 @@ class CounterexampleModel:
         return out if m.ndim else float(out[0])
 
 
-def minmod_sups(model: CounterexampleModel, ts, radii, scan_density: int = 2048, *,
-                at_least=None) -> np.ndarray:
-    """Lower bounds for sup ln|f(s)| over real s in [t-radius, t+radius],
-    one per (t, radius) pair.
+def minmod_sup(model: CounterexampleModel, t, radius, scan_density: int = 2048, *,
+               at_least=None):
+    """Lower bound for sup ln|f(s)| over real s in [t-radius, t+radius]: a
+    float for one interval, a list of floats for arrays of t and radius.
 
     Each interval is clipped to (0, inf); an empty clipped interval is a
     domain error.  One log_abs_f_offsets call evaluates the ends of all
@@ -266,7 +263,8 @@ def minmod_sups(model: CounterexampleModel, ts, radii, scan_density: int = 2048,
     asks only whether the supremum reaches at_least (one threshold, or one
     per interval), an end value that does is returned without a search.
     """
-    t, radius = np.asarray(ts, float), np.asarray(radii, float)
+    one = np.ndim(t) == 0
+    t, radius = np.atleast_1d(np.asarray(t, float)), np.atleast_1d(np.asarray(radius, float))
     if np.any(radius <= 0) or scan_density < 1:
         raise ValueError("radius and scan density must be positive")
     lo, hi = t - radius, t + radius
@@ -282,13 +280,7 @@ def minmod_sups(model: CounterexampleModel, ts, radii, scan_density: int = 2048,
     for k in np.flatnonzero(~done):
         xs = np.linspace(a[k], b[k], scan_density)
         best[k] = zoom_max(lambda x: model.log_abs_f_offsets(t[k], x), xs)
-    return best
-
-
-def minmod_sup(model: CounterexampleModel, t: float, radius: float, scan_density: int = 2048,
-               *, at_least: Optional[float] = None) -> float:
-    """minmod_sups for the one interval [t-radius, t+radius]."""
-    return float(minmod_sups(model, [t], [radius], scan_density, at_least=at_least)[0])
+    return float(best[0]) if one else best.tolist()
 
 
 def domination_check(
@@ -325,7 +317,7 @@ def domination_check(
         v, err = w.eval_log_abs_omega(abs(z))
         slack0 = 1e-9 * (1.0 + abs(rhs0))
         slack1 = 2.0 * err + 1e-9 * (1.0 + abs(v))
-        m = min(rhs0 + slack0 - lhs, 2.0 * (v + err) + slack1 - lhs)
+        m = min(rhs0 + slack0 - lhs, 2.0 * v + slack1 - lhs)
         worst = min(worst, m)
         if lhs > rhs0 + slack0 or lhs > 2.0 * v + slack1:
             violations += 1
@@ -659,8 +651,8 @@ def contradiction_experiment(
     rows: List[ContradictionRow] = []
     witness = None
     schwarz_violations = 0
-    sups = minmod_sups(model, [2.0**p[0] for p in partials], [p[2] for p in partials],
-                       scan_density).tolist()
+    sups = minmod_sup(model, [2.0**p[0] for p in partials], [p[2] for p in partials],
+                      scan_density)
     for (j, nj, bj, w_next, lhs_p, rhs_p), mm in zip(partials, sups):
         if witness is None and lhs_p > rhs_upper + allowance:
             witness = j
@@ -715,8 +707,8 @@ def minmod_radius_scan(model: CounterexampleModel, rho: WeightEvaluator, t_grid)
     todo = [(p, k, c * v + cp) for p, (c, cp) in enumerate(pairs)
             for k, v in enumerate(log_rho) if c * v + cp > 0]
     radii = np.array([r for _, _, r in todo])
-    sups = minmod_sups(model, [ts[k] for _, k, _ in todo], radii, SCAN_DENSITY, at_least=-radii)
-    passed = {(p, k) for (p, k, _), ok in zip(todo, sups >= -radii) if ok}
+    sups = minmod_sup(model, [ts[k] for _, k, _ in todo], radii, SCAN_DENSITY, at_least=-radii)
+    passed = {(p, k) for (p, k, r), sup in zip(todo, sups) if sup >= -r}
     fails = [[t for k, t in enumerate(ts) if (p, k) not in passed] for p in range(len(pairs))]
     results = [{"c": c, "c_prime": cp, "failures": f, "n_checked": len(ts), "all_pass": not f}
                for (c, cp), f in zip(pairs, fails)]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .sampling import SampledFunction
 from .sequences import ZERO_CHUNK, DivergenceCertificate, TermPrefix, ZeroSequence, index_terms
-from .weights import WeightEvaluator, big_n_levels
+from .weights import WeightEvaluator, big_N
 
 VERDICT_CONV = "convergent-certified"
 VERDICT_DIV = "divergent-trend"
@@ -178,7 +178,7 @@ def profile_n(seq: ZeroSequence, j_max: int) -> np.ndarray:
 
 def profile_big_n(seq: ZeroSequence, j_max: int) -> np.ndarray:
     """a_j = N(2^j) = ln max(1, sup_k 2^jk/(t_1..t_k)) for j = 1..j_max."""
-    return big_n_levels(seq, 2.0 ** np.arange(1.0, j_max + 1))[0]
+    return big_N(seq, 2.0 ** np.arange(1.0, j_max + 1))[0]
 
 
 def profile_log_omega(seq: ZeroSequence, j_max: int, tol: float = 1e-9) -> np.ndarray:

@@ -228,36 +228,28 @@ class WeightEvaluator:
         value, rem = self._log_sum(z, math.hypot(a, b), j_max, log_chunk, scaled_log)
         return (NEG_INF, 0.0) if value == NEG_INF else _finite_result(z, value, err + rem)
 
-    def eval_log_omega_neg_imag(self, r: float) -> tuple[float, float]:
-        """ln w(-i r) = sum ln(1 + r/t_j), the modulus-bound comparator."""
-        r = _check_finite_real(r)
-        if r < 0:
-            raise ValueError("argument must be nonnegative")
-        return self.eval_log_abs_omega_complex(complex(0.0, -r))
 
+def big_N(seq: ZeroSequence, t):
+    """(N(t), argmax) with N(t) = ln max(1, sup_k t^k/(t_1...t_k)), t finite
+    and > 0: a float and an int for one t, an array and a list for an array.
 
-def big_N(seq: ZeroSequence, t: float) -> tuple[float, int]:
-    """(N(t), argmax) with N(t) = ln max(1, sup_k t^k/(t_1...t_k))."""
-    t = _check_finite_real(t)
-    if t <= 0:
+    The summands ln t - ln t_j are nonnegative exactly while t_j <= t, so
+    the sup over k <= cap = seq.term_cap is attained at k = min(n(t), cap),
+    where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax is 0 when N(t) = 0.
+    All points share one cumulative sum of ln t_j over the TermPrefix, in
+    ZERO_CHUNK-term pieces from j = 1, so a point's value does not depend on
+    the other points."""
+    ts = np.array(t, dtype=float).reshape(-1)
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"argument must be finite, got {float(bad[0])!r}")
+    if (ts <= 0).any():
         raise ValueError("argument must be positive")
-    (value,), (k,) = big_n_levels(seq, np.array([t]))
-    return float(value), k
-
-
-def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
-    """N(t) and its argmax at each t > 0 of ts, from one cumulative sum of
-    ln t_j.  The summands ln t - ln t_j are nonnegative exactly while
-    t_j <= t, so the sup over k <= cap = seq.term_cap is attained at
-    k = min(n(t), cap), where N(t) = k ln t - sum_{j<=k} ln t_j; the argmax
-    is 0 when N(t) = 0.  The sum runs over the TermPrefix in ZERO_CHUNK-term
-    pieces from j = 1, so a level's value does not depend on the other
-    levels."""
     cap = seq.term_cap
     ks = np.array([min(k, cap) for k in seq.count_leq(ts)], dtype=np.int64)
     k_top = int(ks.max(initial=0))
     tj = TermPrefix.of(seq).finite(k_top)  # t_j <= t is finite for j <= k
-    cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per level
+    cum = np.zeros(len(ks))  # sum_{j<=k} ln t_j per point
     done = 0.0
     for start in range(0, k_top, ZERO_CHUNK):
         logs = np.cumsum(np.log(tj[start : start + ZERO_CHUNK]))
@@ -265,7 +257,8 @@ def big_n_levels(seq: ZeroSequence, ts: np.ndarray) -> tuple[np.ndarray, list]:
         cum[at] = done + logs[ks[at] - start - 1]
         done += float(logs[-1])
     values = np.maximum(0.0, ks * np.log(ts) - cum)
-    return values, np.where(values > 0.0, ks, 0).tolist()
+    argmax = np.where(values > 0.0, ks, 0).tolist()
+    return (values, argmax) if np.ndim(t) else (float(values[0]), argmax[0])
 
 
 @dataclass
@@ -342,7 +335,7 @@ def modulus_bound_check(
         lhs, err_l = w.eval_log_abs_omega_complex(z)
         if lhs == NEG_INF:
             continue
-        rhs, err_r = w.eval_log_omega_neg_imag(abs(z))
+        rhs, err_r = w.eval_log_abs_omega_complex(complex(0.0, -abs(z)))
         margin = rhs - lhs
         worst = min(worst, margin)
         if margin < -(err_l + err_r):

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from weightlab import (
     domination_check,
     dyadic_multiplicities,
     minmod_sup,
-    minmod_sups,
     named_beta,
     parse_sequence_spec,
     schwarz_bound_check,
@@ -32,6 +32,11 @@ NEG_INF = float("-inf")
 def single_factor_model():
     # one real zero pair at +-2, multiplicity 1
     return CounterexampleModel(MultiplicityProfile(1, [1], "explicit:[2]"))
+
+
+def log_abs_f(model, z):
+    """ln|f(z)| at one point: the offset z from the centre 0."""
+    return float(model.log_abs_f_offsets(0.0, np.array([complex(z)]))[0])
 
 
 class TestMultiplicities:
@@ -66,10 +71,10 @@ class TestMultiplicities:
 class TestEvalF:
     def test_closed_forms(self):
         m = single_factor_model()
-        assert m.eval_log_abs_f(0.0) == 0.0
-        assert m.eval_log_abs_f(2.0) == NEG_INF
-        assert m.eval_log_abs_f(-2.0) == NEG_INF
-        assert m.eval_log_abs_f(1.0) == pytest.approx(math.log(0.75), abs=1e-15)
+        assert log_abs_f(m, 0.0) == 0.0
+        assert log_abs_f(m, 2.0) == NEG_INF
+        assert log_abs_f(m, -2.0) == NEG_INF
+        assert log_abs_f(m, 1.0) == pytest.approx(math.log(0.75), abs=1e-15)
 
     @pytest.mark.parametrize("e", [1e-8, 1e-9, 1e-12])
     def test_next_to_a_real_zero(self, e):
@@ -79,21 +84,21 @@ class TestEvalF:
         for z in (2.0 * (1.0 + e), -2.0 * (1.0 + e)):
             eps = abs(z) / 2.0 - 1.0
             expect = math.log(eps * (2.0 + eps))
-            assert m.eval_log_abs_f(z) == pytest.approx(expect, rel=1e-12, abs=0.0)
+            assert log_abs_f(m, z) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     @given(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
     @settings(max_examples=80, deadline=None)
     def test_even(self, z):
         m = single_factor_model()
-        assert m.eval_log_abs_f(z) == m.eval_log_abs_f(-z)
+        assert log_abs_f(m, z) == log_abs_f(m, -z)
         m = _powlog_model(60)
-        assert m.eval_log_abs_f(z * 2.0**30) == m.eval_log_abs_f(-z * 2.0**30)
+        assert log_abs_f(m, z * 2.0**30) == log_abs_f(m, -z * 2.0**30)
 
     def test_imaginary_axis_saturates_weight_bound(self):
         seq = parse_sequence_spec("powlog:a=1,b=2")
         m = CounterexampleModel(dyadic_multiplicities(seq, 30))
         for r in (0.7, 12.0, 900.0):
-            lhs = m.eval_log_abs_f(complex(0.0, r))
+            lhs = log_abs_f(m, complex(0.0, r))
             rhs = 2.0 * m.ln_w0_real(r)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -106,7 +111,7 @@ class TestEvalF:
         for x, v in zip(xs, m.log_abs_f_offsets(t, xs)):
             exact = float(_mp_log_abs_f(m, t, x))
             assert v == pytest.approx(exact, rel=1e-13)
-            assert m.eval_log_abs_f(t + x) == pytest.approx(exact, rel=1e-13)
+            assert log_abs_f(m, t + x) == pytest.approx(exact, rel=1e-13)
 
     def test_past_q_2_500_matches_mpmath(self):
         # at |z| = 2^280 the low levels have |q| = |z/2^j|^2 above 2^500,
@@ -120,7 +125,7 @@ class TestEvalF:
         zs = [r * complex(math.cos(a), math.sin(a)) for a in (0.1, 1.0, math.pi / 2, 3.0)]
         with mp.workprec(600):
             for z in zs:
-                got = model.eval_log_abs_f(z)
+                got = log_abs_f(model, z)
                 assert math.isfinite(got)
                 zz = mpc(z.real, z.imag)
                 terms = [ni * mp.log(abs(1 - (zz / mpf(2) ** j) ** 2))
@@ -206,7 +211,7 @@ class TestAgainstMpmath:
         xs = np.array([t * rel * direction, -t * rel * direction])
         self._check(model, t, xs, model.log_abs_f_offsets(t, xs))
         zs = t + xs
-        self._check(model, 0.0, zs, [model.eval_log_abs_f(z) for z in zs])
+        self._check(model, 0.0, zs, [log_abs_f(model, z) for z in zs])
 
     @given(j_max=st.sampled_from([30, 60, 300]), log2_size=st.floats(-4.0, 280.0),
            direction=DIRECTION, n=st.integers(1, 3))
@@ -215,7 +220,7 @@ class TestAgainstMpmath:
         # |z| up to 2^280, where the low levels take the |q| > 2^500 form
         model = _powlog_model(j_max)
         zs = [2.0**log2_size * direction * (1.0 + 0.3 * k) for k in range(n)]
-        self._check(model, 0.0, zs, [model.eval_log_abs_f(z) for z in zs])
+        self._check(model, 0.0, zs, [log_abs_f(model, z) for z in zs])
         # the same points as complex offsets from a real t
         t = 2.0 ** math.floor(log2_size)
         xs = np.array(zs) - t
@@ -395,9 +400,9 @@ class TestMinmodSup:
         # N certified intervals, one zero each: one call evaluates all 2N ends
         sizes.clear()
         ts = 2.0 ** np.arange(5, 25)
-        got = minmod_sups(model, ts, 0.01 * ts, scan_density=512)
+        got = minmod_sup(model, ts, 0.01 * ts, scan_density=512)
         assert sizes == [2 * len(ts)]
-        assert list(got) == [minmod_sup(model, t, 0.01 * t, scan_density=512) for t in ts]
+        assert got == [minmod_sup(model, t, 0.01 * t, scan_density=512) for t in ts]
         # two zeros, 2^19 and 2^20, inside: the ends, the scan, the zoom
         sizes.clear()
         minmod_sup(model, 3.0 * 2.0**18, 2.0**18 + 1.0, scan_density=512)
@@ -493,6 +498,14 @@ class TestMinmodSup:
         b = m.log_abs_f_offsets(1.3, np.array([0.0]))[0]
         assert a >= b
 
+    def test_one_interval_gives_a_float_and_arrays_a_list(self):
+        m = single_factor_model()
+        one = minmod_sup(m, 2.5, 0.5)
+        many = minmod_sup(m, [2.5, 2.0], np.array([0.5, 1e-17]))
+        assert type(one) is float
+        assert type(many) is list and [type(v) for v in many] == [float, float]
+        assert many == [one, NEG_INF]
+
     def test_domain_error(self):
         m = single_factor_model()
         with pytest.raises(ValueError):
@@ -531,12 +544,12 @@ class TestBatchInvariance:
 
     @given(data=st.data(), mult=PROFILE, at_least=st.booleans())
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_minmod_sups_equal_one_interval_calls(self, data, mult, at_least):
+    def test_array_calls_equal_one_interval_calls(self, data, mult, at_least):
         model = CounterexampleModel(MultiplicityProfile(len(mult), mult, "random"))
         pairs = data.draw(st.lists(intervals(len(mult)), min_size=1, max_size=12))
         ts, rs = (np.array(v) for v in zip(*pairs))
         bars = -rs if at_least else None
-        got = minmod_sups(model, ts, rs, 64, at_least=bars)
+        got = minmod_sup(model, ts, rs, 64, at_least=bars)
         for k, (t, r) in enumerate(pairs):
             want = minmod_sup(model, t, r, 64, at_least=None if bars is None else bars[k])
             assert got[k] == want, (t, r, got[k], want)
@@ -678,9 +691,33 @@ class TestDomination:
         rep = domination_check(model, w, samples=300, rng_seed=11, radius=1e4)
         assert rep.passed, rep.details
 
+    @pytest.mark.parametrize("rho", ["geometric:r=8", "geometric:r=1.5"])
+    def test_margin_agrees_with_the_violation_test(self, rho):
+        # a source weight far below f, so its side binds: the worst margin is
+        # the least of rhs0 + slack0 - lhs and 2 v + slack1 - lhs, slack1
+        # holding 2 err once, and it is negative exactly at the violations
+        seq = parse_sequence_spec("powlog:a=1,b=2")
+        model = CounterexampleModel(dyadic_multiplicities(seq, 25))
+        w = WeightEvaluator(parse_sequence_spec(rho), tol=1e-6)
+        rep = domination_check(model, w, samples=100, rng_seed=1, radius=100.0)
+        rng = random.Random(1)
+        zs = []
+        for _ in range(100):
+            r = 100.0 * math.sqrt(rng.random())
+            theta = 2.0 * math.pi * rng.random()
+            zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        margins = []
+        for z, lhs in zip(zs, model.log_abs_f_offsets(0.0, np.array(zs)).tolist()):
+            rhs0 = 2.0 * model.ln_w0_real(abs(z))
+            v, err = w.eval_log_abs_omega(abs(z))
+            slack1 = 2.0 * err + 1e-9 * (1.0 + abs(v))
+            margins.append(min(rhs0 + 1e-9 * (1.0 + abs(rhs0)) - lhs, 2.0 * v + slack1 - lhs))
+        assert rep.worst_margin == min(margins)
+        assert rep.details["violations"] == sum(m < 0 for m in margins) > 0
+
     def test_real_zero_trivially_dominated(self):
         m = single_factor_model()
-        assert m.eval_log_abs_f(2.0) == NEG_INF  # any bound dominates -inf
+        assert log_abs_f(m, 2.0) == NEG_INF  # any bound dominates -inf
 
     def test_counts_samples_on_a_zero(self):
         m = single_factor_model()

@@ -20,7 +20,7 @@ from weightlab import (
     strong_nqa_tail_check,
 )
 from weightlab.sequences import ZERO_CHUNK, TermPrefix
-from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK, big_n_levels
+from weightlab.weights import _EPS, _ORDER, _SERIES_BLOCK
 
 NEG_INF = float("-inf")
 _U = 2.0**-53  # unit roundoff of float64
@@ -95,7 +95,7 @@ class TestComplexEvaluation:
 
     def test_neg_imag_is_linear_product(self):
         w = WeightEvaluator(single_zero())
-        v, _ = w.eval_log_omega_neg_imag(3.0)
+        v, _ = w.eval_log_abs_omega_complex(complex(0.0, -3.0))
         assert v == pytest.approx(math.log(4.0), abs=1e-14)
 
     def test_domain_error(self):
@@ -195,7 +195,7 @@ class TestZerosFarBelowTheArgument:
         ("eval_log_abs_omega", 2.0),
         ("eval_log_abs_omega_complex", 2.0 + 0j),
         ("eval_log_abs_omega_complex", 2j),
-        ("eval_log_omega_neg_imag", 2.0),
+        ("eval_log_abs_omega_complex", complex(0.0, -2.0)),
     ])
     def test_two_zeros(self, method, x):
         v, err = getattr(WeightEvaluator(parse_sequence_spec(self.SEQ)), method)(x)
@@ -379,10 +379,31 @@ class TestBigN:
         # every other sum over an explicit list does, whatever j_cut says
         fam = ExplicitFamily([1.0 + 0.5 * i for i in range(50)])
         ts = np.append(2.0 ** np.arange(1.0, 13.0), 1e3)
-        capped = big_n_levels(ZeroSequence(fam, j_cut=10), ts)
-        whole = big_n_levels(ZeroSequence(fam), ts)
+        capped = big_N(ZeroSequence(fam, j_cut=10), ts)
+        whole = big_N(ZeroSequence(fam), ts)
         assert np.array_equal(capped[0], whole[0]) and capped[1] == whole[1]
         assert whole[1][-1] == 50
+
+    @pytest.mark.parametrize("spec", ["geometric:r=2", "powlog:a=1,b=2", "power:a=2"])
+    def test_array_equals_scalar_calls(self, spec):
+        # below t_1 (N = 0, argmax 0), dyadic levels, a point past j_cut, 2^1023
+        seq = parse_sequence_spec(spec, j_cut=30)
+        ts = np.array([0.5 * seq.term(1), 1.0, 3.0, 2.0**10, 2.0**40, 2.0**1023])
+        assert seq.count_leq(2.0**40) > seq.j_cut
+        values, argmax = big_N(seq, ts)
+        assert isinstance(values, np.ndarray) and isinstance(argmax, list)
+        alone = [big_N(seq, float(t)) for t in ts]
+        assert [(float(v), k) for v, k in zip(values, argmax)] == alone
+        assert [type(v) for v, _ in alone] == [float] * len(ts)
+        assert alone[0] == (0.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_array_rejects_a_bad_point(self, bad):
+        seq = parse_sequence_spec("geometric:r=2")
+        with pytest.raises(ValueError):
+            big_N(seq, bad)
+        with pytest.raises(ValueError):
+            big_N(seq, np.array([2.0, bad, 4.0]))
 
 
 class TestScaling:
