@@ -485,7 +485,7 @@ def beta_self_referential(seq: ZeroSequence) -> BetaSpec:
     )
 
 
-def shipped_beta_family(seq: Optional[ZeroSequence] = None) -> List[BetaSpec]:
+def shipped_beta_family() -> List[BetaSpec]:
     """Default admissible family for the contradiction experiment.
 
     Chosen so a finite-stage witness exists by level 60 for sources whose
@@ -512,7 +512,7 @@ def classic_beta_family(seq: Optional[ZeroSequence] = None) -> List[BetaSpec]:
 
 
 def named_beta(name: str, seq: Optional[ZeroSequence] = None) -> BetaSpec:
-    for spec in shipped_beta_family(seq) + classic_beta_family(seq):
+    for spec in shipped_beta_family() + classic_beta_family(seq):
         if spec.name == name or spec.name.split(":")[0] == name:
             return spec
     raise ValueError(f"unknown beta {name!r}")

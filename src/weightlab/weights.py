@@ -168,14 +168,13 @@ class WeightEvaluator:
                 parts.append(0.5 * part)
         if h >= n:
             return _compensated_sum(parts), 0.0
-        far, rem = self._series(z, r, zeros, h, n)
+        far, rem = self._series(z, zeros, h, n)
         return _compensated_sum(parts + [far]), rem
 
-    def _series(self, z: complex, r: float, zeros: TermPrefix, lo: int, hi: int
-                ) -> tuple[float, float]:
+    def _series(self, z: complex, zeros: TermPrefix, lo: int, hi: int) -> tuple[float, float]:
         """Re sum_{k <= _ORDER} (-1)^(k+1) (iz)^k P_k / k, P_k the sum of
         t_j^-k over the complete blocks lo..hi-1 of zeros, and the bound
-        r^(K+1) P_(K+1) / ((K+1)(1 - _EPS)) on what the cut omits.  Block b
+        |z|^(K+1) P_(K+1) / ((K+1)(1 - _EPS)) on what the cut omits.  Block b
         enters as (iz/s_b)^k times its scaled sums, |iz/s_b| < 2 _EPS, so
         nothing overflows; the blocks' values are summed correctly rounded."""
         scale, powsums = zeros.power_sums(hi, self._scratch)

@@ -156,7 +156,7 @@ def test_criterion_5_counterexample_realization():
     model = CounterexampleModel(dyadic_multiplicities(seq, 60))
     ok = True
     details = []
-    for beta in shipped_beta_family(seq):
+    for beta in shipped_beta_family():
         rep = contradiction_experiment(model, beta, scan_density=512)
         ok &= rep.witness_index is not None and rep.witness_index <= 60
         ok &= rep.schwarz_violations == 0

@@ -178,6 +178,7 @@ class TestBasics:
         assert code == 0
         diags = json.loads(out)["diagnostics"]
         assert {d["verdict"] for d in diags.values()} == {"divergent-trend"}
+        assert all(d["certificate"] for d in diags.values())
 
     def test_unknown_family_exits_2(self):
         code, _, _ = run_cli(["weight", "eval", "--seq", "foo:r=2", "--t", "1"])

@@ -415,8 +415,7 @@ class TestMinmodSup:
     def test_certified_levels_match_the_zoom_search(self, model60):
         # the four shipped radii at every level of the j_max 60 model: the
         # result is the full scan-and-zoom search's, bit for bit
-        seq = parse_sequence_spec("powlog:a=1,b=2")
-        for beta in shipped_beta_family(seq):
+        for beta in shipped_beta_family():
             for j in range(1, 61):
                 t, r = 2.0**j, beta(2.0**j)
                 if r > t:
@@ -658,7 +657,7 @@ class TestEndCertificate:
         rho = WeightEvaluator(parse_sequence_spec("geometric:r=2"), tol=1e-6)
         checked = 0
         runs = [(30, "contradict", ["const:0.001"]), (60, "contradict",
-                [b.name for b in shipped_beta_family(seq)]), (20, "scan", [(2.0, 256.0, 6)]),
+                [b.name for b in shipped_beta_family()]), (20, "scan", [(2.0, 256.0, 6)]),
                 (40, "scan", [(2.0, 65536.0, 32)]),
                 (60, "scan", [(round(2.0 + 2.0 * random.Random(f"counterexample:{s}").random(), 6),
                                65536.0, 16) for s in range(1, 21)])]
@@ -770,8 +769,7 @@ def model60():
 
 class TestContradiction:
     def test_shipped_betas_find_witness(self, model60):
-        seq = parse_sequence_spec("powlog:a=1,b=2")
-        for beta in shipped_beta_family(seq):
+        for beta in shipped_beta_family():
             rep = contradiction_experiment(model60, beta, scan_density=256)
             assert rep.witness_index is not None and rep.witness_index <= 60, beta.name
             assert rep.schwarz_violations == 0
@@ -836,7 +834,7 @@ class TestContradiction:
             ln_w0 = [mp.fsum(ni * mp.log(1 + mpf(4) ** (m - i))
                              for i, ni in enumerate(n, start=1) if ni) / 2
                      for m in range(len(n) + 2)]
-            for beta in shipped_beta_family(seq) + classic_beta_family(seq):
+            for beta in shipped_beta_family() + classic_beta_family(seq):
                 rep = contradiction_experiment(model60, beta)
                 allow = rep.witness_allowance
                 assert 0 < allow < 1e-12 * rep.rhs_upper
